@@ -28,8 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from . import learners
-from .corpus import CleanRecord, LabelMap, SentimentClass
-from .errors import BundleError, BundleIntegrityError, SentigaError, UnsupportedVersionError
+from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts
+from .errors import (
+    BundleError,
+    BundleIntegrityError,
+    NegativeCountError,
+    NonFiniteFeatureError,
+    SentigaError,
+    UnsupportedVersionError,
+)
 from .evaluation import (
     ClassMetrics,
     ConfusionMatrix,
@@ -41,13 +48,16 @@ from .evaluation import (
     train_model,
 )
 from .features import (
+    NUMERIC_FEATURE_NAMES,
     HybridFeatureSpace,
     Scaler,
     TfidfConfig,
     TfidfModel,
     fit_feature_space,
+    tfidf_row,
+    transform_scaler,
 )
-from .textnorm import clean_text, count_hashtags, default_leet, default_slang
+from .textnorm import clean_text, default_leet, default_slang
 
 FORMAT_VERSION = 1
 _MAGIC = "SENTIGA-BUNDLE"
@@ -270,6 +280,15 @@ def load_bundle(path: str | Path) -> ModelBundle:
     except json.JSONDecodeError as exc:
         raise BundleIntegrityError(f"{path}: unparseable payload: {exc}") from None
 
+    try:
+        bundle = _bundle_from_payload(data, version)
+        _check_shapes(bundle)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
+    return bundle
+
+
+def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
     tfidf_cfg = data["tfidf"]["config"]
     tfidf = TfidfModel(
         vocabulary={k: int(v) for k, v in data["tfidf"]["vocabulary"].items()},
@@ -301,6 +320,37 @@ def load_bundle(path: str | Path) -> ModelBundle:
     )
 
 
+def _check_shapes(bundle: ModelBundle) -> None:
+    """Raise ValueError unless the vocabulary maps onto columns 0..V-1, the
+    IDF has V entries, the scaler has one entry per numeric feature, and the
+    classifier's layers chain from V + 3 inputs to one score per class."""
+    n_terms = bundle.tfidf.n_features
+    if sorted(bundle.tfidf.vocabulary.values()) != list(range(n_terms)):
+        raise ValueError(f"vocabulary indices are not the columns 0..{n_terms - 1}")
+    if bundle.tfidf.idf.shape != (n_terms,):
+        raise ValueError(f"idf has shape {bundle.tfidf.idf.shape}, vocabulary has {n_terms} terms")
+    n_numeric = len(NUMERIC_FEATURE_NAMES)
+    for stats in (bundle.scaler.means, bundle.scaler.stds):
+        if stats.shape != (n_numeric,):
+            raise ValueError(f"scaler has shape {stats.shape}, expected ({n_numeric},)")
+    model = bundle.classifier
+    if bundle.kind == "mlp":
+        if len(model.weights) != len(model.biases):
+            raise ValueError("mlp has different numbers of weight and bias layers")
+        layers = list(zip(model.weights, model.biases))
+    else:
+        layers = [(model.W.T, model.b)]
+    width = n_terms + n_numeric
+    for W, b in layers:
+        if W.ndim != 2 or W.shape[0] != width or b.shape != (W.shape[1],):
+            raise ValueError(
+                f"classifier layer {W.shape} with bias {b.shape} does not take {width} inputs"
+            )
+        width = W.shape[1]
+    if width != learners.N_CLASSES:
+        raise ValueError(f"classifier emits {width} scores, expected {learners.N_CLASSES}")
+
+
 # --------------------------------------------------------------------------
 # inference
 # --------------------------------------------------------------------------
@@ -317,33 +367,44 @@ def predict(
 ) -> Prediction:
     """Run the full inference pipeline on one raw post.
 
+    No feature matrix is built: the classifier's first layer gathers the
+    weights of the post's TF-IDF columns and of the scaled numeric columns.
     Text that cleans to the empty string still yields a prediction from a
     zero TF-IDF block plus the numeric features; this never hard-errors.
     """
-    from .features import assemble_hybrid, transform_corpus, transform_scaler
-
+    if retweets < 0 or likes < 0:
+        raise NegativeCountError(
+            f"retweets and likes must be non-negative, got {retweets} and {likes}"
+        )
     text = clean_text(raw_text, bundle.slang, bundle.leet)
-    tfidf_row = transform_corpus(bundle.tfidf, [text])
-    numeric = np.array(
-        [[len(text.split()), retweets + likes, count_hashtags(raw_text)]], dtype=float
+    cols, weights = tfidf_row(bundle.tfidf, text)
+    weights = np.asarray(weights)
+    numeric = transform_scaler(
+        bundle.scaler, metadata_counts(text, raw_text, retweets, likes)
     )
-    X = assemble_hybrid(tfidf_row, transform_scaler(bundle.scaler, numeric))
+    if not (np.isfinite(weights).all() and np.isfinite(numeric).all()):
+        raise NonFiniteFeatureError("feature vector contains non-finite values")
 
-    if bundle.kind == "svm":
-        scores = learners.decision_scores_svm(bundle.classifier, X)[0]
-        probabilistic = False
-    elif bundle.kind == "logreg":
-        scores = learners.predict_proba_logreg(bundle.classifier, X)[0]
-        probabilistic = True
-    elif bundle.kind == "mlp":
-        scores = learners.predict_proba_mlp(bundle.classifier, X)[0]
-        probabilistic = True
+    n_terms = bundle.tfidf.n_features
+    model = bundle.classifier
+    if bundle.kind == "mlp":
+        W, b = model.weights[0], model.biases[0]
+        learners._check_features(W.shape[0], n_terms + numeric.size)
+        first = weights @ W[cols] + numeric @ W[n_terms:] + b
+        if len(model.weights) > 1:
+            np.maximum(first, 0.0, out=first)
+        scores = learners._mlp_forward(model.weights[1:], model.biases[1:], first[None])[0]
+    elif bundle.kind in ("logreg", "svm"):
+        learners._check_features(model.W.shape[1], n_terms + numeric.size)
+        scores = model.W[:, cols] @ weights + model.W[:, n_terms:] @ numeric + model.b
+        if bundle.kind == "logreg":
+            scores = learners.softmax(scores[None])[0]
     else:
         raise BundleError(f"unknown classifier kind: {bundle.kind!r}")
     return Prediction(
         label=SentimentClass(int(np.argmax(scores))),
         scores=scores,
-        probabilistic=probabilistic,
+        probabilistic=bundle.kind != "svm",
     )
 
 

@@ -224,6 +224,13 @@ def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
     return found
 
 
+def metadata_counts(clean: str, raw: str, retweets: int, likes: int) -> list[int]:
+    """The three metadata features of one post, shared by training and
+    serving: [word count of the cleaned text, retweets + likes, hashtag
+    count of the raw text]."""
+    return [len(clean.split()), retweets + likes, count_hashtags(raw)]
+
+
 def clean_record(
     raw: RawRecord,
     label_map: LabelMap,
@@ -238,12 +245,15 @@ def clean_record(
     label = map_label(raw.raw_label, label_map)
     if label is None:
         return None
+    word_count, engagement, hashtag_count = metadata_counts(
+        text, raw.text, raw.retweets, raw.likes
+    )
     return CleanRecord(
         clean_text=text,
         label=label,
-        word_count=len(text.split()),
-        engagement=raw.retweets + raw.likes,
-        hashtag_count=count_hashtags(raw.text),
+        word_count=word_count,
+        engagement=engagement,
+        hashtag_count=hashtag_count,
     )
 
 

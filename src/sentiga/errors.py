@@ -49,6 +49,10 @@ class EmptyEvaluationError(DataError):
     """An evaluation report was requested for an all-zero confusion matrix."""
 
 
+class NegativeCountError(DataError):
+    """A retweet or like count given for a post is negative."""
+
+
 class ShapeMismatchError(DataError):
     """Matrix or vector dimensions do not line up."""
 
@@ -74,4 +78,5 @@ class UnsupportedVersionError(BundleError):
 
 
 class BundleIntegrityError(BundleError):
-    """The bundle payload does not match its checksum."""
+    """The bundle payload does not match its checksum, or its keys or array
+    shapes are not those of a bundle."""

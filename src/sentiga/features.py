@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import CleanRecord
 from .errors import EmptyCorpusError, EmptyVocabularyError, ShapeMismatchError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 NUMERIC_FEATURE_NAMES = ("word_count", "engagement", "hashtag_count")
 
@@ -114,26 +116,36 @@ def transform_tfidf(model: TfidfModel, doc: str) -> sp.csr_matrix:
     return transform_corpus(model, [doc])
 
 
+def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
+    """One document's TF-IDF row as (ascending column indices, weights):
+    (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
+    empty documents give two empty lists."""
+    counts = Counter(
+        term
+        for term in extract_terms(doc, model.config.ngram_range)
+        if term in model.vocabulary
+    )
+    row = sorted((model.vocabulary[term], count) for term, count in counts.items())
+    weights = []
+    for idx, count in row:
+        tf = 1.0 + math.log(count) if model.config.sublinear_tf else float(count)
+        weights.append(tf * model.idf[idx])
+    norm = math.sqrt(sum(w * w for w in weights))
+    if norm > 0:
+        weights = [w / norm for w in weights]
+    return [idx for idx, _ in row], weights
+
+
 def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
     """Stack transform rows for many documents into an n x V CSR matrix."""
+    import scipy.sparse as sp
+
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     for doc in docs:
-        counts = Counter(
-            term
-            for term in extract_terms(doc, model.config.ngram_range)
-            if term in model.vocabulary
-        )
-        row = sorted((model.vocabulary[term], count) for term, count in counts.items())
-        weights = []
-        for idx, count in row:
-            tf = 1.0 + math.log(count) if model.config.sublinear_tf else float(count)
-            weights.append(tf * model.idf[idx])
-        norm = math.sqrt(sum(w * w for w in weights))
-        if norm > 0:
-            weights = [w / norm for w in weights]
-        indices.extend(idx for idx, _ in row)
+        cols, weights = tfidf_row(model, doc)
+        indices.extend(cols)
         data.extend(weights)
         indptr.append(len(indices))
     return sp.csr_matrix(
@@ -206,6 +218,8 @@ class HybridMatrix:
         return self.tfidf_block.shape[1] + self.numeric_block.shape[1]
 
     def to_csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.hstack(
             [self.tfidf_block, sp.csr_matrix(self.numeric_block)], format="csr"
         )

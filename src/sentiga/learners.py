@@ -15,10 +15,9 @@ Class ordinals follow SentimentClass (negative=0, neutral=1, positive=2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegenerateLabelsError,
@@ -28,6 +27,9 @@ from .errors import (
 )
 from .evaluation import stratified_split
 from .features import HybridMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 N_CLASSES = 3
 
@@ -109,6 +111,8 @@ class LinearSvmModel:
 
 
 def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
+    import scipy.sparse as sp
+
     if isinstance(X, HybridMatrix):
         X = X.to_csr()
     if sp.issparse(X):
@@ -139,10 +143,10 @@ def _check_labels(X, y) -> np.ndarray:
     return y
 
 
-def _check_features(model_dim: int, X) -> None:
-    if X.shape[1] != model_dim:
+def _check_features(model_dim: int, n_features: int) -> None:
+    if n_features != model_dim:
         raise ShapeMismatchError(
-            f"model expects {model_dim} features, got {X.shape[1]}"
+            f"model expects {model_dim} features, got {n_features}"
         )
 
 
@@ -295,7 +299,7 @@ def train_logreg(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:
 
 def predict_proba_logreg(model: LogRegModel, X) -> np.ndarray:
     X = _as_matrix(X)
-    _check_features(model.W.shape[1], X)
+    _check_features(model.W.shape[1], X.shape[1])
     return softmax(np.asarray(X @ model.W.T) + model.b)
 
 
@@ -487,7 +491,7 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
 
 def predict_proba_mlp(model: MlpModel, X) -> np.ndarray:
     X = _as_matrix(X)
-    _check_features(model.weights[0].shape[0], X)
+    _check_features(model.weights[0].shape[0], X.shape[1])
     return _mlp_forward(model.weights, model.biases, X)
 
 
@@ -536,7 +540,7 @@ def train_linear_svm(X, y, config: LinearSvmConfig = LinearSvmConfig()) -> Linea
 
 def decision_scores_svm(model: LinearSvmModel, X) -> np.ndarray:
     X = _as_matrix(X)
-    _check_features(model.W.shape[1], X)
+    _check_features(model.W.shape[1], X.shape[1])
     return np.asarray(X @ model.W.T) + model.b
 
 

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +50,18 @@ def make_clean_records(n_per_class=(8, 8, 8), seed=0):
             )
     order = rng.permutation(len(records))
     return [records[i] for i in order]
+
+
+def edit_bundle_payload(path, edit):
+    """Apply edit(payload dict) to a saved bundle and rewrite its checksum,
+    so the result passes the integrity check but carries the edit."""
+    magic, _, payload = path.read_text(encoding="utf-8").split("\n", 2)
+    data = json.loads(payload)
+    edit(data)
+    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    path.write_text(f"{magic}\nsha256:{digest}\n{payload}\n", encoding="utf-8")
+    return path
 
 
 def write_raw_csv(path, rows, header=("Text", "Sentiment", "Retweets", "Likes", "Hashtags")):

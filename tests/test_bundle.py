@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import make_clean_records
+from conftest import edit_bundle_payload, make_clean_records
 from sentiga.bundle import (
     FORMAT_VERSION,
     ModelBundle,
@@ -10,11 +12,33 @@ from sentiga.bundle import (
     save_bundle,
     train_bundle,
 )
-from sentiga.corpus import CleanRecord, SentimentClass
-from sentiga.errors import BundleError, BundleIntegrityError, UnsupportedVersionError
+from sentiga.corpus import (
+    CleanRecord,
+    SentimentClass,
+    load_raw,
+    metadata_counts,
+    prepare_corpus,
+)
+from sentiga.datasets import reference_corpus_path
+from sentiga.errors import (
+    BundleError,
+    BundleIntegrityError,
+    DataError,
+    NegativeCountError,
+    NonFiniteFeatureError,
+    ShapeMismatchError,
+    UnsupportedVersionError,
+)
 from sentiga.evaluation import predict_model
-from sentiga.features import TfidfConfig
-from sentiga.learners import LogRegConfig, LogRegModel
+from sentiga.features import Scaler, TfidfConfig
+from sentiga.learners import (
+    LogRegConfig,
+    LogRegModel,
+    decision_scores_svm,
+    predict_proba_logreg,
+    predict_proba_mlp,
+)
+from sentiga.textnorm import clean_text
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 
@@ -179,6 +203,122 @@ class TestPredict:
         ]
         outcome = predict(result.bundle, "Saya senang sekali!!!", 0, 0)
         assert outcome.label is SentimentClass.POSITIVE
+
+
+    @pytest.mark.parametrize("retweets, likes", [(-5, 0), (0, -1), (-5, -100000)])
+    def test_negative_counts_are_rejected(self, trained, retweets, likes):
+        result, _ = trained
+        with pytest.raises(NegativeCountError):
+            predict(result.bundle, "aku senang", retweets, likes)
+        assert issubclass(NegativeCountError, DataError)
+
+    def test_non_finite_features_are_rejected(self, trained):
+        result, _ = trained
+        broken = replace(
+            result.bundle,
+            scaler=Scaler(means=np.zeros(3), stds=np.array([np.nan, 1.0, 1.0])),
+        )
+        with pytest.raises(NonFiniteFeatureError):
+            predict(broken, "senang bagus", 1, 1)
+
+    def test_classifier_width_mismatch_is_rejected(self, trained):
+        result, _ = trained
+        model = result.bundle.classifier
+        narrow = LogRegModel(W=model.W[:, 1:], b=model.b, config=model.config)
+        broken = replace(result.bundle, classifier=narrow)
+        with pytest.raises(ShapeMismatchError):
+            predict(broken, "senang bagus", 1, 1)
+
+
+@pytest.fixture(scope="module")
+def reference_raw():
+    return load_raw(reference_corpus_path())
+
+
+class TestMatrixPathParity:
+    """Single-post predict scores gathered weight columns; batch scoring
+    multiplies the featurized matrix. Both must agree on every row."""
+
+    SCORERS = {
+        "logreg": predict_proba_logreg,
+        "mlp": predict_proba_mlp,
+        "svm": decision_scores_svm,
+    }
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
+    def test_every_reference_row_matches_the_matrix_path(self, reference_raw, kind):
+        result = train_bundle(prepare_corpus(reference_raw), kind=kind)
+        bundle = result.bundle
+        rows = []
+        for raw in reference_raw:
+            text = clean_text(raw.text, bundle.slang, bundle.leet)
+            counts = metadata_counts(text, raw.text, raw.retweets, raw.likes)
+            rows.append(CleanRecord(text, SentimentClass.NEUTRAL, *counts))
+        X = result.space.featurize(rows).to_csr()
+        expected = self.SCORERS[kind](bundle.classifier, X)
+        served = np.array(
+            [predict(bundle, r.text, r.retweets, r.likes).scores for r in reference_raw]
+        )
+        assert any(not r.clean_text for r in rows)  # empty texts are covered
+        assert np.array_equal(served.argmax(axis=1), expected.argmax(axis=1))
+        assert np.max(np.abs(served - expected)) <= 1e-12
+
+
+class TestBundleStructure:
+    """A bundle whose checksum is valid but whose structure is not that of
+    a bundle fails with BundleIntegrityError, never a KeyError or an
+    IndexError."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
+        paths = {}
+        for kind in ("logreg", "mlp"):
+            result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF, seed=1)
+            paths[kind] = tmp_path_factory.mktemp(kind) / "m.bundle"
+            save_bundle(result.bundle, paths[kind])
+        return paths
+
+    def _edited(self, saved, kind, edit, tmp_path):
+        path = tmp_path / "edited.bundle"
+        path.write_bytes(saved[kind].read_bytes())
+        return edit_bundle_payload(path, edit)
+
+    def test_unedited_payload_still_loads(self, saved, tmp_path):
+        for kind in saved:
+            load_bundle(self._edited(saved, kind, lambda data: None, tmp_path))
+
+    @pytest.mark.parametrize("key", ["scaler", "tfidf", "classifier", "kind"])
+    def test_missing_key(self, saved, tmp_path, key):
+        path = self._edited(saved, "logreg", lambda data: data.pop(key), tmp_path)
+        with pytest.raises(BundleIntegrityError):
+            load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("logreg", lambda data: data["tfidf"]["idf"].pop()),
+            ("logreg", lambda data: data["scaler"]["means"].pop()),
+            ("logreg", lambda data: data["scaler"].update(stds=[1.0, 1.0, 1.0, 1.0])),
+            ("logreg", lambda data: [row.pop() for row in data["classifier"]["W"]]),
+            ("logreg", lambda data: data["classifier"]["W"].pop()),
+            ("logreg", lambda data: data["classifier"]["b"].pop()),
+            ("logreg", lambda data: data["tfidf"]["vocabulary"].update(
+                {next(iter(data["tfidf"]["vocabulary"])): 10**6})),
+            ("mlp", lambda data: data["classifier"]["weights"][0].pop()),
+            ("mlp", lambda data: data["classifier"]["biases"][1].pop()),
+            ("mlp", lambda data: data["classifier"]["weights"].pop()),
+        ],
+        ids=[
+            "idf-short", "scaler-short", "scaler-long", "W-narrow", "W-two-classes",
+            "b-short", "vocab-index-out-of-range", "mlp-first-layer-short",
+            "mlp-bias-short", "mlp-layer-missing",
+        ],
+    )
+    def test_wrong_shape(self, saved, tmp_path, kind, edit):
+        path = self._edited(saved, kind, edit, tmp_path)
+        with pytest.raises(BundleIntegrityError):
+            load_bundle(path)
 
 
 class TestTrainBundle:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import spell_index, write_raw_csv
+from conftest import edit_bundle_payload, spell_index, write_raw_csv
+import sentiga
 from sentiga import export
 from sentiga.cli import main
 
@@ -105,6 +110,25 @@ class TestTrainEvaluatePredict:
         assert payload["probabilistic"] is False
         assert "decision_scores" in payload
 
+    def test_predict_does_not_import_scipy(self, trained_bundle):
+        script = (
+            "import sys\n"
+            "import sentiga\n"
+            "from sentiga import cli\n"
+            "code = cli.main(['predict', '--bundle', sys.argv[1], '--text', 'aku senang'])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        src = str(Path(sentiga.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(trained_bundle)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
 
 class TestBenchmarkExport:
     def test_benchmark_writes_table_with_extra_row(self, small_raw_csv, tmp_path, capsys):
@@ -182,6 +206,22 @@ class TestExitCodes:
         blob = bytearray(trained_bundle.read_bytes())
         blob[-5] ^= 0x01
         trained_bundle.write_bytes(bytes(blob))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+
+    def test_negative_counts_are_data_error(self, trained_bundle, capsys):
+        code = run(
+            "predict", "--bundle", str(trained_bundle), "--text", "aku senang",
+            "--retweets", "-5", "--likes", "-100000",
+        )
+        assert code == 3
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_bundle_missing_a_key_is_io_error(self, trained_bundle, capsys):
+        edit_bundle_payload(trained_bundle, lambda data: data.pop("scaler"))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+
+    def test_bundle_with_wrong_shapes_is_io_error(self, trained_bundle, capsys):
+        edit_bundle_payload(trained_bundle, lambda data: data["tfidf"]["idf"].pop())
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
 
     def test_help_exits_zero(self, capsys):
