@@ -21,7 +21,9 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+import types
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,17 +36,15 @@ from .errors import (
     BundleIntegrityError,
     NegativeCountError,
     NonFiniteFeatureError,
-    SentigaError,
+    ShapeMismatchError,
     UnsupportedVersionError,
 )
 from .evaluation import (
-    ClassMetrics,
-    ConfusionMatrix,
     EvalReport,
     confusion,
+    featurized_split,
     predict_model,
     report,
-    stratified_split,
     train_model,
 )
 from .features import (
@@ -53,7 +53,6 @@ from .features import (
     Scaler,
     TfidfConfig,
     TfidfModel,
-    fit_feature_space,
     tfidf_row,
     transform_scaler,
 )
@@ -85,6 +84,8 @@ def _encode(value) -> str:
         return format(value, ".17g")
     if isinstance(value, np.ndarray):
         return _encode(value.tolist())
+    if is_dataclass(value):
+        return _encode({f.name: getattr(value, f.name) for f in _persisted(value)})
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_encode(v) for v in value) + "]"
     if isinstance(value, dict):
@@ -93,6 +94,36 @@ def _encode(value) -> str:
         items = sorted(value.items())
         return "{" + ",".join(f"{json.dumps(k)}:{_encode(v)}" for k, v in items) + "}"
     raise BundleError(f"cannot serialize {type(value).__name__} in bundle payload")
+
+
+def _persisted(cls) -> list:
+    """The fields a bundle stores: those not ending in "_", which hold
+    training diagnostics."""
+    return [f for f in fields(cls) if not f.name.endswith("_")]
+
+
+def _decode(hint, value):
+    """Rebuild a value of the declared type `hint` from its JSON form.
+
+    The payload writes 2.0 as 2 and tuples as lists, so each value is coerced
+    to its declared type; a dataclass is rebuilt field by field from its type
+    hints.
+    """
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{f.name: _decode(hints[f.name], value[f.name]) for f in _persisted(hint)})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        return _decode(next(a for a in args if a is not type(None)), value)
+    if origin is dict:
+        return {_decode(args[0], k): _decode(args[1], v) for k, v in value.items()}
+    if origin in (list, tuple):  # homogeneous: list[T], tuple[T, ...], tuple[T, T]
+        return origin(_decode(args[0], v) for v in value)
+    if hint is np.ndarray:
+        return np.asarray(value, dtype=float)
+    return hint(value)
 
 
 def _pairs_digest(entries: dict[str, str]) -> str:
@@ -108,7 +139,7 @@ def _pairs_digest(entries: dict[str, str]) -> str:
 class ModelBundle:
     """Everything needed to turn one raw post into a prediction."""
 
-    kind: str                       # logreg | mlp | svm
+    kind: str                       # a key of learners.LEARNERS
     seed: int
     test_fraction: float
     slang: dict[str, str]
@@ -130,93 +161,21 @@ class ModelBundle:
 
 
 def _report_to_payload(rep: EvalReport | None):
+    """The report's fields, with the confusion matrix stored as bare counts."""
     if rep is None:
         return None
-    return {
-        "confusion": rep.confusion.counts,
-        "per_class": [asdict(m) for m in rep.per_class],
-        "accuracy": rep.accuracy,
-        "macro_f1": rep.macro_f1,
-        "weighted_f1": rep.weighted_f1,
-    }
+    payload = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    return payload | {"confusion": rep.confusion.counts}
 
 
 def _report_from_payload(data) -> EvalReport | None:
     if data is None:
         return None
-    return EvalReport(
-        confusion=ConfusionMatrix(counts=np.asarray(data["confusion"], dtype=int)),
-        per_class=[ClassMetrics(**m) for m in data["per_class"]],
-        accuracy=float(data["accuracy"]),
-        macro_f1=float(data["macro_f1"]),
-        weighted_f1=float(data["weighted_f1"]),
-    )
-
-
-def _classifier_to_payload(kind: str, model) -> dict:
-    if kind == "logreg":
-        return {"W": model.W, "b": model.b, "config": asdict(model.config)}
-    if kind == "mlp":
-        return {
-            "weights": [W for W in model.weights],
-            "biases": [b for b in model.biases],
-            "config": asdict(model.config),
-        }
-    if kind == "svm":
-        return {"W": model.W, "b": model.b, "config": asdict(model.config)}
-    raise BundleError(f"unknown classifier kind: {kind!r}")
-
-
-def _classifier_from_payload(kind: str, data):
-    config = data["config"]
-    if kind == "logreg":
-        return learners.LogRegModel(
-            W=np.asarray(data["W"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
-            config=learners.LogRegConfig(
-                C=float(config["C"]),
-                class_weight=config["class_weight"],
-                solver=config["solver"],
-                max_iter=int(config["max_iter"]),
-                tol=float(config["tol"]),
-                seed=int(config["seed"]),
-            ),
-        )
-    if kind == "mlp":
-        return learners.MlpModel(
-            weights=[np.asarray(W, dtype=float) for W in data["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in data["biases"]],
-            config=learners.MlpConfig(
-                hidden_layer_sizes=tuple(config["hidden_layer_sizes"]),
-                activation=config["activation"],
-                solver=config["solver"],
-                alpha=float(config["alpha"]),
-                learning_rate_init=float(config["learning_rate_init"]),
-                max_iter=int(config["max_iter"]),
-                early_stopping=bool(config["early_stopping"]),
-                validation_fraction=float(config["validation_fraction"]),
-                patience=int(config["patience"]),
-                improvement_tol=float(config["improvement_tol"]),
-                batch_size=config["batch_size"],
-                seed=int(config["seed"]),
-            ),
-        )
-    if kind == "svm":
-        return learners.LinearSvmModel(
-            W=np.asarray(data["W"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
-            config=learners.LinearSvmConfig(
-                regularization=float(config["regularization"]),
-                epochs=int(config["epochs"]),
-                seed=int(config["seed"]),
-            ),
-        )
-    raise BundleError(f"unknown classifier kind: {kind!r}")
+    return _decode(EvalReport, data | {"confusion": {"counts": data["confusion"]}})
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize deterministically and write atomically (temp file + rename)."""
-    tfidf_cfg = asdict(bundle.tfidf.config)
     payload = {
         "kind": bundle.kind,
         "seed": bundle.seed,
@@ -226,13 +185,9 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         "label_map_digest": bundle.label_map_digest,
         "slang_digest": bundle.slang_digest,
         "leet_digest": bundle.leet_digest,
-        "tfidf": {
-            "vocabulary": bundle.tfidf.vocabulary,
-            "idf": bundle.tfidf.idf,
-            "config": tfidf_cfg,
-        },
-        "scaler": {"means": bundle.scaler.means, "stds": bundle.scaler.stds},
-        "classifier": _classifier_to_payload(bundle.kind, bundle.classifier),
+        "tfidf": bundle.tfidf,
+        "scaler": bundle.scaler,
+        "classifier": bundle.classifier,
         "metrics_snapshot": _report_to_payload(bundle.metrics_snapshot),
     }
     encoded = _encode(payload)
@@ -283,28 +238,12 @@ def load_bundle(path: str | Path) -> ModelBundle:
     try:
         bundle = _bundle_from_payload(data, version)
         _check_shapes(bundle)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ShapeMismatchError) as exc:
         raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
     return bundle
 
 
 def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
-    tfidf_cfg = data["tfidf"]["config"]
-    tfidf = TfidfModel(
-        vocabulary={k: int(v) for k, v in data["tfidf"]["vocabulary"].items()},
-        idf=np.asarray(data["tfidf"]["idf"], dtype=float),
-        config=TfidfConfig(
-            max_features=int(tfidf_cfg["max_features"]),
-            min_df=int(tfidf_cfg["min_df"]),
-            max_df=float(tfidf_cfg["max_df"]),
-            ngram_range=tuple(tfidf_cfg["ngram_range"]),
-            sublinear_tf=bool(tfidf_cfg["sublinear_tf"]),
-        ),
-    )
-    scaler = Scaler(
-        means=np.asarray(data["scaler"]["means"], dtype=float),
-        stds=np.asarray(data["scaler"]["stds"], dtype=float),
-    )
     return ModelBundle(
         kind=data["kind"],
         seed=int(data["seed"]),
@@ -312,9 +251,9 @@ def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
         slang=dict(data["slang"]),
         leet=dict(data["leet"]),
         label_map_digest=data["label_map_digest"],
-        tfidf=tfidf,
-        scaler=scaler,
-        classifier=_classifier_from_payload(data["kind"], data["classifier"]),
+        tfidf=_decode(TfidfModel, data["tfidf"]),
+        scaler=_decode(Scaler, data["scaler"]),
+        classifier=_decode(learners.LEARNERS[data["kind"]].model, data["classifier"]),
         metrics_snapshot=_report_from_payload(data["metrics_snapshot"]),
         format_version=version,
     )
@@ -333,15 +272,8 @@ def _check_shapes(bundle: ModelBundle) -> None:
     for stats in (bundle.scaler.means, bundle.scaler.stds):
         if stats.shape != (n_numeric,):
             raise ValueError(f"scaler has shape {stats.shape}, expected ({n_numeric},)")
-    model = bundle.classifier
-    if bundle.kind == "mlp":
-        if len(model.weights) != len(model.biases):
-            raise ValueError("mlp has different numbers of weight and bias layers")
-        layers = list(zip(model.weights, model.biases))
-    else:
-        layers = [(model.W.T, model.b)]
     width = n_terms + n_numeric
-    for W, b in layers:
+    for W, b in bundle.classifier.layers:
         if W.ndim != 2 or W.shape[0] != width or b.shape != (W.shape[1],):
             raise ValueError(
                 f"classifier layer {W.shape} with bias {b.shape} does not take {width} inputs"
@@ -386,25 +318,18 @@ def predict(
         raise NonFiniteFeatureError("feature vector contains non-finite values")
 
     n_terms = bundle.tfidf.n_features
-    model = bundle.classifier
-    if bundle.kind == "mlp":
-        W, b = model.weights[0], model.biases[0]
-        learners._check_features(W.shape[0], n_terms + numeric.size)
-        first = weights @ W[cols] + numeric @ W[n_terms:] + b
-        if len(model.weights) > 1:
-            np.maximum(first, 0.0, out=first)
-        scores = learners._mlp_forward(model.weights[1:], model.biases[1:], first[None])[0]
-    elif bundle.kind in ("logreg", "svm"):
-        learners._check_features(model.W.shape[1], n_terms + numeric.size)
-        scores = model.W[:, cols] @ weights + model.W[:, n_terms:] @ numeric + model.b
-        if bundle.kind == "logreg":
-            scores = learners.softmax(scores[None])[0]
-    else:
-        raise BundleError(f"unknown classifier kind: {bundle.kind!r}")
+    (W, b), *rest = bundle.classifier.layers
+    learners._check_features(W.shape[0], n_terms + numeric.size)
+    scores = (weights @ W[cols] + numeric @ W[n_terms:] + b)[None]
+    for W, b in rest:
+        np.maximum(scores, 0.0, out=scores)
+        scores = scores @ W + b
+    probabilistic = learners.LEARNERS[bundle.kind].probabilistic
+    scores = (learners.softmax(scores) if probabilistic else scores)[0]
     return Prediction(
         label=SentimentClass(int(np.argmax(scores))),
         scores=scores,
-        probabilistic=bundle.kind != "svm",
+        probabilistic=probabilistic,
     )
 
 
@@ -435,25 +360,15 @@ def train_bundle(
     """Stratified split, fit the feature space on the training part only,
     train one classifier, evaluate on the held-out part, and assemble a
     self-contained bundle with the evaluation snapshot."""
-    if kind not in ("logreg", "mlp", "svm"):
-        raise SentigaError(f"unknown model kind: {kind!r}")
     from .corpus import default_label_map
 
     slang = dict(slang if slang is not None else default_slang())
     leet = dict(leet if leet is not None else default_leet())
     label_map = label_map if label_map is not None else default_label_map()
 
-    labels = [r.label for r in records]
-    split = stratified_split(labels, test_fraction, seed)
-    train_records = [records[i] for i in split.train_indices]
-    test_records = [records[i] for i in split.test_indices]
-    y_train = np.array([int(r.label) for r in train_records])
-    y_test = np.array([int(r.label) for r in test_records])
-
-    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
-    X_train = space.featurize(train_records).to_csr()
-    X_test = space.featurize(test_records).to_csr()
-
+    split, space, X_train, y_train, X_test, y_test = featurized_split(
+        records, test_fraction, seed, tfidf_config
+    )
     model = train_model(kind, X_train, y_train, model_config)
     holdout = report(confusion(y_test, predict_model(kind, model, X_test)))
 

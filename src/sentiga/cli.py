@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bundle as bundle_mod
@@ -43,6 +44,40 @@ def _int_tuple(value: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 
 
+# Override flags, each named after the config field it sets; `--random_state`
+# sets `seed`, and `--class_weight none` sets None.
+_TFIDF_FLAGS = {
+    "max_features": {"type": int},
+    "min_df": {"type": int},
+    "max_df": {"type": float},
+    "ngram_range": {"type": _int_tuple},
+    "sublinear_tf": {"type": _bool_flag},
+}
+_MODEL_FLAGS = {
+    "C": {"type": float},
+    "class_weight": {"choices": ["balanced", "none"]},
+    "max_iter": {"type": int},
+    "tol": {"type": float},
+    "random_state": {"type": int},
+    "hidden_layer_sizes": {"type": _int_tuple},
+    "activation": {},
+    "solver": {},
+    "alpha": {"type": float},
+    "learning_rate_init": {"type": float},
+    "early_stopping": {"type": _bool_flag},
+    "regularization": {"type": float},
+    "epochs": {"type": int},
+}
+
+
+def _flag_parser(title: str, flags: dict) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    group = parser.add_argument_group(title)
+    for name, options in flags.items():
+        group.add_argument(f"--{name}", default=None, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="split/model seed (default 42)")
@@ -61,26 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lenient", action="store_true",
                         help="map unparseable numeric cells to 0")
 
-    hyper = argparse.ArgumentParser(add_help=False)
-    group = hyper.add_argument_group("hyperparameter overrides")
-    group.add_argument("--C", type=float, default=None)
-    group.add_argument("--class_weight", choices=["balanced", "none"], default=None)
-    group.add_argument("--max_iter", type=int, default=None)
-    group.add_argument("--tol", type=float, default=None)
-    group.add_argument("--random_state", type=int, default=None)
-    group.add_argument("--hidden_layer_sizes", type=_int_tuple, default=None)
-    group.add_argument("--activation", default=None)
-    group.add_argument("--solver", default=None)
-    group.add_argument("--alpha", type=float, default=None)
-    group.add_argument("--learning_rate_init", type=float, default=None)
-    group.add_argument("--early_stopping", type=_bool_flag, default=None)
-    group.add_argument("--regularization", type=float, default=None)
-    group.add_argument("--epochs", type=int, default=None)
-    group.add_argument("--max_features", type=int, default=None)
-    group.add_argument("--min_df", type=int, default=None)
-    group.add_argument("--max_df", type=float, default=None)
-    group.add_argument("--ngram_range", type=_int_tuple, default=None)
-    group.add_argument("--sublinear_tf", type=_bool_flag, default=None)
+    tfidf = _flag_parser("TF-IDF overrides", _TFIDF_FLAGS)
+    hyper = _flag_parser("model hyperparameter overrides (each applies to some --model)",
+                         _MODEL_FLAGS)
 
     parser = argparse.ArgumentParser(
         prog="sentiga",
@@ -92,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clean, remap, deduplicate, and write the prepared corpus")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", parents=[common, hyper],
+    p = sub.add_parser("train", parents=[common, tfidf, hyper],
                        help="train one model and save a bundle")
     p.set_defaults(func=cmd_train)
 
@@ -107,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--likes", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("benchmark", parents=[common, hyper],
+    p = sub.add_parser("benchmark", parents=[common, tfidf],
                        help="train and compare all models on one shared split")
     p.add_argument("--extra-row", action="append", default=[],
                    metavar="MODEL,FAMILY,ACC,MACRO,WEIGHTED",
@@ -157,63 +175,34 @@ def _test_fraction(args) -> float:
     return 0.2 if args.test_fraction is None else args.test_fraction
 
 
-def _tfidf_config(args) -> TfidfConfig:
-    base = TfidfConfig()
+def _given(args, flags: dict) -> dict:
+    """The flags of `flags` that the command line set."""
+    return {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+
+
+def _config(cls, values: dict):
+    """Build a config; a value outside its bounds is a usage error."""
     try:
-        return TfidfConfig(
-            max_features=base.max_features if args.max_features is None else args.max_features,
-            min_df=base.min_df if args.min_df is None else args.min_df,
-            max_df=base.max_df if args.max_df is None else args.max_df,
-            ngram_range=base.ngram_range if args.ngram_range is None else args.ngram_range,
-            sublinear_tf=base.sublinear_tf if args.sublinear_tf is None else args.sublinear_tf,
-        )
+        return cls(**values)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
+def _tfidf_config(args) -> TfidfConfig:
+    return _config(TfidfConfig, _given(args, _TFIDF_FLAGS))
+
+
 def _model_config(args, seed: int):
-    model_seed = args.random_state if args.random_state is not None else seed
-    if args.model == "logreg":
-        base = learners.LogRegConfig()
-        class_weight = base.class_weight
-        if args.class_weight is not None:
-            class_weight = None if args.class_weight == "none" else args.class_weight
-        return learners.LogRegConfig(
-            C=base.C if args.C is None else args.C,
-            class_weight=class_weight,
-            solver=base.solver if args.solver is None else args.solver,
-            max_iter=base.max_iter if args.max_iter is None else args.max_iter,
-            tol=base.tol if args.tol is None else args.tol,
-            seed=model_seed,
-        )
-    if args.model == "mlp":
-        base = learners.MlpConfig()
-        return learners.MlpConfig(
-            hidden_layer_sizes=(
-                base.hidden_layer_sizes
-                if args.hidden_layer_sizes is None
-                else args.hidden_layer_sizes
-            ),
-            activation=base.activation if args.activation is None else args.activation,
-            solver=base.solver if args.solver is None else args.solver,
-            alpha=base.alpha if args.alpha is None else args.alpha,
-            learning_rate_init=(
-                base.learning_rate_init
-                if args.learning_rate_init is None
-                else args.learning_rate_init
-            ),
-            max_iter=base.max_iter if args.max_iter is None else args.max_iter,
-            early_stopping=(
-                base.early_stopping if args.early_stopping is None else args.early_stopping
-            ),
-            seed=model_seed,
-        )
-    base = learners.LinearSvmConfig()
-    return learners.LinearSvmConfig(
-        regularization=base.regularization if args.regularization is None else args.regularization,
-        epochs=base.epochs if args.epochs is None else args.epochs,
-        seed=model_seed,
-    )
+    cls = learners.LEARNERS[args.model].config
+    values = _given(args, _MODEL_FLAGS)
+    values["seed"] = values.pop("random_state", seed)
+    if values.get("class_weight") == "none":
+        values["class_weight"] = None
+    unused = sorted(values.keys() - {f.name for f in fields(cls)})
+    if unused:
+        flags = ", ".join(f"--{name}" for name in unused)
+        raise _UsageError(f"--model {args.model} does not take {flags}")
+    return _config(cls, values)
 
 
 def _require_bundle_path(args) -> Path:
@@ -344,7 +333,6 @@ def cmd_benchmark(args) -> int:
     seed = _seed(args)
     rows = evaluation.run_benchmark(
         records,
-        model_specs=evaluation.default_model_specs(seed),
         seed=seed,
         test_fraction=_test_fraction(args),
         tfidf_config=_tfidf_config(args),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -159,7 +160,7 @@ def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
         value = int(float(cell))
         if value < 0:
             raise ValueError("negative")
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"
         if lenient:
             return 0
         raise RowParseError(row, f"cannot parse {column}={cell!r}") from None
@@ -228,7 +229,10 @@ def metadata_counts(clean: str, raw: str, retweets: int, likes: int) -> list[int
     """The three metadata features of one post, shared by training and
     serving: [word count of the cleaned text, retweets + likes, hashtag
     count of the raw text]."""
-    return [len(clean.split()), retweets + likes, count_hashtags(raw)]
+    engagement = retweets + likes
+    if engagement > sys.float_info.max:
+        raise DataError("retweets + likes is beyond the range of a float feature")
+    return [len(clean.split()), engagement, count_hashtags(raw)]
 
 
 def clean_record(

@@ -14,13 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import learners
 from .corpus import CLASS_NAMES, CleanRecord
-from .errors import (
-    EmptyEvaluationError,
-    SentigaError,
-    ShapeMismatchError,
-    StratificationError,
-)
+from .errors import EmptyEvaluationError, ShapeMismatchError, StratificationError
+from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 N_CLASSES = len(CLASS_NAMES)
 
@@ -177,22 +174,12 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     )
 
 
-def accuracy_score(y_true, y_pred) -> float:
-    y_true = np.asarray([int(v) for v in y_true])
-    y_pred = np.asarray([int(v) for v in y_pred])
-    return float(np.mean(y_true == y_pred))
-
-
 # --------------------------------------------------------------------------
 # benchmark harness
 # --------------------------------------------------------------------------
 
-MODEL_KINDS = ("logreg", "mlp", "svm")
-MODEL_DISPLAY = {
-    "logreg": ("Logistic Regression", "Classical ML"),
-    "mlp": ("MLPClassifier", "Neural baseline"),
-    "svm": ("Linear SVM", "Classical ML"),
-}
+MODEL_KINDS = tuple(learners.LEARNERS)
+MODEL_DISPLAY = {kind: (l.display, l.family) for kind, l in learners.LEARNERS.items()}
 
 
 @dataclass
@@ -216,42 +203,41 @@ class BenchmarkRow:
 
 
 def default_model_specs(seed: int = 42) -> list[ModelSpec]:
-    from . import learners
-
-    configs = {
-        "logreg": learners.LogRegConfig(seed=seed),
-        "mlp": learners.MlpConfig(seed=seed),
-        "svm": learners.LinearSvmConfig(seed=seed),
-    }
     return [
-        ModelSpec(kind=kind, name=MODEL_DISPLAY[kind][0], family=MODEL_DISPLAY[kind][1],
-                  config=configs[kind])
-        for kind in MODEL_KINDS
+        ModelSpec(kind=kind, name=l.display, family=l.family, config=l.config(seed=seed))
+        for kind, l in learners.LEARNERS.items()
     ]
 
 
 def train_model(kind: str, X, y, config=None):
-    from . import learners
-
-    if kind == "logreg":
-        return learners.train_logreg(X, y, config or learners.LogRegConfig())
-    if kind == "mlp":
-        return learners.train_mlp(X, y, config or learners.MlpConfig())
-    if kind == "svm":
-        return learners.train_linear_svm(X, y, config or learners.LinearSvmConfig())
-    raise SentigaError(f"unknown model kind: {kind!r}")
+    learner = learners.get_learner(kind)
+    return getattr(learners, learner.train)(X, y, config or learner.config())
 
 
 def predict_model(kind: str, model, X) -> np.ndarray:
-    from . import learners
+    return getattr(learners, learners.get_learner(kind).predict)(model, X)
 
-    if kind == "logreg":
-        return learners.predict_logreg(model, X)
-    if kind == "mlp":
-        return learners.predict_mlp(model, X)
-    if kind == "svm":
-        return learners.predict_svm(model, X)
-    raise SentigaError(f"unknown model kind: {kind!r}")
+
+def featurized_split(
+    records: Sequence[CleanRecord],
+    test_fraction: float,
+    seed: int,
+    tfidf_config: TfidfConfig | None = None,
+) -> tuple[SplitIndex, HybridFeatureSpace, object, np.ndarray, object, np.ndarray]:
+    """Stratified split, then the feature space fitted on the training part
+    only. Returns (split, space, X_train, y_train, X_test, y_test)."""
+    split = stratified_split([r.label for r in records], test_fraction, seed)
+    train_records = [records[i] for i in split.train_indices]
+    test_records = [records[i] for i in split.test_indices]
+    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
+    return (
+        split,
+        space,
+        space.featurize(train_records).to_csr(),
+        np.array([int(r.label) for r in train_records]),
+        space.featurize(test_records).to_csr(),
+        np.array([int(r.label) for r in test_records]),
+    )
 
 
 def run_benchmark(
@@ -265,23 +251,14 @@ def run_benchmark(
     shared test part. A failing model yields a row flagged as failed; the
     remaining rows are still produced. Rows are sorted by accuracy
     descending, failed rows last."""
-    from .features import TfidfConfig, fit_feature_space
-
     if model_specs is None:
         model_specs = default_model_specs(seed)
     if not model_specs:
         return []
 
-    labels = [r.label for r in records]
-    split = stratified_split(labels, test_fraction, seed)
-    train_records = [records[i] for i in split.train_indices]
-    test_records = [records[i] for i in split.test_indices]
-    y_train = np.array([int(r.label) for r in train_records])
-    y_test = np.array([int(r.label) for r in test_records])
-
-    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
-    X_train = space.featurize(train_records).to_csr()
-    X_test = space.featurize(test_records).to_csr()
+    _, _, X_train, y_train, X_test, y_test = featurized_split(
+        records, test_fraction, seed, tfidf_config
+    )
 
     rows = []
     for spec in model_specs:
@@ -323,11 +300,11 @@ __all__ = [
     "ClassMetrics",
     "EvalReport",
     "report",
-    "accuracy_score",
     "ModelSpec",
     "BenchmarkRow",
     "default_model_specs",
     "run_benchmark",
+    "featurized_split",
     "train_model",
     "predict_model",
 ]

@@ -19,6 +19,7 @@ from .corpus import LabelMap
 from .errors import DataError
 from .evaluation import BenchmarkRow, EvalReport
 from .features import TfidfConfig
+from .learners import LEARNERS
 
 BENCHMARK_FILE = "model_benchmark_table.csv"
 PER_CLASS_FILE = "per_class_metrics_table.csv"
@@ -113,19 +114,14 @@ def hyperparameter_table_rows(
     model_configs: dict[str, object] | None = None,
 ) -> list[tuple]:
     """Flatten component configs into (Component, Hyperparameter, Value) rows."""
-    component_names = {
-        "logreg": "Logistic Regression",
-        "mlp": "MLPClassifier",
-        "svm": "Linear SVM",
-        "tfidf": "TF-IDF",
-    }
     field_names = {"seed": "random_state"}
     rows = []
-    configs: list[tuple[str, object]] = []
-    for kind, config in (model_configs or {}).items():
-        configs.append((component_names.get(kind, kind), config))
+    configs: list[tuple[str, object]] = [
+        (LEARNERS[kind].display if kind in LEARNERS else kind, config)
+        for kind, config in (model_configs or {}).items()
+    ]
     if tfidf_config is not None:
-        configs.append((component_names["tfidf"], tfidf_config))
+        configs.append(("TF-IDF", tfidf_config))
     for component, config in configs:
         for key, value in asdict(config).items():
             rows.append((component, field_names.get(key, key), _format_value(value)))

@@ -10,6 +10,8 @@
 
 All training runs in float64 and is bit-deterministic for a fixed seed.
 Class ordinals follow SentimentClass (negative=0, neutral=1, positive=2).
+`LEARNERS`, at the end, is the one table the rest of the package reads
+for what differs between the three.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 from .errors import (
     DegenerateLabelsError,
     NonFiniteFeatureError,
+    SentigaError,
     ShapeMismatchError,
     TrainingError,
 )
-from .evaluation import stratified_split
 from .features import HybridMatrix
 
 if TYPE_CHECKING:
@@ -59,6 +61,14 @@ class LogRegConfig:
     tol: float = 1e-6
     seed: int = 42
 
+    def __post_init__(self):
+        if not self.C > 0:
+            raise ValueError(f"C must be positive, got {self.C}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -75,12 +85,41 @@ class MlpConfig:
     batch_size: int | None = None  # None -> min(200, n)
     seed: int = 42
 
+    def __post_init__(self):
+        if not self.hidden_layer_sizes or min(self.hidden_layer_sizes) < 1:
+            raise ValueError(
+                f"hidden_layer_sizes must be one or more positive widths, "
+                f"got {self.hidden_layer_sizes}"
+            )
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not self.learning_rate_init >= 0:
+            raise ValueError(
+                f"learning_rate_init must be non-negative, got {self.learning_rate_init}"
+            )
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0 < self.validation_fraction < 1:
+            raise ValueError(
+                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
+            )
+        if self.patience < 0:
+            raise ValueError(f"patience must be non-negative, got {self.patience}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be None or at least 1, got {self.batch_size}")
+
 
 @dataclass(frozen=True)
 class LinearSvmConfig:
     regularization: float = 1.0
     epochs: int = 200
     seed: int = 42
+
+    def __post_init__(self):
+        if not self.regularization > 0:
+            raise ValueError(f"regularization must be positive, got {self.regularization}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
 
 @dataclass
@@ -90,6 +129,10 @@ class LogRegModel:
     config: LogRegConfig
     n_iter_: int = 0
     objective_history_: list[float] = field(default_factory=list)
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(self.W.T, self.b)]
 
 
 @dataclass
@@ -102,12 +145,20 @@ class MlpModel:
     validation_scores_: list[float] = field(default_factory=list)
     loss_curve_: list[float] = field(default_factory=list)
 
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.weights, self.biases, strict=True))
+
 
 @dataclass
 class LinearSvmModel:
     W: np.ndarray            # (3, D)
     b: np.ndarray            # (3,)
     config: LinearSvmConfig
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(self.W.T, self.b)]
 
 
 def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
@@ -384,6 +435,7 @@ class _Adam:
 def _validation_split(y, fraction, rng):
     """Stratified where possible, plain seeded shuffle otherwise."""
     from .errors import StratificationError
+    from .evaluation import stratified_split
 
     try:
         split = stratified_split(y, fraction, rng)
@@ -546,3 +598,42 @@ def decision_scores_svm(model: LinearSvmModel, X) -> np.ndarray:
 
 def predict_svm(model: LinearSvmModel, X) -> np.ndarray:
     return np.argmax(decision_scores_svm(model, X), axis=1)
+
+
+# --------------------------------------------------------------------------
+# the learner table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Learner:
+    """What the rest of the package knows about one kind of classifier.
+
+    Training and batch prediction are held by name and looked up on this
+    module at call time, so a replaced module attribute is the one called.
+    """
+
+    config: type                # its config dataclass
+    model: type                 # its fitted-model dataclass; `model.layers` lists
+                                # (W, b) applied as x @ W + b, ReLU in between
+    train: str                  # train(X, y, config) -> model
+    predict: str                # predict(model, X) -> class ordinals
+    probabilistic: bool         # scores are softmax probabilities
+    display: str
+    family: str
+
+
+LEARNERS = {
+    "logreg": Learner(LogRegConfig, LogRegModel, "train_logreg", "predict_logreg",
+                      True, "Logistic Regression", "Classical ML"),
+    "mlp": Learner(MlpConfig, MlpModel, "train_mlp", "predict_mlp",
+                   True, "MLPClassifier", "Neural baseline"),
+    "svm": Learner(LinearSvmConfig, LinearSvmModel, "train_linear_svm", "predict_svm",
+                   False, "Linear SVM", "Classical ML"),
+}
+
+
+def get_learner(kind: str) -> Learner:
+    try:
+        return LEARNERS[kind]
+    except KeyError:
+        raise SentigaError(f"unknown model kind: {kind!r}") from None

@@ -334,3 +334,12 @@ class TestTrainBundle:
         records = make_clean_records()
         with pytest.raises(Exception):
             train_bundle(records, kind="forest")
+
+
+def test_misshapen_metrics_snapshot_is_integrity_error(tmp_path):
+    records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
+    path = tmp_path / "m.bundle"
+    save_bundle(train_bundle(records, tfidf_config=SMALL_TFIDF, seed=1).bundle, path)
+    edit_bundle_payload(path, lambda data: data["metrics_snapshot"]["confusion"].pop())
+    with pytest.raises(BundleIntegrityError):
+        load_bundle(path)

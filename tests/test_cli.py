@@ -226,3 +226,72 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
+
+
+class TestConfigErrors:
+    def _train(self, small_raw_csv, tmp_path, *extra):
+        return run(
+            "train", "--data", str(small_raw_csv), "--bundle", str(tmp_path / "m.bundle"),
+            "--min_df", "1", "--max_df", "1.0", *extra,
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--model", "svm", "--regularization", "0"),
+            ("--C", "-1"),
+            ("--model", "mlp", "--hidden_layer_sizes", ","),
+            ("--max_iter", "0"),
+            ("--model", "svm", "--epochs", "0"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_bounds_hyperparameter_is_usage_error(self, small_raw_csv, tmp_path,
+                                                         capsys, extra):
+        assert self._train(small_raw_csv, tmp_path, *extra) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "m.bundle").exists()
+
+    def test_override_the_model_does_not_take_is_usage_error(self, small_raw_csv, tmp_path,
+                                                             capsys):
+        assert self._train(small_raw_csv, tmp_path, "--model", "svm", "--C", "5") == 2
+        assert "--model svm does not take --C" in capsys.readouterr().err
+
+    def test_benchmark_takes_no_model_hyperparameters(self, small_raw_csv, tmp_path, capsys):
+        code = run("benchmark", "--data", str(small_raw_csv), "--out-dir", str(tmp_path),
+                   "--C", "5")
+        assert code == 2
+
+    def test_bundle_with_out_of_bounds_config_is_io_error(self, trained_bundle, capsys):
+        edit_bundle_payload(trained_bundle, lambda data: data["classifier"]["config"].update(C=-1))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+
+
+class TestCountOverflow:
+    def _rows(self, first_counts):
+        rows = []
+        for i, label in enumerate(["Joy", "Sad", "Neutral"] * 10):
+            counts = first_counts if i == 0 else ("1", "2")
+            rows.append((f"kata {label.lower()} nomor u{spell_index(i)}", label, *counts, ""))
+        return rows
+
+    @pytest.mark.parametrize("cell", ["1e400", "inf"])
+    def test_count_cell_beyond_float_range_is_data_error(self, tmp_path, capsys, cell):
+        path = write_raw_csv(tmp_path / "big.csv", self._rows((cell, "1")))
+        argv = ["train", "--data", str(path), "--bundle", str(tmp_path / "m.bundle"),
+                "--min_df", "1", "--max_df", "1.0"]
+        assert run(*argv) == 3
+        assert "cannot parse retweets" in capsys.readouterr().err
+        assert run(*argv, "--lenient") == 0
+
+    def test_engagement_beyond_float_range_is_data_error(self, tmp_path, capsys):
+        path = write_raw_csv(tmp_path / "big.csv", self._rows(("1e308", "1e308")))
+        code = run("train", "--data", str(path), "--bundle", str(tmp_path / "m.bundle"),
+                   "--min_df", "1", "--max_df", "1.0")
+        assert code == 3
+
+    def test_predict_count_beyond_float_range_is_data_error(self, trained_bundle, capsys):
+        code = run("predict", "--bundle", str(trained_bundle), "--text", "aku senang",
+                   "--retweets", "1" + "0" * 400)
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
