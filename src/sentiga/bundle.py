@@ -34,9 +34,9 @@ from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts
 from .errors import (
     BundleError,
     BundleIntegrityError,
+    DataError,
     NegativeCountError,
     NonFiniteFeatureError,
-    ShapeMismatchError,
     UnsupportedVersionError,
 )
 from .evaluation import (
@@ -56,7 +56,7 @@ from .features import (
     tfidf_row,
     transform_scaler,
 )
-from .textnorm import clean_text, default_leet, default_slang
+from .textnorm import check_tables, clean_text, default_leet, default_slang
 
 FORMAT_VERSION = 1
 _MAGIC = "SENTIGA-BUNDLE"
@@ -238,7 +238,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     try:
         bundle = _bundle_from_payload(data, version)
         _check_shapes(bundle)
-    except (KeyError, TypeError, ValueError, AttributeError, ShapeMismatchError) as exc:
+        check_tables(bundle.slang, bundle.leet)
+    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
         raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
     return bundle
 
@@ -299,8 +300,9 @@ def predict(
 ) -> Prediction:
     """Run the full inference pipeline on one raw post.
 
-    No feature matrix is built: the classifier's first layer gathers the
-    weights of the post's TF-IDF columns and of the scaled numeric columns.
+    No feature matrix is built: the post's feature vector holds its TF-IDF
+    weights followed by the scaled numeric features, and the classifier's
+    first layer gathers the weight rows of exactly those columns.
     Text that cleans to the empty string still yields a prediction from a
     zero TF-IDF block plus the numeric features; this never hard-errors.
     """
@@ -310,17 +312,18 @@ def predict(
         )
     text = clean_text(raw_text, bundle.slang, bundle.leet)
     cols, weights = tfidf_row(bundle.tfidf, text)
-    weights = np.asarray(weights)
     numeric = transform_scaler(
         bundle.scaler, metadata_counts(text, raw_text, retweets, likes)
     )
-    if not (np.isfinite(weights).all() and np.isfinite(numeric).all()):
+    x = np.concatenate((weights, numeric))
+    if not np.isfinite(x).all():
         raise NonFiniteFeatureError("feature vector contains non-finite values")
 
     n_terms = bundle.tfidf.n_features
     (W, b), *rest = bundle.classifier.layers
     learners._check_features(W.shape[0], n_terms + numeric.size)
-    scores = (weights @ W[cols] + numeric @ W[n_terms:] + b)[None]
+    cols += range(n_terms, n_terms + numeric.size)
+    scores = (x @ W[cols] + b)[None]
     for W, b in rest:
         np.maximum(scores, 0.0, out=scores)
         scores = scores @ W + b
@@ -364,6 +367,7 @@ def train_bundle(
 
     slang = dict(slang if slang is not None else default_slang())
     leet = dict(leet if leet is not None else default_leet())
+    check_tables(slang, leet)
     label_map = label_map if label_map is not None else default_label_map()
 
     split, space, X_train, y_train, X_test, y_test = featurized_split(

@@ -78,23 +78,38 @@ def _flag_parser(title: str, flags: dict) -> argparse.ArgumentParser:
     return parser
 
 
+def _parent(*flags: tuple[str, dict]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    for name, options in flags:
+        parser.add_argument(name, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="split/model seed (default 42)")
-    common.add_argument("--test-fraction", type=float, default=None,
-                        help="held-out fraction for evaluation (default 0.2)")
-    common.add_argument("--data", default=None,
-                        help="raw CSV path (default: bundled reference corpus)")
-    common.add_argument("--bundle", default=None, help="model bundle path")
-    common.add_argument("--out-dir", default=".", help="directory for exported files")
-    common.add_argument("--model", choices=evaluation.MODEL_KINDS, default="logreg")
-    common.add_argument("--label-map", default=None, help="label map asset path")
-    common.add_argument("--slang", default=None, help="slang dictionary asset path")
-    common.add_argument("--leet", default=None, help="leet map asset path")
-    common.add_argument("--drop-unmapped", action="store_true",
-                        help="drop records with unmapped labels instead of failing")
-    common.add_argument("--lenient", action="store_true",
-                        help="map unparseable numeric cells to 0")
+    # Each subcommand takes only the flags it reads, so a stray flag is a
+    # usage error (exit 2) rather than silently ignored.
+    source = _parent(
+        ("--data", {"default": None, "help": "raw CSV path (default: bundled reference corpus)"}),
+        ("--drop-unmapped", {"action": "store_true",
+                             "help": "drop records with unmapped labels instead of failing"}),
+        ("--lenient", {"action": "store_true", "help": "map unparseable numeric cells to 0"}),
+    )
+    label_map = _parent(("--label-map", {"default": None, "help": "label map asset path"}))
+    tables = _parent(
+        ("--slang", {"default": None, "help": "slang dictionary asset path"}),
+        ("--leet", {"default": None, "help": "leet map asset path"}),
+    )
+    split = _parent(
+        ("--seed", {"type": int, "default": None, "help": "split/model seed (default 42)"}),
+        ("--test-fraction", {"type": float, "default": None,
+                             "help": "held-out fraction for evaluation (default 0.2)"}),
+    )
+    bundle = _parent(("--bundle", {"default": None, "help": "model bundle path"}))
+    out_dir = _parent(("--out-dir", {"default": ".", "help": "directory for exported files"}))
+    extra_row = _parent(("--extra-row", {
+        "action": "append", "default": [], "metavar": "MODEL,FAMILY,ACC,MACRO,WEIGHTED",
+        "help": "externally supplied benchmark row (repeatable)",
+    }))
 
     tfidf = _flag_parser("TF-IDF overrides", _TFIDF_FLAGS)
     hyper = _flag_parser("model hyperparameter overrides (each applies to some --model)",
@@ -106,37 +121,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", parents=[common],
+    p = sub.add_parser("preprocess", parents=[source, label_map, tables, out_dir],
                        help="clean, remap, deduplicate, and write the prepared corpus")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", parents=[common, tfidf, hyper],
+    p = sub.add_parser("train", parents=[bundle, source, label_map, tables, split, tfidf, hyper],
                        help="train one model and save a bundle")
+    p.add_argument("--model", choices=evaluation.MODEL_KINDS, default="logreg")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[bundle, source, label_map, split],
                        help="evaluate a bundle on the held-out split of a dataset")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict", parents=[bundle],
                        help="classify one post with a trained bundle")
     p.add_argument("--text", required=True)
     p.add_argument("--retweets", type=int, default=0)
     p.add_argument("--likes", type=int, default=0)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("benchmark", parents=[common, tfidf],
+    p = sub.add_parser("benchmark",
+                       parents=[source, label_map, tables, split, out_dir, tfidf, extra_row],
                        help="train and compare all models on one shared split")
-    p.add_argument("--extra-row", action="append", default=[],
-                   metavar="MODEL,FAMILY,ACC,MACRO,WEIGHTED",
-                   help="externally supplied benchmark row (repeatable)")
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("export", parents=[common],
+    p = sub.add_parser("export", parents=[bundle, label_map, out_dir, extra_row],
                        help="write the report tables for a trained bundle")
-    p.add_argument("--extra-row", action="append", default=[],
-                   metavar="MODEL,FAMILY,ACC,MACRO,WEIGHTED",
-                   help="externally supplied benchmark row (repeatable)")
     p.set_defaults(func=cmd_export)
     return parser
 

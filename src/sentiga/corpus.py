@@ -157,7 +157,8 @@ def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
     if not cell:
         return 0  # missing numeric cells parse as 0
     try:
-        value = int(float(cell))
+        # plain digits parse exactly; "3.0" and "1e3" go through float
+        value = int(cell) if cell.isdecimal() else int(float(cell))
         if value < 0:
             raise ValueError("negative")
     except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"

@@ -49,9 +49,9 @@ def extract_terms(doc: str, ngram_range: tuple[int, int]) -> list[str]:
     joined by a single space."""
     tokens = doc.split()
     lo, hi = ngram_range
-    terms = []
+    terms: list[str] = []
     for n in range(lo, hi + 1):
-        terms.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        terms += tokens if n == 1 else map(" ".join, zip(*[tokens[i:] for i in range(n)]))
     return terms
 
 
@@ -120,20 +120,22 @@ def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
     """One document's TF-IDF row as (ascending column indices, weights):
     (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
     empty documents give two empty lists."""
-    counts = Counter(
-        term
-        for term in extract_terms(doc, model.config.ngram_range)
-        if term in model.vocabulary
-    )
-    row = sorted((model.vocabulary[term], count) for term, count in counts.items())
-    weights = []
-    for idx, count in row:
-        tf = 1.0 + math.log(count) if model.config.sublinear_tf else float(count)
-        weights.append(tf * model.idf[idx])
+    vocabulary = model.vocabulary
+    counts: dict[int, int] = {}
+    for term in extract_terms(doc, model.config.ngram_range):
+        col = vocabulary.get(term)
+        if col is not None:
+            counts[col] = counts.get(col, 0) + 1
+    cols = sorted(counts)
+    if model.config.sublinear_tf:
+        tfs = [1.0 + math.log(counts[col]) for col in cols]
+    else:
+        tfs = [float(counts[col]) for col in cols]
+    weights = [tf * idf for tf, idf in zip(tfs, model.idf[cols].tolist())]
     norm = math.sqrt(sum(w * w for w in weights))
     if norm > 0:
         weights = [w / norm for w in weights]
-    return [idx for idx, _ in row], weights
+    return cols, weights
 
 
 def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:

@@ -47,26 +47,34 @@ def _asset_path(name: str) -> Path:
     return Path(str(resources.files("sentiga").joinpath("assets", name)))
 
 
+def check_tables(slang: dict[str, str], leet: dict[str, str]) -> None:
+    """Raise DataError unless every slang entry maps a single token to a
+    non-empty string and every leet entry maps one digit to one letter.
+    The loaders and bundles apply the same rules, so a table that cannot be
+    loaded is never used."""
+    for key, value in slang.items():
+        if not (isinstance(key, str) and key.split() == [key]):
+            raise DataError(f"slang key must be a single token: {key!r}")
+        if not (isinstance(value, str) and value.strip()):
+            raise DataError(f"slang value must be a non-empty string: {value!r}")
+    for key, value in leet.items():
+        if not (isinstance(key, str) and len(key) == 1 and key.isdigit()):
+            raise DataError(f"leet key must be one digit: {key!r}")
+        if not (isinstance(value, str) and len(value) == 1 and value.isalpha()):
+            raise DataError(f"leet value must be one letter: {value!r}")
+
+
 def load_slang(path: str | Path) -> dict[str, str]:
     """Load a slang dictionary; keys are lowercase single tokens."""
-    entries = {}
-    for key, value in read_pairs_file(path).items():
-        key = key.lower()
-        if " " in key:
-            raise DataError(f"slang key must be a single token: {key!r}")
-        entries[key] = value.lower()
+    entries = {key.lower(): value.lower() for key, value in read_pairs_file(path).items()}
+    check_tables(entries, {})
     return entries
 
 
 def load_leet(path: str | Path) -> dict[str, str]:
     """Load a leet map; keys are single digits, values single letters."""
-    entries = {}
-    for key, value in read_pairs_file(path).items():
-        if not (len(key) == 1 and key.isdigit()):
-            raise DataError(f"leet key must be one digit: {key!r}")
-        if not (len(value) == 1 and value.isalpha()):
-            raise DataError(f"leet value must be one letter: {value!r}")
-        entries[key] = value.lower()
+    entries = {key: value.lower() for key, value in read_pairs_file(path).items()}
+    check_tables({}, entries)
     return entries
 
 
@@ -99,22 +107,30 @@ def clean_text(
 
     Token removal never merges neighbouring words, and the result is a fixed
     point of the cleaner itself. The output may be empty.
+
+    Precondition: every leet key is a single digit (``check_tables``). A
+    token of ASCII letters alone is then unchanged by stages 2-4 and 6, so
+    it goes straight to the slang lookup.
     """
     if slang is None:
         slang = default_slang()
     if leet is None:
         leet = default_leet()
-    leet_table = str.maketrans(leet)
+    leet_table = None
 
     tokens: list[str] = []
     for token in raw.lower().split():
-        if token.startswith(_URL_PREFIXES):
-            continue
-        if token.startswith("@"):
-            continue
-        if _ASCII_LETTER_RE.search(token):
-            token = token.translate(leet_table)
-        expansion = slang.get(_NON_ALPHA_RE.sub("", token))
+        if token.isascii() and token.isalpha():
+            core = token
+        else:
+            if token.startswith(_URL_PREFIXES) or token.startswith("@"):
+                continue
+            if _ASCII_LETTER_RE.search(token):
+                if leet_table is None:
+                    leet_table = str.maketrans(leet)
+                token = token.translate(leet_table)
+            core = _NON_ALPHA_RE.sub("", token)
+        expansion = slang.get(core)
         if expansion is not None:
             tokens.extend(expansion.split())
         else:

@@ -320,6 +320,26 @@ class TestBundleStructure:
         with pytest.raises(BundleIntegrityError):
             load_bundle(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data["leet"].update({"10": "i"}),
+            lambda data: data["leet"].update({"a": "e"}),
+            lambda data: data["leet"].update({"4": "ab"}),
+            lambda data: data["slang"].update({"gk": 5}),
+            lambda data: data["slang"].update({"gak banget": "tidak"}),
+            lambda data: data["slang"].update({"gk": ""}),
+        ],
+        ids=[
+            "leet-two-digit-key", "leet-letter-key", "leet-two-letter-value",
+            "slang-number-value", "slang-two-word-key", "slang-empty-value",
+        ],
+    )
+    def test_bad_slang_or_leet_table(self, saved, tmp_path, edit):
+        path = self._edited(saved, "logreg", edit, tmp_path)
+        with pytest.raises(BundleIntegrityError):
+            load_bundle(path)
+
 
 class TestTrainBundle:
     def test_bundle_is_self_contained(self, trained):
@@ -329,6 +349,13 @@ class TestTrainBundle:
         assert bundle.tfidf.vocabulary and bundle.scaler.means.shape == (3,)
         assert len(bundle.label_map_digest) == 64
         assert len(bundle.slang_digest) == 64
+
+    @pytest.mark.parametrize(
+        "tables", [{"leet": {"10": "i"}}, {"leet": {"a": "e"}}, {"slang": {"gk": 5}}], ids=str
+    )
+    def test_table_a_bundle_could_not_load_is_rejected(self, tables):
+        with pytest.raises(DataError):
+            train_bundle(make_clean_records(), tfidf_config=SMALL_TFIDF, **tables)
 
     def test_unknown_kind_rejected(self):
         records = make_clean_records()

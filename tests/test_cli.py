@@ -35,7 +35,8 @@ class TestPreprocess:
     def test_writes_clean_corpus(self, small_raw_csv, tmp_path, capsys):
         out_dir = tmp_path / "out"
         assert run("preprocess", "--data", str(small_raw_csv), "--out-dir", str(out_dir)) == 0
-        rows = list(csv.reader(open(out_dir / "clean_corpus.csv", encoding="utf-8")))
+        text = (out_dir / "clean_corpus.csv").read_text(encoding="utf-8")
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == ["clean_text", "label", "word_count", "engagement", "hashtag_count"]
         assert len(rows) == 61  # 60 records + header
         assert "prepared 60 records" in capsys.readouterr().out
@@ -139,7 +140,8 @@ class TestBenchmarkExport:
             "--extra-row", "Random Forest,Classical ML,0.7324,0.4821,0.6749",
         )
         assert code == 0
-        rows = list(csv.reader(open(out_dir / export.BENCHMARK_FILE, encoding="utf-8")))
+        text = (out_dir / export.BENCHMARK_FILE).read_text(encoding="utf-8")
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == list(export.BENCHMARK_HEADER)
         models = [r[0] for r in rows[1:]]
         assert set(models) == {
@@ -224,6 +226,11 @@ class TestExitCodes:
         edit_bundle_payload(trained_bundle, lambda data: data["tfidf"]["idf"].pop())
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
 
+    def test_bundle_with_bad_leet_table_is_io_error(self, trained_bundle, capsys):
+        edit_bundle_payload(trained_bundle, lambda data: data["leet"].update({"10": "i"}))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+        assert "leet key must be one digit" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
 
@@ -295,3 +302,49 @@ class TestCountOverflow:
                    "--retweets", "1" + "0" * 400)
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+
+class TestFlagsPerCommand:
+    """Each subcommand takes only the flags it reads; any other flag is a
+    usage error instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("predict", "--text", "aku senang", "--model", "svm"),
+            ("predict", "--text", "aku senang", "--data", "/nonexistent.csv"),
+            ("predict", "--text", "aku senang", "--seed", "5"),
+            ("predict", "--text", "aku senang", "--slang", "/nonexistent"),
+            ("predict", "--text", "aku senang", "--out-dir", "out"),
+            ("evaluate", "--slang", "/nonexistent.txt"),
+            ("evaluate", "--leet", "/nonexistent.txt"),
+            ("evaluate", "--model", "svm"),
+            ("evaluate", "--out-dir", "out"),
+            ("export", "--seed", "5"),
+            ("export", "--data", "/nonexistent.csv"),
+            ("export", "--model", "svm"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, trained_bundle, capsys,
+                                                           argv):
+        command, *rest = argv
+        assert run(command, "--bundle", str(trained_bundle), *rest) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("preprocess", "--model", "svm"),
+            ("preprocess", "--bundle", "m.bundle"),
+            ("benchmark", "--model", "svm"),
+            ("benchmark", "--bundle", "m.bundle"),
+            ("train", "--bundle", "m.bundle", "--out-dir", "out"),
+        ],
+        ids=" ".join,
+    )
+    def test_corpus_command_flag_it_does_not_read_is_usage_error(self, small_raw_csv, capsys,
+                                                                 argv):
+        command, *rest = argv
+        assert run(command, "--data", str(small_raw_csv), *rest) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -72,6 +72,13 @@ class TestLoadRaw:
         rec = load_raw(path)[0]
         assert (rec.retweets, rec.likes) == (20, 5)
 
+    def test_integer_count_beyond_two_to_the_53_parses_exactly(self, tmp_path):
+        path = write_raw_csv(
+            tmp_path / "big.csv", [("halo", "Joy", "12345678901234567890", "1e3", "")]
+        )
+        rec = load_raw(path)[0]
+        assert (rec.retweets, rec.likes) == (12345678901234567890, 1000)
+
     def test_unparseable_cell_strict_vs_lenient(self, tmp_path):
         path = write_raw_csv(tmp_path / "bad.csv", [("halo", "Joy", "abc", "1", "")])
         with pytest.raises(RowParseError, match="row 2"):

@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
-from sentiga.corpus import CleanRecord, SentimentClass
+from sentiga.corpus import CleanRecord, SentimentClass, load_raw, prepare_corpus
+from sentiga.datasets import reference_corpus_path
 from sentiga.errors import EmptyCorpusError, EmptyVocabularyError, ShapeMismatchError
 from sentiga.features import (
     HybridFeatureSpace,
@@ -17,12 +19,55 @@ from sentiga.features import (
     fit_tfidf,
     inverse_scaler,
     numeric_features,
+    tfidf_row,
     transform_corpus,
     transform_scaler,
     transform_tfidf,
 )
 
 UNIGRAM = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 1))
+
+
+def reference_tfidf_row(model, doc):
+    """One TF-IDF row as a plain loop over n-gram strings, with numpy-scalar
+    arithmetic; tfidf_row must match it bit for bit."""
+    tokens = doc.split()
+    lo, hi = model.config.ngram_range
+    terms = []
+    for n in range(lo, hi + 1):
+        terms.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    counts = Counter(term for term in terms if term in model.vocabulary)
+    row = sorted((model.vocabulary[term], count) for term, count in counts.items())
+    weights = []
+    for idx, count in row:
+        tf = 1.0 + math.log(count) if model.config.sublinear_tf else float(count)
+        weights.append(tf * model.idf[idx])
+    norm = math.sqrt(sum(w * w for w in weights))
+    if norm > 0:
+        weights = [w / norm for w in weights]
+    return [idx for idx, _ in row], weights
+
+
+def assert_rows_bit_equal(model, doc):
+    cols, weights = tfidf_row(model, doc)
+    ref_cols, ref_weights = reference_tfidf_row(model, doc)
+    assert cols == ref_cols
+    assert [float(w).hex() for w in weights] == [float(w).hex() for w in ref_weights]
+
+
+_WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg"]
+_ORACLE_CORPUS = [
+    " ".join(np.random.default_rng(seed).choice(_WORDS, size=2 + seed % 7))
+    for seed in range(40)
+]
+_ORACLE_MODELS = {
+    (ngram_range, sublinear): fit_tfidf(
+        _ORACLE_CORPUS,
+        TfidfConfig(min_df=1, max_df=0.95, ngram_range=ngram_range, sublinear_tf=sublinear),
+    )
+    for ngram_range in [(1, 1), (1, 2), (2, 3)]
+    for sublinear in (True, False)
+}
 
 
 class TestFitTfidf:
@@ -126,6 +171,23 @@ class TestTransformTfidf:
                 assert set(np.flatnonzero(dense)) == set(expected)
                 for idx, weight in expected.items():
                     assert dense[idx] == pytest.approx(weight, rel=1e-12)
+
+
+class TestReferenceRow:
+    """tfidf_row counts by column and weighs in Python floats; the columns
+    and every weight bit must equal the string-counting loop."""
+
+    @pytest.mark.parametrize("key", list(_ORACLE_MODELS), ids=str)
+    @given(doc=st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=30).map(" ".join))
+    def test_equals_reference(self, key, doc):
+        assert_rows_bit_equal(_ORACLE_MODELS[key], doc)
+
+    def test_equals_reference_on_every_reference_record(self):
+        docs = [r.clean_text for r in prepare_corpus(load_raw(reference_corpus_path()))]
+        for sublinear in (True, False):
+            model = fit_tfidf(docs, TfidfConfig(sublinear_tf=sublinear))
+            for doc in docs:
+                assert_rows_bit_equal(model, doc)
 
 
 class TestNumericFeatures:

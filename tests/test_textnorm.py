@@ -1,10 +1,14 @@
+import re
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from sentiga.corpus import load_raw
+from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DataError
 from sentiga.textnorm import (
+    check_tables,
     clean_text,
     count_hashtags,
     default_leet,
@@ -15,6 +19,49 @@ from sentiga.textnorm import (
 )
 
 ALPHABET = set(string.ascii_lowercase + " ")
+
+
+def reference_clean_text(raw, slang, leet):
+    """The cleaner as a plain loop: every token runs every stage."""
+    leet_table = str.maketrans(leet)
+    tokens = []
+    for token in raw.lower().split():
+        if token.startswith(("http://", "https://", "www.")):
+            continue
+        if token.startswith("@"):
+            continue
+        if re.search(r"[a-z]", token):
+            token = token.translate(leet_table)
+        expansion = slang.get(re.sub(r"[^a-z]", "", token))
+        if expansion is not None:
+            tokens.extend(expansion.split())
+        else:
+            tokens.append(token)
+    stripped = re.sub(r"[^a-z ]", "", " ".join(tokens))
+    return " ".join(stripped.split())
+
+
+# Token pieces that reach every stage of the cleaner. Half of all tokens
+# are slang keys with a non-ASCII letter, leet digit or punctuation
+# attached; the rest glue one to three pieces together.
+_NON_ASCII = ["é", "ß", "İ", "ﬁ", "café", "straße", "İstanbul", "naïve", "k3rén"]
+_SLANG_TOKEN = st.tuples(
+    st.sampled_from(["", "é", "ß", "İ", "@", "4"]),
+    st.sampled_from(sorted(default_slang())),
+    st.sampled_from(["", "!", "!!!", ".", ",", "7", "é", "ß", "İ"]),
+).map("".join)
+_PIECES = st.one_of(
+    st.sampled_from(["http://", "https://", "www.", "@"]),
+    st.from_regex(r"[a-z]{0,3}[0-9][a-z0-9]{0,3}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.from_regex(r"[A-Za-z]{1,6}", fullmatch=True),
+    st.sampled_from(_NON_ASCII + list("!?.,#:;'\"()-_/")),
+    _SLANG_TOKEN,
+)
+_POSTS = st.lists(
+    st.one_of(_SLANG_TOKEN, st.lists(_PIECES, min_size=1, max_size=3).map("".join)),
+    max_size=12,
+).map(" ".join)
 
 
 class TestCleanText:
@@ -77,6 +124,27 @@ class TestCleanText:
         assert with_url == without
 
 
+class TestReferenceCleaner:
+    """clean_text skips stages that cannot change a plain ASCII word; its
+    output must equal the every-stage loop exactly."""
+
+    @given(st.text(max_size=200))
+    def test_equals_reference_on_any_text(self, raw):
+        assert clean_text(raw) == reference_clean_text(raw, default_slang(), default_leet())
+
+    @given(_POSTS)
+    @example("gakß ébgt g4k!! k3rén @gak www.bgt 2bgt")
+    def test_equals_reference_on_social_media_tokens(self, raw):
+        assert clean_text(raw) == reference_clean_text(raw, default_slang(), default_leet())
+
+    def test_equals_reference_on_every_reference_row(self):
+        slang, leet = default_slang(), default_leet()
+        for record in load_raw(reference_corpus_path()):
+            assert clean_text(record.text, slang, leet) == reference_clean_text(
+                record.text, slang, leet
+            )
+
+
 class TestCountHashtags:
     def test_direct_count(self):
         assert count_hashtags("#senang #banget hari ini") == 2
@@ -128,3 +196,23 @@ class TestAssets:
         path.write_text("33,e\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_leet(path)
+
+    @pytest.mark.parametrize(
+        "slang, leet",
+        [
+            ({"two words": "x"}, {}),
+            ({"tab\tkey": "x"}, {}),
+            ({"gk": 5}, {}),
+            ({"gk": " "}, {}),
+            ({}, {"10": "i"}),
+            ({}, {"a": "e"}),
+            ({}, {"4": "ab"}),
+            ({}, {"4": 4}),
+        ],
+    )
+    def test_check_tables_rejects(self, slang, leet):
+        with pytest.raises(DataError):
+            check_tables(slang, leet)
+
+    def test_check_tables_accepts_the_defaults(self):
+        check_tables(default_slang(), default_leet())
