@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import types
@@ -54,7 +55,6 @@ from .features import (
     TfidfConfig,
     TfidfModel,
     tfidf_row,
-    transform_scaler,
 )
 from .textnorm import check_tables, clean_text, default_leet, default_slang
 
@@ -239,7 +239,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         bundle = _bundle_from_payload(data, version)
         _check_shapes(bundle)
         check_tables(bundle.slang, bundle.leet)
-    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
     return bundle
 
@@ -311,27 +311,35 @@ def predict(
             f"retweets and likes must be non-negative, got {retweets} and {likes}"
         )
     text = clean_text(raw_text, bundle.slang, bundle.leet)
-    cols, weights = tfidf_row(bundle.tfidf, text)
-    numeric = transform_scaler(
-        bundle.scaler, metadata_counts(text, raw_text, retweets, likes)
-    )
-    x = np.concatenate((weights, numeric))
-    if not np.isfinite(x).all():
+    cols, x = tfidf_row(bundle.tfidf, text)
+    # the scaled metadata as transform_scaler computes it, in Python floats
+    scaler = bundle.scaler
+    counts = metadata_counts(text, raw_text, retweets, likes)
+    x += [
+        (v - m) / s
+        for v, m, s in zip(counts, scaler.means.tolist(), scaler.safe_stds_.tolist())
+    ]
+    if not all(map(math.isfinite, x)):
         raise NonFiniteFeatureError("feature vector contains non-finite values")
 
     n_terms = bundle.tfidf.n_features
     (W, b), *rest = bundle.classifier.layers
-    learners._check_features(W.shape[0], n_terms + numeric.size)
-    cols += range(n_terms, n_terms + numeric.size)
-    scores = (x @ W[cols] + b)[None]
-    for W, b in rest:
-        np.maximum(scores, 0.0, out=scores)
-        scores = scores @ W + b
+    learners._check_features(W.shape[0], n_terms + len(counts))
+    cols += range(n_terms, n_terms + len(counts))
+    # np.take first copies a matrix that is not C-contiguous; the logreg and
+    # SVM layer is such a view (W.T), so its rows are taken as columns of W
+    first = W.T.take(cols, 1).T if W.flags.f_contiguous else W.take(cols, 0)
+    scores = learners.forward([(first, b), *rest], x).tolist()
     probabilistic = learners.LEARNERS[bundle.kind].probabilistic
-    scores = (learners.softmax(scores) if probabilistic else scores)[0]
+    if probabilistic:  # learners.softmax, one row
+        top = max(scores)
+        exps = [math.exp(s - top) for s in scores]
+        total = sum(exps)
+        scores = [e / total for e in exps]
     return Prediction(
-        label=SentimentClass(int(np.argmax(scores))),
-        scores=scores,
+        # the first maximum, as np.argmax breaks ties
+        label=SentimentClass(scores.index(max(scores))),
+        scores=np.array(scores),
         probabilistic=probabilistic,
     )
 

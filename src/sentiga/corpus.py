@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
@@ -152,13 +153,18 @@ def _resolve_columns(
     return columns
 
 
+_DECIMAL = re.compile(r"([+-]?\d+)(?:\.\d+)?")
+
+
 def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
     cell = cell.strip()
     if not cell:
         return 0  # missing numeric cells parse as 0
     try:
-        # plain digits parse exactly; "3.0" and "1e3" go through float
-        value = int(cell) if cell.isdecimal() else int(float(cell))
+        # a plain decimal parses exactly, truncated to its integer part;
+        # exponent forms such as "1e3" go through float
+        exact = _DECIMAL.fullmatch(cell)
+        value = int(exact[1]) if exact else int(float(cell))
         if value < 0:
             raise ValueError("negative")
     except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"

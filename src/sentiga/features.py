@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -175,10 +175,12 @@ class Scaler:
 
     means: np.ndarray
     stds: np.ndarray
+    # the divisors: a zero std marks a constant column, which maps to 0 at
+    # transform; derived from `stds`, so bundles do not store it
+    safe_stds_: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def _safe_stds(self) -> np.ndarray:
-        # a zero std marks a constant column, which maps to 0 at transform
-        return np.where(self.stds == 0, 1.0, self.stds)
+    def __post_init__(self):
+        self.safe_stds_ = np.where(self.stds == 0, 1.0, self.stds)
 
 
 def fit_scaler(rows: np.ndarray | Sequence[Sequence[float]]) -> Scaler:
@@ -189,11 +191,11 @@ def fit_scaler(rows: np.ndarray | Sequence[Sequence[float]]) -> Scaler:
 
 
 def transform_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    return (np.asarray(values, dtype=float) - scaler.means) / scaler._safe_stds()
+    return (np.asarray(values, dtype=float) - scaler.means) / scaler.safe_stds_
 
 
 def inverse_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float) * scaler._safe_stds() + scaler.means
+    return np.asarray(values, dtype=float) * scaler.safe_stds_ + scaler.means
 
 
 @dataclass

@@ -216,6 +216,24 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def forward(layers, X) -> np.ndarray:
+    """Scores before any softmax: x @ W + b for each (W, b) of `layers`,
+    ReLU between layers. X is one row (1-d) or a batch of rows."""
+    (W, b), *rest = layers
+    scores = np.asarray(X @ W) + b
+    for W, b in rest:
+        np.maximum(scores, 0.0, out=scores)
+        scores = np.asarray(scores @ W) + b
+    return scores
+
+
+def _scores(model, X) -> np.ndarray:
+    X = _as_matrix(X)
+    layers = model.layers
+    _check_features(layers[0][0].shape[0], X.shape[1])
+    return forward(layers, X)
+
+
 def _one_hot(y: np.ndarray) -> np.ndarray:
     out = np.zeros((len(y), N_CLASSES))
     out[np.arange(len(y)), y] = 1.0
@@ -349,9 +367,7 @@ def train_logreg(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:
 
 
 def predict_proba_logreg(model: LogRegModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    _check_features(model.W.shape[1], X.shape[1])
-    return softmax(np.asarray(X @ model.W.T) + model.b)
+    return softmax(_scores(model, X))
 
 
 def predict_logreg(model: LogRegModel, X) -> np.ndarray:
@@ -362,16 +378,6 @@ def predict_logreg(model: LogRegModel, X) -> np.ndarray:
 # --------------------------------------------------------------------------
 # multilayer perceptron
 # --------------------------------------------------------------------------
-
-def _mlp_forward(weights, biases, X) -> np.ndarray:
-    activation = X
-    last = len(weights) - 1
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        activation = np.asarray(activation @ W) + b
-        if i != last:
-            np.maximum(activation, 0.0, out=activation)
-    return softmax(activation)
-
 
 def _mlp_value_grads(weights, biases, X, Y, alpha):
     """Mean cross-entropy + (alpha / 2n) * sum ||W_l||^2, with gradients.
@@ -505,7 +511,7 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
         model.n_epochs_ = epoch
 
         if config.early_stopping:
-            proba = _mlp_forward(weights, biases, X_val)
+            proba = softmax(forward(model.layers, X_val))
             score = float(np.mean(np.argmax(proba, axis=1) == y_val))
             model.validation_scores_.append(score)
             if score < best_value + config.improvement_tol:
@@ -542,9 +548,7 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
 
 
 def predict_proba_mlp(model: MlpModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    _check_features(model.weights[0].shape[0], X.shape[1])
-    return _mlp_forward(model.weights, model.biases, X)
+    return softmax(_scores(model, X))
 
 
 def predict_mlp(model: MlpModel, X) -> np.ndarray:
@@ -591,9 +595,7 @@ def train_linear_svm(X, y, config: LinearSvmConfig = LinearSvmConfig()) -> Linea
 
 
 def decision_scores_svm(model: LinearSvmModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    _check_features(model.W.shape[1], X.shape[1])
-    return np.asarray(X @ model.W.T) + model.b
+    return _scores(model, X)
 
 
 def predict_svm(model: LinearSvmModel, X) -> np.ndarray:
@@ -613,8 +615,8 @@ class Learner:
     """
 
     config: type                # its config dataclass
-    model: type                 # its fitted-model dataclass; `model.layers` lists
-                                # (W, b) applied as x @ W + b, ReLU in between
+    model: type                 # its fitted-model dataclass; `forward` applies
+                                # the (W, b) pairs of `model.layers`
     train: str                  # train(X, y, config) -> model
     predict: str                # predict(model, X) -> class ordinals
     probabilistic: bool         # scores are softmax probabilities

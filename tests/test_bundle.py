@@ -1,9 +1,12 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import edit_bundle_payload, make_clean_records
+from conftest import edit_bundle_payload, make_clean_records, write_raw_csv
+from sentiga import learners
 from sentiga.bundle import (
     FORMAT_VERSION,
     ModelBundle,
@@ -19,7 +22,8 @@ from sentiga.corpus import (
     metadata_counts,
     prepare_corpus,
 )
-from sentiga.datasets import reference_corpus_path
+from sentiga.cli import main
+from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import (
     BundleError,
     BundleIntegrityError,
@@ -34,6 +38,7 @@ from sentiga.features import Scaler, TfidfConfig
 from sentiga.learners import (
     LogRegConfig,
     LogRegModel,
+    MlpConfig,
     decision_scores_svm,
     predict_proba_logreg,
     predict_proba_mlp,
@@ -235,6 +240,24 @@ def reference_raw():
     return load_raw(reference_corpus_path())
 
 
+@pytest.fixture(scope="module")
+def reference_results(reference_raw):
+    records = prepare_corpus(reference_raw)
+    return {kind: train_bundle(records, kind=kind) for kind in ("logreg", "mlp", "svm")}
+
+
+def _layer_loop(layers, X):
+    """Reference for `learners.forward`: x @ W + b per layer, ReLU after
+    every layer but the last."""
+    activation = X
+    last = len(layers) - 1
+    for i, (W, b) in enumerate(layers):
+        activation = np.asarray(activation @ W) + b
+        if i != last:
+            np.maximum(activation, 0.0, out=activation)
+    return activation
+
+
 class TestMatrixPathParity:
     """Single-post predict scores gathered weight columns; batch scoring
     multiplies the featurized matrix. Both must agree on every row."""
@@ -262,6 +285,70 @@ class TestMatrixPathParity:
         assert any(not r.clean_text for r in rows)  # empty texts are covered
         assert np.array_equal(served.argmax(axis=1), expected.argmax(axis=1))
         assert np.max(np.abs(served - expected)) <= 1e-12
+
+    @pytest.fixture(scope="class")
+    def stream(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stream") / "stream.csv"
+        return load_raw(write_raw_csv(path, generate_reference_rows(10000)))
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
+    def test_stream_posts_match_the_matrix_path(self, reference_results, stream, kind):
+        result = reference_results[kind]
+        bundle = result.bundle
+        rows = []
+        for raw in stream:
+            text = clean_text(raw.text, bundle.slang, bundle.leet)
+            counts = metadata_counts(text, raw.text, raw.retweets, raw.likes)
+            rows.append(CleanRecord(text, SentimentClass.NEUTRAL, *counts))
+        expected = self.SCORERS[kind](bundle.classifier, result.space.featurize(rows).to_csr())
+        served = [predict(bundle, r.text, r.retweets, r.likes) for r in stream]
+        assert [int(p.label) for p in served] == expected.argmax(axis=1).tolist()
+        assert np.max(np.abs(np.array([p.scores for p in served]) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
+    def test_forward_is_the_batch_scorers_before_softmax(
+        self, reference_raw, reference_results, kind
+    ):
+        result = reference_results[kind]
+        model = result.bundle.classifier
+        X = result.space.featurize(prepare_corpus(reference_raw)).to_csr()
+        scores = learners.forward(model.layers, X)
+        assert np.array_equal(scores, _layer_loop(model.layers, X))
+        if learners.LEARNERS[kind].probabilistic:
+            scores = learners.softmax(scores)
+        assert np.array_equal(scores, self.SCORERS[kind](model, X))
+
+
+_VALUES_BY_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.text(max_size=3),
+    list: st.just([]),
+    dict: st.just({}),
+}
+
+
+def _mutate(payload, draw):
+    """Somewhere in the payload tree, drop a key or item, give a value
+    another JSON type, or shorten a list."""
+    node = payload
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and draw(st.booleans())):
+            break
+        node = child
+    action = draw(st.sampled_from(["drop", "retype", "shorten"]))
+    if action == "drop":
+        del node[key]
+    elif action == "shorten" and isinstance(child, list) and child:
+        node[key] = child[: draw(st.integers(0, len(child) - 1))]
+    else:
+        node[key] = draw(st.one_of(
+            [values for kind, values in _VALUES_BY_TYPE.items() if kind is not type(child)]
+        ))
 
 
 class TestBundleStructure:
@@ -319,6 +406,63 @@ class TestBundleStructure:
         path = self._edited(saved, kind, edit, tmp_path)
         with pytest.raises(BundleIntegrityError):
             load_bundle(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data.update(seed=float("inf")),
+            lambda data: data["scaler"].update(means=[10**400, 0.0, 0.0]),
+        ],
+        ids=["seed-infinite", "mean-beyond-float"],
+    )
+    def test_value_beyond_its_type_is_integrity_error(self, saved, tmp_path, edit):
+        with pytest.raises(BundleIntegrityError):
+            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+
+    def test_overflowing_scaled_metadata_is_rejected(self, saved, tmp_path):
+        def tiny_stds(data):
+            data["scaler"]["stds"] = [5e-324] * 3
+
+        loaded = load_bundle(self._edited(saved, "logreg", tiny_stds, tmp_path))
+        with pytest.raises(NonFiniteFeatureError):
+            predict(loaded, "senang bagus", 1, 1)
+
+    def test_safe_stds_are_derived_not_stored(self, saved):
+        payload = json.loads(saved["logreg"].read_text(encoding="utf-8").split("\n", 2)[2])
+        assert sorted(payload["scaler"]) == ["means", "stds"]
+        scaler = Scaler(means=np.zeros(3), stds=np.array([0.0, 2.0, 3.0]))
+        assert scaler.safe_stds_.tolist() == [1.0, 2.0, 3.0]
+        other = Scaler(means=scaler.means, stds=scaler.stds)
+        other.safe_stds_ = np.ones(3)
+        assert scaler == other
+        assert "safe_stds_" not in repr(scaler)
+
+    @pytest.fixture(scope="class")
+    def small(self, tmp_path_factory):
+        """A bundle of each kind, the MLP's hidden layers narrow so that one
+        payload rewrite takes milliseconds."""
+        records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
+        configs = {"logreg": None, "mlp": MlpConfig(hidden_layer_sizes=(4, 3)), "svm": None}
+        paths = {}
+        for kind, config in configs.items():
+            result = train_bundle(records, kind, config, SMALL_TFIDF, seed=1)
+            paths[kind] = tmp_path_factory.mktemp(kind) / "m.bundle"
+            save_bundle(result.bundle, paths[kind])
+        return paths
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["logreg", "mlp", "svm"]), data=st.data())
+    def test_mutated_payload_never_escapes_predict(self, small, kind, data):
+        """Drop, retype or shorten one node of the payload: `sentiga
+        predict` answers or exits with a documented code, never a traceback."""
+        path = small[kind].with_name("mutated.bundle")
+        path.write_bytes(small[kind].read_bytes())
+        edit_bundle_payload(path, lambda payload: _mutate(payload, data.draw))
+        code = main([
+            "predict", "--bundle", str(path), "--text", "aku senang #bagus",
+            "--retweets", "3", "--likes", "4",
+        ])
+        assert code in (0, 2, 3, 4, 5)
 
     @pytest.mark.parametrize(
         "edit",

@@ -226,6 +226,11 @@ class TestExitCodes:
         edit_bundle_payload(trained_bundle, lambda data: data["tfidf"]["idf"].pop())
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
 
+    def test_overflowing_scaled_metadata_is_training_error(self, trained_bundle, capsys):
+        edit_bundle_payload(trained_bundle, lambda data: data["scaler"].update(stds=[5e-324] * 3))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_bundle_with_bad_leet_table_is_io_error(self, trained_bundle, capsys):
         edit_bundle_payload(trained_bundle, lambda data: data["leet"].update({"10": "i"}))
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5

@@ -5,6 +5,7 @@ from sentiga.corpus import (
     CleanRecord,
     LabelMap,
     SentimentClass,
+    _parse_count,
     class_counts,
     clean_record,
     deduplicate,
@@ -78,6 +79,26 @@ class TestLoadRaw:
         )
         rec = load_raw(path)[0]
         assert (rec.retweets, rec.likes) == (12345678901234567890, 1000)
+
+    @pytest.mark.parametrize(
+        "cell, count",
+        [
+            ("+12345678901234567890", 12345678901234567890),
+            ("12345678901234567890.0", 12345678901234567890),
+            ("12345678901234567890.9", 12345678901234567890),
+            ("3.0", 3),
+            ("3.7", 3),
+            ("1e3", 1000),
+        ],
+    )
+    def test_count_cell_parses_to_its_integer_part(self, cell, count):
+        assert _parse_count(cell, 2, "likes", False) == count
+
+    @pytest.mark.parametrize("cell", ["-1", "inf", "1e400"])
+    def test_count_cell_out_of_range_is_a_row_error(self, cell):
+        with pytest.raises(RowParseError, match="row 2"):
+            _parse_count(cell, 2, "likes", False)
+        assert _parse_count(cell, 2, "likes", True) == 0
 
     def test_unparseable_cell_strict_vs_lenient(self, tmp_path):
         path = write_raw_csv(tmp_path / "bad.csv", [("halo", "Joy", "abc", "1", "")])
