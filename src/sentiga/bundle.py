@@ -237,7 +237,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
     try:
         bundle = _bundle_from_payload(data, version)
-        _check_shapes(bundle)
+        _check_arrays(bundle)
         check_tables(bundle.slang, bundle.leet)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
@@ -260,10 +260,12 @@ def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
     )
 
 
-def _check_shapes(bundle: ModelBundle) -> None:
+def _check_arrays(bundle: ModelBundle) -> None:
     """Raise ValueError unless the vocabulary maps onto columns 0..V-1, the
-    IDF has V entries, the scaler has one entry per numeric feature, and the
-    classifier's layers chain from V + 3 inputs to one score per class."""
+    IDF has V entries, the scaler has one entry per numeric feature, the
+    classifier's layers chain from V + 3 inputs to one score per class, and
+    every entry of those arrays is finite (JSON parses NaN and Infinity,
+    which a saved bundle never holds)."""
     n_terms = bundle.tfidf.n_features
     if sorted(bundle.tfidf.vocabulary.values()) != list(range(n_terms)):
         raise ValueError(f"vocabulary indices are not the columns 0..{n_terms - 1}")
@@ -282,6 +284,10 @@ def _check_shapes(bundle: ModelBundle) -> None:
         width = W.shape[1]
     if width != learners.N_CLASSES:
         raise ValueError(f"classifier emits {width} scores, expected {learners.N_CLASSES}")
+    arrays = [bundle.tfidf.idf, bundle.scaler.means, bundle.scaler.stds]
+    arrays += [a for layer in bundle.classifier.layers for a in layer]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("a NaN or infinite entry in the IDF, scaler or classifier")
 
 
 # --------------------------------------------------------------------------

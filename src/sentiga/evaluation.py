@@ -16,7 +16,7 @@ import numpy as np
 
 from . import learners
 from .corpus import CLASS_NAMES, CleanRecord
-from .errors import EmptyEvaluationError, ShapeMismatchError, StratificationError
+from .errors import DataError, EmptyEvaluationError, ShapeMismatchError, StratificationError
 from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 N_CLASSES = len(CLASS_NAMES)
@@ -85,7 +85,13 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=int)
+        counts = np.asarray(self.counts)
+        # a float count must be whole and castable: NaN, 2.5 or 1e19 are refused
+        if counts.dtype.kind == "f" and not np.all(
+            (counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63)
+        ):
+            raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
+        self.counts = counts.astype(int)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
             raise ShapeMismatchError(
                 f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {self.counts.shape}"

@@ -379,14 +379,18 @@ def predict_logreg(model: LogRegModel, X) -> np.ndarray:
 # multilayer perceptron
 # --------------------------------------------------------------------------
 
-def _mlp_value_grads(weights, biases, X, Y, alpha):
+def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
     """Mean cross-entropy + (alpha / 2n) * sum ||W_l||^2, with gradients.
 
     Hidden activations are ReLU, the output is softmax; the penalty covers
-    weights only, not biases.
+    weights only, not biases. `scratch` holds one array shaped like each
+    weight; training passes the optimizer's, so that no weight-sized
+    temporary is made here beyond the gradient itself.
     """
     n = X.shape[0]
     last = len(weights) - 1
+    if scratch is None:
+        scratch = [np.empty_like(W) for W in weights]
 
     activations = [X]
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -401,13 +405,18 @@ def _mlp_value_grads(weights, biases, X, Y, alpha):
     proba = np.exp(log_proba)
 
     loss = -float((Y * log_proba).sum()) / n
-    loss += (0.5 * alpha / n) * sum(float(np.sum(W * W)) for W in weights)
+    loss += (0.5 * alpha / n) * sum(
+        float(np.sum(np.multiply(W, W, out=buf))) for W, buf in zip(weights, scratch)
+    )
 
     w_grads = [None] * len(weights)
     b_grads = [None] * len(weights)
     delta = proba - Y
     for i in range(last, -1, -1):
-        w_grads[i] = (np.asarray(activations[i].T @ delta) + alpha * weights[i]) / n
+        # (A.T @ delta + alpha * W) / n, with the sum and quotient in place
+        grad = w_grads[i] = np.asarray(activations[i].T @ delta)
+        grad += np.multiply(weights[i], alpha, out=scratch[i])
+        grad /= n
         b_grads[i] = delta.mean(axis=0)
         if i > 0:
             delta = delta @ weights[i].T
@@ -416,12 +425,17 @@ def _mlp_value_grads(weights, biases, X, Y, alpha):
 
 
 class _Adam:
+    """Adam that updates its parameters in place. Beside the moments `m`
+    and `v`, each parameter has one `scratch` array; `update` also spends
+    the gradients it is given as working space."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.scratch = [np.empty_like(p) for p in params]
 
     def update(self, params, grads):
         self.t += 1
@@ -430,12 +444,20 @@ class _Adam:
             * np.sqrt(1 - self.beta2**self.t)
             / (1 - self.beta1**self.t)
         )
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        # the operations, in order, of
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   p -= rate * m / (sqrt(v) + eps)
+        for p, g, m, v, buf in zip(params, grads, self.m, self.v, self.scratch):
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=buf)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= rate * m / (np.sqrt(v) + self.eps)
+            np.multiply(g, 1 - self.beta2, out=buf)
+            buf *= g
+            v += buf
+            step = np.multiply(m, rate, out=g)
+            step /= np.add(np.sqrt(v, out=buf), self.eps, out=buf)
+            p -= step
 
 
 def _validation_split(y, fraction, rng):
@@ -490,9 +512,11 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
     batch_size = config.batch_size if config.batch_size else min(200, n)
     batch_size = int(np.clip(batch_size, 1, n))
 
-    optimizer = _Adam([*weights, *biases], config.learning_rate_init)
+    params = [*weights, *biases]
+    optimizer = _Adam(params, config.learning_rate_init)
+    # the best epoch's parameters, copied into the same arrays each time
+    best_params = [np.empty_like(p) for p in params] if config.early_stopping else None
     best_value = -np.inf
-    best_params = None
     best_epoch = 0
     no_improvement = 0
     model = MlpModel(weights=weights, biases=biases, config=config)
@@ -503,9 +527,11 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             loss, w_grads, b_grads = _mlp_value_grads(
-                weights, biases, X_train[batch], Y_train[batch], config.alpha
+                weights, biases, X_train[batch], Y_train[batch], config.alpha,
+                optimizer.scratch[: len(weights)],
             )
-            optimizer.update([*weights, *biases], [*w_grads, *b_grads])
+            optimizer.update(params, [*w_grads, *b_grads])
+            del w_grads, b_grads  # spent; free them before the next step's
             epoch_loss += loss * len(batch)
         model.loss_curve_.append(epoch_loss / n)
         model.n_epochs_ = epoch
@@ -521,10 +547,8 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
             if score > best_value:
                 best_value = score
                 best_epoch = epoch
-                best_params = (
-                    [W.copy() for W in weights],
-                    [b.copy() for b in biases],
-                )
+                for best, p in zip(best_params, params):
+                    np.copyto(best, p)
             if no_improvement > config.patience:
                 break
         else:
@@ -541,8 +565,9 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
             if no_improvement > config.patience:
                 break
 
-    if config.early_stopping and best_params is not None:
-        model.weights, model.biases = best_params
+    if config.early_stopping:  # the first epoch always improves on -inf
+        model.weights = best_params[: len(weights)]
+        model.biases = best_params[len(weights) :]
     model.best_epoch_ = best_epoch
     return model
 

@@ -419,6 +419,35 @@ class TestBundleStructure:
         with pytest.raises(BundleIntegrityError):
             load_bundle(self._edited(saved, "logreg", edit, tmp_path))
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("logreg", lambda data: data["tfidf"]["idf"].__setitem__(0, float("nan"))),
+            ("logreg", lambda data: data["scaler"]["means"].__setitem__(1, float("inf"))),
+            ("logreg", lambda data: data["scaler"]["stds"].__setitem__(2, float("nan"))),
+            ("logreg", lambda data: data["classifier"]["W"][2].__setitem__(0, float("-inf"))),
+            ("logreg", lambda data: data["classifier"]["b"].__setitem__(0, float("nan"))),
+            ("mlp", lambda data: data["classifier"]["weights"][0][3].__setitem__(1, float("nan"))),
+            ("mlp", lambda data: data["classifier"]["weights"][2][0].__setitem__(0, float("inf"))),
+            ("mlp", lambda data: data["classifier"]["biases"][1].__setitem__(0, float("nan"))),
+        ],
+        ids=[
+            "idf-nan", "mean-inf", "std-nan", "W-minus-inf", "b-nan",
+            "mlp-first-layer-nan", "mlp-last-layer-inf", "mlp-bias-nan",
+        ],
+    )
+    def test_non_finite_entry_is_integrity_error(self, saved, tmp_path, kind, edit):
+        with pytest.raises(BundleIntegrityError, match="NaN or infinite"):
+            load_bundle(self._edited(saved, kind, edit, tmp_path))
+
+    @pytest.mark.parametrize("count", [2.5, float("nan")], ids=str)
+    def test_fractional_confusion_count_is_integrity_error(self, saved, tmp_path, count):
+        def edit(data):
+            data["metrics_snapshot"]["confusion"][0][0] = count
+
+        with pytest.raises(BundleIntegrityError, match="whole numbers"):
+            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+
     def test_overflowing_scaled_metadata_is_rejected(self, saved, tmp_path):
         def tiny_stds(data):
             data["scaler"]["stds"] = [5e-324] * 3

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -226,6 +227,24 @@ class TestExitCodes:
         edit_bundle_payload(trained_bundle, lambda data: data["tfidf"]["idf"].pop())
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
 
+    def test_bundle_with_nan_weight_is_io_error(self, trained_bundle, capsys):
+        def edit(data):
+            data["classifier"]["b"][0] = float("nan")
+
+        edit_bundle_payload(trained_bundle, edit)
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "NaN or infinite" in err
+
+    def test_bundle_with_fractional_confusion_count_is_io_error(self, trained_bundle, capsys):
+        def edit(data):
+            data["metrics_snapshot"]["confusion"][1][1] = 2.5
+
+        edit_bundle_payload(trained_bundle, edit)
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 5
+        assert "whole numbers" in capsys.readouterr().err
+
     def test_overflowing_scaled_metadata_is_training_error(self, trained_bundle, capsys):
         edit_bundle_payload(trained_bundle, lambda data: data["scaler"].update(stds=[5e-324] * 3))
         assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 4
@@ -353,3 +372,22 @@ class TestFlagsPerCommand:
         command, *rest = argv
         assert run(command, "--data", str(small_raw_csv), *rest) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestReferenceBundleBytes:
+    """`sentiga train` with default flags on the bundled corpus writes these
+    exact bytes. Recorded with CPython 3.11, numpy 2.4.6 and scipy 1.17.1
+    (scipy-openblas 0.3.31, x86-64); another BLAS may round the MLP's
+    matrix products differently and change its digest."""
+
+    DIGESTS = {
+        "logreg": "42b78cfdb08377333772be5e07f2697ec58e71bdcdaeae6459d00540841e7657",
+        "mlp": "5270489ccf8ee31f36354f4a2f1446ac7d0fa0a7ce56d717e35fc9b6e93d3350",
+        "svm": "d33fad18e6a42f0b9bc36ce3fa29bc2fabacd03eeea1eac0aa47283dc21d08e2",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_retrained_bundle_sha256(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.bundle"
+        assert run("train", "--bundle", str(path), "--model", kind) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[kind]

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_clean_records
-from sentiga.errors import EmptyEvaluationError, ShapeMismatchError, StratificationError
+from sentiga.errors import (
+    DataError,
+    EmptyEvaluationError,
+    ShapeMismatchError,
+    StratificationError,
+)
 from sentiga.features import TfidfConfig
 from sentiga.evaluation import (
     ConfusionMatrix,
@@ -98,6 +103,18 @@ class TestConfusion:
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):
             confusion([0, 1], [0])
+
+    def test_whole_float_counts_are_accepted(self):
+        cm = ConfusionMatrix(counts=np.array(REFERENCE_CM, dtype=float))
+        assert cm.counts.dtype.kind == "i"
+        assert cm.counts.tolist() == REFERENCE_CM
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 1e19], ids=str)
+    def test_count_that_is_not_a_whole_number_raises(self, bad):
+        counts = np.array(REFERENCE_CM, dtype=float)
+        counts[1, 2] = bad
+        with pytest.raises(DataError, match="whole numbers"):
+            ConfusionMatrix(counts=counts)
 
 
 class TestReport:

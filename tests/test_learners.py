@@ -1,14 +1,21 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_separable_xy
+from sentiga.corpus import load_raw, prepare_corpus
+from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DegenerateLabelsError, NonFiniteFeatureError, TrainingError
+from sentiga.evaluation import featurized_split
 from sentiga.learners import (
     LinearSvmConfig,
     LogRegConfig,
     LogRegModel,
     MlpConfig,
     MlpModel,
+    _Adam,
     _logreg_value_grad,
     _mlp_value_grads,
     _one_hot,
@@ -193,6 +200,134 @@ class TestMlpGradients:
                         numeric = (f_plus - f_minus) / (2 * h)
                         worst = max(worst, relative_error(grad[idx], numeric))
         assert worst < 1e-4
+
+
+class TestMlpInPlaceStep:
+    """The training step writes into preallocated arrays; its results must be
+    those of the plain expressions it replaces, bit for bit."""
+
+    def test_adam_update_matches_the_allocating_expressions(self):
+        rng = np.random.default_rng(5)
+        params = [rng.normal(size=(40, 25)), rng.normal(size=25)]
+        expected = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        optimizer = _Adam(params, 1e-3)
+        for t in range(1, 21):
+            grads = [rng.normal(size=p.shape) for p in params]
+            rate = 1e-3 * np.sqrt(1 - 0.999**t) / (1 - 0.9**t)
+            for p, g, m_, v_ in zip(expected, grads, m, v):
+                m_ *= 0.9
+                m_ += (1 - 0.9) * g
+                v_ *= 0.999
+                v_ += (1 - 0.999) * g * g
+                p -= rate * m_ / (np.sqrt(v_) + 1e-8)
+            optimizer.update(params, [g.copy() for g in grads])
+            for got, want in zip(params, expected):
+                assert np.array_equal(got, want)
+
+    def test_value_grads_match_the_allocating_expressions(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(5, 6))
+        Y = _one_hot(np.array([0, 1, 2, 1, 0]))
+        W0, W1 = rng.normal(size=(6, 4)), rng.normal(size=(4, 3))
+        b0, b1 = rng.normal(size=4), rng.normal(size=3)
+        alpha, n = 0.01, X.shape[0]
+        hidden = np.maximum(X @ W0 + b0, 0.0)
+        scores = hidden @ W1 + b1
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        log_proba = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+        delta = np.exp(log_proba) - Y
+        hidden_delta = delta @ W1.T
+        hidden_delta[hidden <= 0] = 0.0
+        expected_loss = -float((Y * log_proba).sum()) / n
+        expected_loss += (0.5 * alpha / n) * (float(np.sum(W0 * W0)) + float(np.sum(W1 * W1)))
+        expected_grads = [
+            (X.T @ hidden_delta + alpha * W0) / n,
+            (hidden.T @ delta + alpha * W1) / n,
+        ]
+
+        scratch = [np.full_like(W0, np.nan), np.full_like(W1, np.nan)]
+        for given in (None, scratch):
+            loss, w_grads, _ = _mlp_value_grads([W0, W1], [b0, b1], X, Y, alpha, given)
+            assert loss == expected_loss
+            for got, want in zip(w_grads, expected_grads):
+                assert np.array_equal(got, want)
+
+
+MLP_REFERENCE_CONFIGS = {
+    "default": MlpConfig(),
+    "no-early-stopping": MlpConfig(early_stopping=False),
+    "one-layer-batch-64": MlpConfig(hidden_layer_sizes=(32,), batch_size=64, alpha=0.01),
+}
+
+# (_mlp_digest, n_epochs_, best_epoch_), recorded with the training that
+# allocated every temporary per step
+MLP_REFERENCE_DIGESTS = {
+    "default": ("95e0c356a1ba65ed3631febdf2af121e67477116343a9ac533d8342c44e855cc", 32, 21),
+    "no-early-stopping": (
+        "6c3cbfb762f65f1b0c5495b474e9828187e1052a10d34f44b2d79b609839f1d6", 57, 57
+    ),
+    "one-layer-batch-64": (
+        "ca490f1d9f509c9421164f1b2ddb0d86ba32bc83220cc8592cfe0c3980bf7dbd", 29, 18
+    ),
+}
+
+
+def _mlp_digest(model):
+    """SHA-256 over the float64 bytes of the weights, the biases, the loss
+    curve and the validation scores, in that order."""
+    digest = hashlib.sha256()
+    for array in (*model.weights, *model.biases, model.loss_curve_, model.validation_scores_):
+        digest.update(np.asarray(array, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def reference_train_split():
+    records = prepare_corpus(load_raw(reference_corpus_path()))
+    _, _, X_train, y_train, _, _ = featurized_split(records, 0.2, 42)
+    return X_train, y_train
+
+
+@pytest.fixture(scope="module")
+def traced_default_mlp(reference_train_split):
+    """The default MLP on the reference training split (565 x 1,130), with
+    the peak memory traced while it trains."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = train_mlp(*reference_train_split)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return model, peak
+
+
+class TestMlpReferenceTraining:
+    """Pins of the MLP trained on the reference corpus. The digests hold on
+    CPython 3.11, numpy 2.4.6 and scipy 1.17.1 with scipy-openblas
+    0.3.31 on x86-64; another BLAS may round the matrix products
+    differently."""
+
+    @pytest.mark.parametrize("name", sorted(MLP_REFERENCE_CONFIGS))
+    def test_weights_and_curves_are_pinned(self, reference_train_split, traced_default_mlp,
+                                           name):
+        if name == "default":
+            model = traced_default_mlp[0]
+        else:
+            model = train_mlp(*reference_train_split, MLP_REFERENCE_CONFIGS[name])
+        assert (_mlp_digest(model), model.n_epochs_, model.best_epoch_) == (
+            MLP_REFERENCE_DIGESTS[name]
+        )
+
+    def test_training_peak_memory(self, traced_default_mlp):
+        # six arrays of the first layer's size (2.2 MiB each) are alive at
+        # the peak: weights, Adam's m and v, the best-epoch copy, the scratch
+        # buffer and the gradient; allocating per step held eight or more
+        _, peak = traced_default_mlp
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestTrainMlp:
