@@ -28,13 +28,10 @@ from .features import (
     Scaler,
     TfidfConfig,
     TfidfModel,
-    assemble_hybrid,
     fit_feature_space,
     fit_scaler,
     fit_tfidf,
-    numeric_features,
     transform_scaler,
-    transform_tfidf,
 )
 from .learners import (
     ClassWeights,

@@ -105,9 +105,10 @@ def _persisted(cls) -> list:
 def _decode(hint, value):
     """Rebuild a value of the declared type `hint` from its JSON form.
 
-    The payload writes 2.0 as 2 and tuples as lists, so each value is coerced
-    to its declared type; a dataclass is rebuilt field by field from its type
-    hints.
+    The payload writes 2.0 as 2 and tuples as lists, so a float takes any
+    finite JSON number and a tuple a list; an int, bool or str must be a JSON
+    value of exactly that type, so 2.5 or true is no int. A dataclass is
+    rebuilt field by field from its type hints.
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -123,7 +124,13 @@ def _decode(hint, value):
         return origin(_decode(args[0], v) for v in value)
     if hint is np.ndarray:
         return np.asarray(value, dtype=float)
-    return hint(value)
+    if hint is float:
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return float(value)
+    if type(value) is not hint:  # int, bool, str
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    return value
 
 
 def _pairs_digest(entries: dict[str, str]) -> str:
@@ -247,8 +254,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
 def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
     return ModelBundle(
         kind=data["kind"],
-        seed=int(data["seed"]),
-        test_fraction=float(data["test_fraction"]),
+        seed=_decode(int, data["seed"]),
+        test_fraction=_decode(float, data["test_fraction"]),
         slang=dict(data["slang"]),
         leet=dict(data["leet"]),
         label_map_digest=data["label_map_digest"],

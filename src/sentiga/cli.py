@@ -160,15 +160,16 @@ def _resolve_data_path(args) -> Path:
     return Path(args.data) if args.data else datasets.reference_corpus_path()
 
 
+def _label_map(args, policy: str = "error") -> corpus.LabelMap:
+    if args.label_map:
+        return corpus.LabelMap.from_file(args.label_map, policy)
+    return corpus.default_label_map(policy)
+
+
 def _load_assets(args):
     slang = textnorm.load_slang(args.slang) if args.slang else textnorm.default_slang()
     leet = textnorm.load_leet(args.leet) if args.leet else textnorm.default_leet()
-    policy = "drop" if args.drop_unmapped else "error"
-    if args.label_map:
-        label_map = corpus.LabelMap.from_file(args.label_map, policy)
-    else:
-        label_map = corpus.default_label_map(policy)
-    return label_map, slang, leet
+    return _label_map(args, "drop" if args.drop_unmapped else "error"), slang, leet
 
 
 def _load_records(args):
@@ -305,11 +306,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     loaded = bundle_mod.load_bundle(_require_bundle_path(args))
-    policy = "drop" if args.drop_unmapped else "error"
-    if args.label_map:
-        label_map = corpus.LabelMap.from_file(args.label_map, policy)
-    else:
-        label_map = corpus.default_label_map(policy)
+    label_map = _label_map(args, "drop" if args.drop_unmapped else "error")
     raw = corpus.load_raw(_resolve_data_path(args), lenient=args.lenient)
     records = corpus.prepare_corpus(raw, label_map, loaded.slang, loaded.leet)
 
@@ -348,8 +345,7 @@ def cmd_benchmark(args) -> int:
         test_fraction=_test_fraction(args),
         tfidf_config=_tfidf_config(args),
     )
-    rows.extend(_parse_extra_rows(args.extra_row))
-    rows.sort(key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0)))
+    rows = evaluation.rank_rows(rows + _parse_extra_rows(args.extra_row))
 
     print(f"{'Model':<22} {'Family':<16} {'Accuracy':>9} {'MacroF1':>9} {'WeightedF1':>11}")
     for row in rows:
@@ -374,29 +370,20 @@ def cmd_export(args) -> int:
     if loaded.metrics_snapshot is None:
         raise DataError("bundle carries no metrics snapshot; retrain to export tables")
     name, family = evaluation.MODEL_DISPLAY[loaded.kind]
-    benchmark_rows = [
-        evaluation.BenchmarkRow(
-            model=name,
-            family=family,
-            accuracy=loaded.metrics_snapshot.accuracy,
-            macro_f1=loaded.metrics_snapshot.macro_f1,
-            weighted_f1=loaded.metrics_snapshot.weighted_f1,
-        )
-    ]
-    benchmark_rows.extend(_parse_extra_rows(args.extra_row))
-    benchmark_rows.sort(
-        key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0))
-    )
-    label_map = (
-        corpus.LabelMap.from_file(args.label_map) if args.label_map else corpus.default_label_map()
+    own_row = evaluation.BenchmarkRow(
+        model=name,
+        family=family,
+        accuracy=loaded.metrics_snapshot.accuracy,
+        macro_f1=loaded.metrics_snapshot.macro_f1,
+        weighted_f1=loaded.metrics_snapshot.weighted_f1,
     )
     written = export.export_tables(
         args.out_dir,
         report=loaded.metrics_snapshot,
-        benchmark=benchmark_rows,
+        benchmark=evaluation.rank_rows([own_row, *_parse_extra_rows(args.extra_row)]),
         tfidf_config=loaded.tfidf.config,
         model_configs={loaded.kind: loaded.classifier.config},
-        label_map=label_map,
+        label_map=_label_map(args),
     )
     for path in written.values():
         print(f"wrote {path}")

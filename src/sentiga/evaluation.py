@@ -294,8 +294,12 @@ def run_benchmark(
                     error=str(exc),
                 )
             )
-    rows.sort(key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0)))
-    return rows
+    return rank_rows(rows)
+
+
+def rank_rows(rows: Sequence[BenchmarkRow]) -> list[BenchmarkRow]:
+    """The rows by accuracy descending, failed rows last; ties keep their order."""
+    return sorted(rows, key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0)))
 
 
 __all__ = [
@@ -310,6 +314,7 @@ __all__ = [
     "BenchmarkRow",
     "default_model_specs",
     "run_benchmark",
+    "rank_rows",
     "featurized_split",
     "train_model",
     "predict_model",

@@ -107,15 +107,6 @@ def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfidf
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
-def transform_tfidf(model: TfidfModel, doc: str) -> sp.csr_matrix:
-    """Weight one document against the fitted vocabulary.
-
-    Returns a 1 x V sparse row: (1 + ln c) * idf per in-vocabulary term,
-    L2-normalized; all-OOV or empty documents give the zero vector.
-    """
-    return transform_corpus(model, [doc])
-
-
 def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
     """One document's TF-IDF row as (ascending column indices, weights):
     (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
@@ -156,17 +147,13 @@ def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
     )
 
 
-def numeric_features(record: CleanRecord) -> np.ndarray:
-    """[word count of cleaned text, retweets + likes, raw-text hashtag count]."""
-    return np.array(
-        [record.word_count, record.engagement, record.hashtag_count], dtype=float
-    )
-
-
 def numeric_matrix(records: Sequence[CleanRecord]) -> np.ndarray:
-    if not records:
-        return np.zeros((0, 3))
-    return np.stack([numeric_features(r) for r in records])
+    """One row per record: [word count of cleaned text, retweets + likes,
+    raw-text hashtag count]."""
+    return np.array(
+        [v for r in records for v in (r.word_count, r.engagement, r.hashtag_count)],
+        dtype=float,
+    ).reshape(-1, len(NUMERIC_FEATURE_NAMES))
 
 
 @dataclass
@@ -194,10 +181,6 @@ def transform_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
     return (np.asarray(values, dtype=float) - scaler.means) / scaler.safe_stds_
 
 
-def inverse_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float) * scaler.safe_stds_ + scaler.means
-
-
 @dataclass
 class HybridMatrix:
     """Concatenation contract: TF-IDF columns first, then the three scaled
@@ -213,26 +196,12 @@ class HybridMatrix:
                 f"numeric {self.numeric_block.shape[0]} rows"
             )
 
-    @property
-    def n_rows(self) -> int:
-        return self.tfidf_block.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.tfidf_block.shape[1] + self.numeric_block.shape[1]
-
     def to_csr(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
         return sp.hstack(
             [self.tfidf_block, sp.csr_matrix(self.numeric_block)], format="csr"
         )
-
-
-def assemble_hybrid(
-    tfidf_rows: sp.csr_matrix, numeric_rows: np.ndarray
-) -> HybridMatrix:
-    return HybridMatrix(tfidf_block=tfidf_rows, numeric_block=np.asarray(numeric_rows, dtype=float))
 
 
 @dataclass
@@ -243,9 +212,10 @@ class HybridFeatureSpace:
     scaler: Scaler
 
     def featurize(self, records: Sequence[CleanRecord]) -> HybridMatrix:
-        tfidf_rows = transform_corpus(self.tfidf, [r.clean_text for r in records])
-        numeric_rows = transform_scaler(self.scaler, numeric_matrix(records))
-        return assemble_hybrid(tfidf_rows, numeric_rows)
+        return HybridMatrix(
+            tfidf_block=transform_corpus(self.tfidf, [r.clean_text for r in records]),
+            numeric_block=transform_scaler(self.scaler, numeric_matrix(records)),
+        )
 
 
 def fit_feature_space(

@@ -28,7 +28,6 @@ from .errors import (
     ShapeMismatchError,
     TrainingError,
 )
-from .features import HybridMatrix
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -164,8 +163,6 @@ class LinearSvmModel:
 def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
     import scipy.sparse as sp
 
-    if isinstance(X, HybridMatrix):
-        X = X.to_csr()
     if sp.issparse(X):
         X = X.tocsr().astype(np.float64)
         if not np.all(np.isfinite(X.data)):
@@ -540,30 +537,22 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
             proba = softmax(forward(model.layers, X_val))
             score = float(np.mean(np.argmax(proba, axis=1) == y_val))
             model.validation_scores_.append(score)
-            if score < best_value + config.improvement_tol:
-                no_improvement += 1
-            else:
-                no_improvement = 0
-            if score > best_value:
-                best_value = score
-                best_epoch = epoch
+        else:
+            # loss-based stop: the score is -loss so the same improvement
+            # comparison applies
+            score = -model.loss_curve_[-1]
+        if score < best_value + config.improvement_tol:
+            no_improvement += 1
+        else:
+            no_improvement = 0
+        if score > best_value:
+            best_value = score
+            best_epoch = epoch
+            if config.early_stopping:
                 for best, p in zip(best_params, params):
                     np.copyto(best, p)
-            if no_improvement > config.patience:
-                break
-        else:
-            # loss-based stop: best_value tracks -loss so the same
-            # improvement comparison applies
-            score = -model.loss_curve_[-1]
-            if score < best_value + config.improvement_tol:
-                no_improvement += 1
-            else:
-                no_improvement = 0
-            if score > best_value:
-                best_value = score
-                best_epoch = epoch
-            if no_improvement > config.patience:
-                break
+        if no_improvement > config.patience:
+            break
 
     if config.early_stopping:  # the first epoch always improves on -inf
         model.weights = best_params[: len(weights)]

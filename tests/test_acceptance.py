@@ -19,7 +19,7 @@ from sentiga.bundle import load_bundle, predict
 from sentiga.cli import main as cli_main
 from sentiga.corpus import SentimentClass
 from sentiga.evaluation import ConfusionMatrix, report, stratified_split
-from sentiga.features import TfidfConfig, fit_tfidf, transform_corpus, transform_tfidf
+from sentiga.features import TfidfConfig, fit_tfidf, transform_corpus
 from sentiga.learners import (
     LogRegConfig,
     _logreg_value_grad,
@@ -99,7 +99,7 @@ def test_criterion_04_tfidf_oracle_and_norm_property():
         assert idf["a"] == pytest.approx(1.0, abs=1e-5)
         assert idf["b"] == pytest.approx(1.28768, abs=1e-5)
         assert idf["c"] == pytest.approx(1.69315, abs=1e-5)
-        vec = transform_tfidf(model, "a b b").toarray()[0]
+        vec = transform_corpus(model, ["a b b"]).toarray()[0]
         assert vec[model.vocabulary["a"]] == pytest.approx(0.41694, abs=1e-4)
         assert vec[model.vocabulary["b"]] == pytest.approx(0.90893, abs=1e-4)
 

@@ -420,6 +420,37 @@ class TestBundleStructure:
             load_bundle(self._edited(saved, "logreg", edit, tmp_path))
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data["metrics_snapshot"].update(accuracy=float("nan")),
+            lambda data: data["metrics_snapshot"]["per_class"][0].update(support=2.5),
+            lambda data: data["classifier"]["config"].update(max_iter=2.5),
+            lambda data: data["tfidf"]["config"].update(sublinear_tf=0.5),
+            lambda data: data.update(seed=2.5),
+            lambda data: data["classifier"]["config"].update(max_iter=True),
+            lambda data: data["metrics_snapshot"]["per_class"][1].update(name=1),
+            lambda data: data.update(test_fraction="0.2"),
+        ],
+        ids=[
+            "accuracy-nan", "support-fractional", "max-iter-fractional",
+            "sublinear-tf-number", "seed-fractional", "max-iter-boolean",
+            "class-name-number", "test-fraction-string",
+        ],
+    )
+    def test_value_of_the_wrong_json_type_is_integrity_error(self, saved, tmp_path, edit):
+        with pytest.raises(BundleIntegrityError):
+            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+
+    def test_whole_number_float_field_loads_as_float(self, saved, tmp_path):
+        def edit(data):
+            data["classifier"]["config"]["C"] = 2
+            data["metrics_snapshot"]["accuracy"] = 1
+
+        loaded = load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+        assert type(loaded.classifier.config.C) is float and loaded.classifier.config.C == 2.0
+        assert type(loaded.metrics_snapshot.accuracy) is float
+
+    @pytest.mark.parametrize(
         "kind, edit",
         [
             ("logreg", lambda data: data["tfidf"]["idf"].__setitem__(0, float("nan"))),

@@ -250,6 +250,16 @@ class TestExitCodes:
         assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 4
         assert "non-finite" in capsys.readouterr().err
 
+    def test_export_of_bundle_with_nan_metric_is_io_error(self, trained_bundle, tmp_path,
+                                                          capsys):
+        edit_bundle_payload(
+            trained_bundle, lambda data: data["metrics_snapshot"].update(accuracy=float("nan"))
+        )
+        out_dir = tmp_path / "tables"
+        assert run("export", "--bundle", str(trained_bundle), "--out-dir", str(out_dir)) == 5
+        assert "finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_bundle_with_bad_leet_table_is_io_error(self, trained_bundle, capsys):
         edit_bundle_payload(trained_bundle, lambda data: data["leet"].update({"10": "i"}))
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5

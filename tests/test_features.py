@@ -11,18 +11,16 @@ from sentiga.datasets import reference_corpus_path
 from sentiga.errors import EmptyCorpusError, EmptyVocabularyError, ShapeMismatchError
 from sentiga.features import (
     HybridFeatureSpace,
+    HybridMatrix,
     TfidfConfig,
-    assemble_hybrid,
     extract_terms,
     fit_feature_space,
     fit_scaler,
     fit_tfidf,
-    inverse_scaler,
-    numeric_features,
+    numeric_matrix,
     tfidf_row,
     transform_corpus,
     transform_scaler,
-    transform_tfidf,
 )
 
 UNIGRAM = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 1))
@@ -126,23 +124,23 @@ class TestFitTfidf:
 class TestTransformTfidf:
     def test_hand_computed_vector(self):
         model = fit_tfidf(["a b", "a c", "a b b"], UNIGRAM)
-        vec = transform_tfidf(model, "a b b").toarray()[0]
+        vec = transform_corpus(model, ["a b b"]).toarray()[0]
         assert vec[model.vocabulary["a"]] == pytest.approx(0.41694, abs=1e-4)
         assert vec[model.vocabulary["b"]] == pytest.approx(0.90893, abs=1e-4)
         assert vec[model.vocabulary["c"]] == 0.0
 
     def test_empty_document_is_zero_vector(self):
         model = fit_tfidf(["a b", "a c"], UNIGRAM)
-        assert transform_tfidf(model, "").nnz == 0
+        assert transform_corpus(model, [""]).nnz == 0
 
     def test_oov_only_document_is_zero_vector(self):
         model = fit_tfidf(["a b", "a c"], UNIGRAM)
-        assert transform_tfidf(model, "zzz qqq").nnz == 0
+        assert transform_corpus(model, ["zzz qqq"]).nnz == 0
 
     def test_unit_norm_or_zero(self):
         model = fit_tfidf(["a b", "a c", "a b b"], UNIGRAM)
         for doc in ("a", "a b", "b b b c", "zzz", ""):
-            norm = sp.linalg.norm(transform_tfidf(model, doc))
+            norm = sp.linalg.norm(transform_corpus(model, [doc]))
             assert norm == 0 or norm == pytest.approx(1.0, abs=1e-9)
 
     def test_brute_force_recount_on_small_corpora(self):
@@ -201,14 +199,19 @@ class TestNumericFeatures:
         )
 
     def test_direct_arithmetic(self):
-        assert numeric_features(self._record("a b c", 2, 3, 2)).tolist() == [3, 5, 2]
+        assert numeric_matrix([self._record("a b c", 2, 3, 2)])[0].tolist() == [3, 5, 2]
 
     def test_zeros(self):
-        assert numeric_features(self._record("halo", 0, 0, 0)).tolist() == [1, 0, 0]
+        assert numeric_matrix([self._record("halo", 0, 0, 0)])[0].tolist() == [1, 0, 0]
 
     def test_larger_sums(self):
         rec = self._record(" ".join(["kata"] * 14), 100, 250, 3)
-        assert numeric_features(rec).tolist() == [14, 350, 3]
+        assert numeric_matrix([rec])[0].tolist() == [14, 350, 3]
+
+    def test_one_row_per_record_and_none_for_no_records(self):
+        records = [self._record("a b", 1, 2, 0), self._record("c", 0, 0, 4)]
+        assert numeric_matrix(records).tolist() == [[2, 3, 0], [1, 0, 4]]
+        assert numeric_matrix([]).shape == (0, 3)
 
 
 class TestScaler:
@@ -231,7 +234,7 @@ class TestScaler:
         rows = rng.normal(size=(20, 3)) * [1, 50, 2]
         rows[:, 2] = 4.0  # constant column exercises the zero-std guard
         scaler = fit_scaler(rows)
-        recovered = inverse_scaler(scaler, transform_scaler(scaler, rows))
+        recovered = transform_scaler(scaler, rows) * scaler.safe_stds_ + scaler.means
         assert np.allclose(recovered, rows, atol=1e-12)
 
     def test_empty_fit_raises(self):
@@ -241,40 +244,39 @@ class TestScaler:
 
 class TestHybridMatrix:
     def test_dimension_is_vocabulary_plus_three(self):
-        hybrid = assemble_hybrid(sp.csr_matrix((2, 3000)), np.zeros((2, 3)))
-        assert hybrid.n_features == 3003
+        hybrid = HybridMatrix(tfidf_block=sp.csr_matrix((2, 3000)), numeric_block=np.zeros((2, 3)))
+        assert hybrid.to_csr().shape[1] == 3003
 
     def test_zero_rows_preserve_dimension(self):
-        hybrid = assemble_hybrid(sp.csr_matrix((0, 5)), np.zeros((0, 3)))
-        assert hybrid.n_features == 8
+        hybrid = HybridMatrix(tfidf_block=sp.csr_matrix((0, 5)), numeric_block=np.zeros((0, 3)))
         assert hybrid.to_csr().shape == (0, 8)
 
     def test_single_row_concatenation(self):
         tfidf = sp.csr_matrix(np.array([[0.6, 0.8]]))
         numeric = np.array([[1.0, 2.0, 3.0]])
-        dense = assemble_hybrid(tfidf, numeric).to_csr().toarray()
+        dense = HybridMatrix(tfidf_block=tfidf, numeric_block=numeric).to_csr().toarray()
         assert dense.tolist() == [[0.6, 0.8, 1.0, 2.0, 3.0]]
 
     def test_row_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):
-            assemble_hybrid(sp.csr_matrix((2, 4)), np.zeros((3, 3)))
+            HybridMatrix(tfidf_block=sp.csr_matrix((2, 4)), numeric_block=np.zeros((3, 3)))
 
 
 class TestFeatureSpace:
     def test_fit_and_featurize(self, clean_records):
         space = fit_feature_space(clean_records, TfidfConfig(min_df=1, max_df=1.0))
         hybrid = space.featurize(clean_records)
-        assert hybrid.n_rows == len(clean_records)
-        assert hybrid.n_features == space.tfidf.n_features + 3
+        assert hybrid.to_csr().shape == (len(clean_records), space.tfidf.n_features + 3)
         # tf-idf block rows are unit norm or zero
-        for row in range(hybrid.n_rows):
+        for row in range(len(clean_records)):
             norm = sp.linalg.norm(hybrid.tfidf_block[row])
             assert norm == 0 or norm == pytest.approx(1.0, abs=1e-9)
 
     def test_transform_reuses_training_statistics(self, clean_records):
         space = fit_feature_space(clean_records, TfidfConfig(min_df=1, max_df=1.0))
         subset = clean_records[:4]
-        expected = transform_scaler(space.scaler, np.stack([numeric_features(r) for r in subset]))
+        counts = [[r.word_count, r.engagement, r.hashtag_count] for r in subset]
+        expected = transform_scaler(space.scaler, np.array(counts, dtype=float))
         hybrid = space.featurize(subset)
         assert np.allclose(hybrid.numeric_block, expected)
         assert isinstance(space, HybridFeatureSpace)
