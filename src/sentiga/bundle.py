@@ -18,6 +18,7 @@ external assets.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -83,6 +84,10 @@ def _encode(value) -> str:
             raise BundleError("cannot serialize non-finite float")
         return format(value, ".17g")
     if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim:
+            if not np.isfinite(value).all():
+                raise BundleError("cannot serialize non-finite float")
+            return _encode_floats(value.tolist(), value.ndim)
         return _encode(value.tolist())
     if is_dataclass(value):
         return _encode({f.name: getattr(value, f.name) for f in _persisted(value)})
@@ -91,9 +96,19 @@ def _encode(value) -> str:
     if isinstance(value, dict):
         if any(not isinstance(k, str) for k in value):
             raise BundleError("payload dict keys must be strings")
+        if all(type(v) in (int, str) for v in value.values()):  # vocabulary, tables
+            return json.dumps(value, sort_keys=True, separators=(",", ":"))
         items = sorted(value.items())
         return "{" + ",".join(f"{json.dumps(k)}:{_encode(v)}" for k, v in items) + "}"
     raise BundleError(f"cannot serialize {type(value).__name__} in bundle payload")
+
+
+def _encode_floats(nested: list, ndim: int) -> str:
+    """`_encode` of a finite float64 array's `tolist()`, without a call per
+    element."""
+    if ndim == 1:
+        return "[" + ",".join([format(v, ".17g") for v in nested]) + "]"
+    return "[" + ",".join([_encode_floats(row, ndim - 1) for row in nested]) + "]"
 
 
 def _persisted(cls) -> list:
@@ -107,8 +122,10 @@ def _decode(hint, value):
 
     The payload writes 2.0 as 2 and tuples as lists, so a float takes any
     finite JSON number and a tuple a list; an int, bool or str must be a JSON
-    value of exactly that type, so 2.5 or true is no int. A dataclass is
-    rebuilt field by field from its type hints.
+    value of exactly that type, so 2.5 or true is no int, and an array entry
+    a JSON number, so "1.5" or true is no entry. A dataclass is rebuilt field
+    by field from its type hints; the entries of a dict, list or array of
+    scalars are checked together, not one call each.
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -118,19 +135,42 @@ def _decode(hint, value):
         if value is None and type(None) in args:
             return None
         return _decode(next(a for a in args if a is not type(None)), value)
-    if origin is dict:
+    if origin is dict:  # JSON object keys are strings
+        if args[0] is str and args[1] in _SCALARS:  # the vocabulary
+            return dict(zip(value, _scalars(args[1], value.values())))
         return {_decode(args[0], k): _decode(args[1], v) for k, v in value.items()}
     if origin in (list, tuple):  # homogeneous: list[T], tuple[T, ...], tuple[T, T]
+        if args[0] in _SCALARS:
+            return origin(_scalars(args[0], value))
         return origin(_decode(args[0], v) for v in value)
     if hint is np.ndarray:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
+        entries = value  # nested one list per dimension
+        for _ in range(array.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        # np.asarray also converts a numeric string or a bool
+        kinds = set(map(type, entries))
+        if not kinds <= {int, float}:
+            names = sorted(kind.__name__ for kind in kinds)
+            raise TypeError(f"expected an array of numbers, got entries of type {names}")
+        return array
+    return _scalars(hint, [value])[0]
+
+
+_SCALARS = (int, bool, str, float)
+
+
+def _scalars(hint, values) -> list:
+    """`values` decoded as `hint`, one of _SCALARS: a float takes any finite
+    JSON number, an int, bool or str only a JSON value of exactly that type."""
+    values = list(values)
     if hint is float:
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {value!r}")
-        return float(value)
-    if type(value) is not hint:  # int, bool, str
-        raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    return value
+        if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
+            raise ValueError(f"expected finite numbers, got {values!r:.80}")
+        return [float(v) for v in values]
+    if not set(map(type, values)) <= {hint}:
+        raise TypeError(f"expected {hint.__name__} values, got {values!r:.80}")
+    return values
 
 
 def _pairs_digest(entries: dict[str, str]) -> str:
@@ -258,7 +298,7 @@ def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
         test_fraction=_decode(float, data["test_fraction"]),
         slang=dict(data["slang"]),
         leet=dict(data["leet"]),
-        label_map_digest=data["label_map_digest"],
+        label_map_digest=_decode(str, data["label_map_digest"]),
         tfidf=_decode(TfidfModel, data["tfidf"]),
         scaler=_decode(Scaler, data["scaler"]),
         classifier=_decode(learners.LEARNERS[data["kind"]].model, data["classifier"]),

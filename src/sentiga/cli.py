@@ -337,15 +337,15 @@ def cmd_predict(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    extra_rows = _parse_extra_rows(args.extra_row)  # a usage error before any training
     records, _, _, _ = _load_records(args)
-    seed = _seed(args)
     rows = evaluation.run_benchmark(
         records,
-        seed=seed,
+        seed=_seed(args),
         test_fraction=_test_fraction(args),
         tfidf_config=_tfidf_config(args),
     )
-    rows = evaluation.rank_rows(rows + _parse_extra_rows(args.extra_row))
+    rows = evaluation.rank_rows(rows + extra_rows)
 
     print(f"{'Model':<22} {'Family':<16} {'Accuracy':>9} {'MacroF1':>9} {'WeightedF1':>11}")
     for row in rows:

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import learners
 from .corpus import CLASS_NAMES, CleanRecord
-from .errors import DataError, EmptyEvaluationError, ShapeMismatchError, StratificationError
+from .errors import (
+    DataError,
+    EmptyCorpusError,
+    EmptyEvaluationError,
+    ShapeMismatchError,
+    StratificationError,
+    TrainingError,
+)
 from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 N_CLASSES = len(CLASS_NAMES)
@@ -58,6 +65,8 @@ def stratified_split(
     y = np.asarray([int(v) for v in labels])
     classes = np.unique(y)
     counts = np.array([int(np.sum(y == c)) for c in classes])
+    if not len(classes):
+        raise EmptyCorpusError("no records to split")
     if np.any(counts < 2):
         small = classes[counts < 2]
         raise StratificationError(f"classes with fewer than 2 members: {small.tolist()}")
@@ -217,7 +226,12 @@ def default_model_specs(seed: int = 42) -> list[ModelSpec]:
 
 def train_model(kind: str, X, y, config=None):
     learner = learners.get_learner(kind)
-    return getattr(learners, learner.train)(X, y, config or learner.config())
+    # an overflow or NaN on the way (say C = 1e300) is a fit that diverged
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return getattr(learners, learner.train)(X, y, config or learner.config())
+        except FloatingPointError as exc:
+            raise TrainingError(f"{kind} training diverged: {exc}") from None
 
 
 def predict_model(kind: str, model, X) -> np.ndarray:

@@ -60,6 +60,15 @@ class TfidfModel:
     vocabulary: dict[str, int]   # term -> dense column index, lexicographic
     idf: np.ndarray              # (V,), aligned with vocabulary indices
     config: TfidfConfig
+    # term -> (column, idf as a Python float), what tfidf_row looks up; derived
+    # from `vocabulary` and `idf`, so bundles do not store it
+    columns_: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        idf = self.idf.tolist()
+        if not all(0 <= col < len(idf) for col in self.vocabulary.values()):
+            raise ValueError(f"a vocabulary column is outside the {len(idf)} IDF entries")
+        self.columns_ = {term: (col, idf[col]) for term, col in self.vocabulary.items()}
 
     @property
     def n_features(self) -> int:
@@ -111,22 +120,21 @@ def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
     """One document's TF-IDF row as (ascending column indices, weights):
     (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
     empty documents give two empty lists."""
-    vocabulary = model.vocabulary
-    counts: dict[int, int] = {}
-    for term in extract_terms(doc, model.config.ngram_range):
-        col = vocabulary.get(term)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-    cols = sorted(counts)
-    if model.config.sublinear_tf:
-        tfs = [1.0 + math.log(counts[col]) for col in cols]
-    else:
-        tfs = [float(counts[col]) for col in cols]
-    weights = [tf * idf for tf, idf in zip(tfs, model.idf[cols].tolist())]
+    hits = sorted(filter(None, map(model.columns_.get,
+                                   extract_terms(doc, model.config.ngram_range))))
+    row = dict(hits)  # column -> idf, ascending
+    if len(row) < len(hits):  # a repeated term: weigh each column by its count
+        counts = Counter(col for col, _ in hits)
+        if model.config.sublinear_tf:
+            row = {col: (1.0 + math.log(counts[col])) * idf for col, idf in row.items()}
+        else:
+            row = {col: float(counts[col]) * idf for col, idf in row.items()}
+    # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
+    weights = list(row.values())
     norm = math.sqrt(sum(w * w for w in weights))
     if norm > 0:
         weights = [w / norm for w in weights]
-    return cols, weights
+    return list(row), weights
 
 
 def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:

@@ -16,6 +16,7 @@ for what differs between the three.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -207,10 +208,24 @@ def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
     return balanced_weights(counts).w[y]
 
 
+# Row max and row sum over the N_CLASSES columns of a score matrix, folded
+# one column at a time: the same bits as `max(axis=1)` and `sum(axis=1)`,
+# which also go left to right over so few columns, at a fraction of the cost
+# of numpy's strided row reduction.
+
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    return functools.reduce(np.maximum, scores.T)
+
+
+def _row_sum(scores: np.ndarray) -> np.ndarray:
+    # numpy's sum starts from +0.0, so a row of -0.0 sums to 0.0
+    return functools.reduce(np.add, scores.T, 0.0)
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - _row_max(scores)[:, None]
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / _row_sum(exp)[:, None]
 
 
 def forward(layers, X) -> np.ndarray:
@@ -247,22 +262,24 @@ def _logreg_value_grad(
     Y: np.ndarray,
     sample_w: np.ndarray,
     C: float,
+    XT=None,
 ) -> tuple[float, np.ndarray]:
     """Objective C * sum_i w_i * CE_i + 0.5 * ||W||_F^2 (bias unpenalized)
-    and its gradient, both over the flattened (W, b) vector."""
+    and its gradient, both over the flattened (W, b) vector. `XT` is `X.T`,
+    which a caller evaluating many times builds once."""
     D = X.shape[1]
     W = theta[: N_CLASSES * D].reshape(N_CLASSES, D)
     b = theta[N_CLASSES * D :]
 
     scores = X @ W.T + b
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    shifted = scores - _row_max(scores)[:, None]
+    log_norm = np.log(_row_sum(np.exp(shifted)))
     log_proba = shifted - log_norm[:, None]
-    ce = -(Y * log_proba).sum(axis=1)
+    ce = -_row_sum(Y * log_proba)
     value = C * float(sample_w @ ce) + 0.5 * float(np.sum(W * W))
 
     grad_scores = C * sample_w[:, None] * (np.exp(log_proba) - Y)
-    grad_W = (X.T @ grad_scores).T + W
+    grad_W = ((X.T if XT is None else XT) @ grad_scores).T + W
     grad_b = grad_scores.sum(axis=0)
     return value, np.concatenate([np.asarray(grad_W).ravel(), grad_b])
 
@@ -347,9 +364,12 @@ def train_logreg(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:
     Y = _one_hot(y)
     D = X.shape[1]
 
+    XT = X.T
     theta0 = np.zeros(N_CLASSES * D + N_CLASSES)
     theta, path, n_iter = _lbfgs_minimize(
-        lambda t: _logreg_value_grad(t, X, Y, sample_w, config.C),
+        # looked up on the module at each call, so a wrapper installed on
+        # `learners._logreg_value_grad` sees every evaluation
+        lambda t: _logreg_value_grad(t, X, Y, sample_w, config.C, XT),
         theta0,
         max_iter=config.max_iter,
         tol=config.tol,
@@ -396,8 +416,8 @@ def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
             np.maximum(z, 0.0, out=z)
         activations.append(z)
     scores = activations[-1]
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    shifted = scores - _row_max(scores)[:, None]
+    log_norm = np.log(_row_sum(np.exp(shifted)))
     log_proba = shifted - log_norm[:, None]
     proba = np.exp(log_proba)
 
@@ -458,17 +478,21 @@ class _Adam:
 
 
 def _validation_split(y, fraction, rng):
-    """Stratified where possible, plain seeded shuffle otherwise."""
+    """Stratified where possible, plain seeded shuffle otherwise. The
+    validation part is never empty: its accuracy would be NaN, no epoch would
+    count as best, and the model would keep no trained parameters."""
     from .errors import StratificationError
     from .evaluation import stratified_split
 
     try:
         split = stratified_split(y, fraction, rng)
-        return split.train_indices, split.test_indices
+        if len(split.test_indices):
+            return split.train_indices, split.test_indices
     except StratificationError:
-        order = rng.permutation(len(y))
-        n_val = min(len(y) - 1, max(1, int(np.floor(len(y) * fraction + 0.5))))
-        return np.sort(order[n_val:]), np.sort(order[:n_val])
+        pass
+    order = rng.permutation(len(y))
+    n_val = min(len(y) - 1, max(1, int(np.floor(len(y) * fraction + 0.5))))
+    return np.sort(order[n_val:]), np.sort(order[:n_val])
 
 
 def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:

@@ -10,6 +10,7 @@ from sentiga import learners
 from sentiga.bundle import (
     FORMAT_VERSION,
     ModelBundle,
+    _encode,
     load_bundle,
     predict,
     save_bundle,
@@ -52,6 +53,61 @@ SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 def trained():
     records = make_clean_records(n_per_class=(10, 10, 10), seed=2)
     return train_bundle(records, kind="logreg", tfidf_config=SMALL_TFIDF, seed=42), records
+
+
+def _encode_per_element(value):
+    """The canonical encoding written out one element at a time, as the
+    general path of `_encode` does for lists and dicts."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list):
+        return "[" + ",".join(_encode_per_element(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(
+            f"{json.dumps(k)}:{_encode_per_element(v)}" for k, v in sorted(value.items())
+        ) + "}"
+    return _encode(value)
+
+
+class TestCanonicalEncoding:
+    """Float arrays, the vocabulary and the slang and leet tables are encoded
+    in one pass each; the bytes must equal the per-element encoding."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]),
+            np.array([[1.5, -0.0, 2.2250738585072014e-308], [1e-300, 3.0, -7.25]]),
+            np.random.default_rng(0).standard_normal((40, 7))
+            * 10.0 ** np.random.default_rng(1).integers(-300, 300, size=(40, 7)),
+            np.zeros((0,)),
+            np.zeros((2, 0)),
+            np.arange(6.0).reshape(1, 2, 3),
+        ],
+        ids=["specials", "2d", "random-2d", "empty", "empty-rows", "3d"],
+    )
+    def test_float_array_fast_path_equals_per_element(self, array):
+        assert _encode(array) == _encode_per_element(array)
+        assert json.loads(_encode(array)) == array.tolist()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_non_finite_array_entry_is_refused(self, bad, shape):
+        array = np.ones(shape)
+        array.flat[-1] = bad
+        with pytest.raises(BundleError, match="non-finite"):
+            _encode(array)
+
+    def test_int_and_str_valued_dicts_equal_per_element(self):
+        vocabulary = {"b a": 2, "a": 0, "\u00e9t\u00e9": 1, 'q"uote': 3, "z\\": 10**20}
+        table = {"gk": "tidak", "\u00e9": "e\u00e9", "1": "i"}
+        for value in (vocabulary, table, {}):
+            assert _encode(value) == _encode_per_element(value)
+        assert _encode(vocabulary).isascii()
+
+    def test_mixed_valued_dict_takes_the_general_path(self):
+        value = {"a": True, "b": 1, "c": "x", "d": 1.5, "e": np.int64(4)}
+        assert _encode(value) == '{"a":true,"b":1,"c":"x","d":1.5,"e":4}'
 
 
 class TestPersistence:
@@ -430,11 +486,21 @@ class TestBundleStructure:
             lambda data: data["classifier"]["config"].update(max_iter=True),
             lambda data: data["metrics_snapshot"]["per_class"][1].update(name=1),
             lambda data: data.update(test_fraction="0.2"),
+            lambda data: data["tfidf"]["idf"].__setitem__(0, "1.5"),
+            lambda data: data["scaler"]["means"].__setitem__(0, True),
+            lambda data: data.update(label_map_digest=5),
+            lambda data: data["classifier"]["W"][1].__setitem__(2, False),
+            lambda data: data["metrics_snapshot"]["confusion"][0].__setitem__(0, "3"),
+            lambda data: data["tfidf"]["vocabulary"].update(
+                {next(iter(data["tfidf"]["vocabulary"])): True}),
+            lambda data: data["tfidf"]["config"].update(ngram_range=[1, "2"]),
         ],
         ids=[
             "accuracy-nan", "support-fractional", "max-iter-fractional",
             "sublinear-tf-number", "seed-fractional", "max-iter-boolean",
-            "class-name-number", "test-fraction-string",
+            "class-name-number", "test-fraction-string", "idf-string-entry",
+            "mean-boolean-entry", "label-map-digest-number", "W-boolean-entry",
+            "confusion-string-count", "vocabulary-boolean-column", "ngram-string-bound",
         ],
     )
     def test_value_of_the_wrong_json_type_is_integrity_error(self, saved, tmp_path, edit):
@@ -490,6 +556,7 @@ class TestBundleStructure:
     def test_safe_stds_are_derived_not_stored(self, saved):
         payload = json.loads(saved["logreg"].read_text(encoding="utf-8").split("\n", 2)[2])
         assert sorted(payload["scaler"]) == ["means", "stds"]
+        assert sorted(payload["tfidf"]) == ["config", "idf", "vocabulary"]
         scaler = Scaler(means=np.zeros(3), stds=np.array([0.0, 2.0, 3.0]))
         assert scaler.safe_stds_.tolist() == [1.0, 2.0, 3.0]
         other = Scaler(means=scaler.means, stds=scaler.stds)

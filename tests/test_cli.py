@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import edit_bundle_payload, spell_index, write_raw_csv
 import sentiga
+import sentiga.evaluation
 from sentiga import export
 from sentiga.cli import main
 
@@ -265,6 +269,61 @@ class TestExitCodes:
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
         assert "leet key must be one digit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: data["tfidf"]["idf"].__setitem__(0, "1.5"),
+            lambda data: data["scaler"]["means"].__setitem__(0, True),
+            lambda data: data.update(label_map_digest=5),
+        ],
+        ids=["idf-string-entry", "mean-boolean-entry", "label-map-digest-number"],
+    )
+    def test_bundle_value_of_the_wrong_json_type_is_io_error(self, trained_bundle, capsys,
+                                                             edit):
+        edit_bundle_payload(trained_bundle, edit)
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "aku senang") == 5
+        out, err = capsys.readouterr()
+        assert out == "" and "malformed payload" in err
+
+    def test_malformed_extra_row_is_usage_error_before_training(self, small_raw_csv, tmp_path,
+                                                               capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_benchmark called before --extra-row was parsed")
+
+        monkeypatch.setattr(sentiga.evaluation, "run_benchmark", no_training)
+        code = run("benchmark", "--data", str(small_raw_csv), "--out-dir", str(tmp_path),
+                   "--extra-row", "Random Forest,Classical ML,0.7,high,0.6")
+        assert code == 2
+        assert "--extra-row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--model", "logreg", "--C", "1e300"),
+            ("--model", "logreg", "--C", "inf"),
+            ("--model", "svm", "--regularization", "1e-300"),
+            ("--model", "mlp", "--learning_rate_init", "1e300"),
+        ],
+        ids=" ".join,
+    )
+    def test_training_that_overflows_is_training_error(self, small_raw_csv, tmp_path, capsys,
+                                                       flags):
+        bundle_path = tmp_path / "m.bundle"
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--min_df", "1", *flags)
+        assert code == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not bundle_path.exists()
+
+    def test_evaluate_with_every_record_dropped_is_data_error(self, trained_bundle,
+                                                              small_raw_csv, tmp_path, capsys):
+        empty_map = tmp_path / "empty_map.csv"
+        empty_map.write_text("", encoding="utf-8")
+        code = run("evaluate", "--data", str(small_raw_csv), "--bundle", str(trained_bundle),
+                   "--drop-unmapped", "--label-map", str(empty_map))
+        assert code == 3
+        assert "no records to split" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
 
@@ -401,3 +460,124 @@ class TestReferenceBundleBytes:
         path = tmp_path / f"{kind}.bundle"
         assert run("train", "--bundle", str(path), "--model", kind) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[kind]
+
+
+class TestArgvProperty:
+    """Any argv for any subcommand ends in a documented exit code, and a
+    failure prints a diagnosis, never a traceback. Every command reads a
+    15-row CSV or a bundle trained on it, so no example trains on the
+    reference corpus."""
+
+    SOURCE = ["--data", "--drop-unmapped", "--lenient", "--label-map"]
+    TABLES = ["--slang", "--leet"]
+    SPLIT = ["--seed", "--test-fraction"]
+    TFIDF = ["--max_features", "--min_df", "--max_df", "--ngram_range", "--sublinear_tf"]
+    MODEL = [
+        "--model", "--C", "--class_weight", "--max_iter", "--tol", "--random_state",
+        "--hidden_layer_sizes", "--activation", "--solver", "--alpha",
+        "--learning_rate_init", "--early_stopping", "--regularization", "--epochs",
+    ]
+    FLAGS = {  # what each command reads, as build_parser declares it
+        "preprocess": SOURCE + TABLES + ["--out-dir"],
+        "train": ["--bundle"] + SOURCE + TABLES + SPLIT + TFIDF + MODEL,
+        "evaluate": ["--bundle"] + SOURCE + SPLIT,
+        "predict": ["--bundle", "--text", "--retweets", "--likes"],
+        "benchmark": SOURCE + TABLES + SPLIT + TFIDF + ["--out-dir", "--extra-row"],
+        "export": ["--bundle", "--label-map", "--out-dir", "--extra-row"],
+        "frobnicate": [],
+    }
+    JUNK = ["--bogus", "stray", "--help", "--model", "--text", "--out-dir"]
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        rows = [
+            (f"{words} nomor u{spell_index(i)}", label, str(i), str(2 * i), "#x" * (i % 2))
+            for i, (words, label) in enumerate(
+                [("senang bagus", "Joy"), ("sedih kecewa", "Sad"), ("info jadwal", "Neutral")]
+                * 5
+            )
+        ]
+        paths = {
+            "csv": write_raw_csv(root / "tiny.csv", rows),
+            "bundle": root / "tiny.bundle",
+            "garbage": root / "garbage.txt",
+            "empty": root / "empty.txt",
+            "dir": root,
+            "missing": root / "missing" / "x",
+            "out": root / "out",
+        }
+        paths["garbage"].write_text("not,a\nbundle,\x00\n", encoding="utf-8")
+        paths["empty"].write_text("", encoding="utf-8")
+        assert main(["train", "--data", str(paths["csv"]), "--bundle", str(paths["bundle"]),
+                     "--min_df", "1", "--max_df", "1.0"]) == 0
+        return paths
+
+    @classmethod
+    def _argv(cls, draw, paths):
+        def path(*keys):
+            return st.sampled_from([str(paths[k]) for k in keys])
+
+        small_int = st.one_of(st.integers(-2, 30).map(str), st.sampled_from(["", "x", "1.5"]))
+        number = st.one_of(
+            st.floats(-2, 2).map(repr),
+            st.sampled_from(["0", "1e-300", "1e300", "nan", "inf", "-inf", "abc", ""]),
+        )
+        boolean = st.sampled_from(["true", "false", "yes", "0", "maybe", ""])
+        sizes = st.sampled_from(["1,1", "1,2", "2,1", "0,1", "1", "1,2,3", "4,3", "-1", "a", ""])
+        values = {
+            "--data": path("csv", "garbage", "empty", "dir", "missing", "bundle"),
+            "--bundle": path("bundle", "garbage", "empty", "dir", "missing", "csv"),
+            "--out-dir": path("out", "csv", "missing"),
+            "--label-map": path("garbage", "empty", "dir", "missing"),
+            "--slang": path("garbage", "empty", "dir", "missing", "csv"),
+            "--leet": path("garbage", "empty", "dir", "missing", "csv"),
+            "--seed": small_int, "--random_state": small_int, "--max_features": small_int,
+            "--min_df": small_int, "--max_iter": small_int, "--epochs": small_int,
+            "--retweets": st.one_of(small_int, st.just("9" * 400)),
+            "--likes": small_int,
+            "--test-fraction": number, "--max_df": number, "--C": number, "--tol": number,
+            "--alpha": number, "--learning_rate_init": number, "--regularization": number,
+            "--sublinear_tf": boolean, "--early_stopping": boolean,
+            "--ngram_range": sizes, "--hidden_layer_sizes": sizes,
+            "--class_weight": st.sampled_from(["balanced", "none", "bogus"]),
+            "--model": st.sampled_from(["logreg", "mlp", "svm", "forest"]),
+            "--activation": st.sampled_from(["relu", "tanh"]),
+            "--solver": st.sampled_from(["lbfgs", "adam", "sgd"]),
+            "--text": st.text(max_size=30),
+            "--extra-row": st.sampled_from(
+                ["RF,Classical,0.5,0.4,0.3", "bad", "a,b,x,1,1", "a,b,nan,1,1", ",,,,"]
+            ),
+            "--drop-unmapped": st.none(), "--lenient": st.none(),
+            "--bogus": st.none(), "stray": st.none(), "--help": st.none(),
+        }
+        command = draw(st.sampled_from(sorted(cls.FLAGS)))
+        # defaults first, so a drawn flag of the same name replaces them
+        argv = {
+            "preprocess": ["--data", str(paths["csv"]), "--out-dir", str(paths["out"])],
+            "train": ["--data", str(paths["csv"]), "--bundle", str(paths["out"] / "t.bundle"),
+                      "--min_df", "1"],
+            "evaluate": ["--data", str(paths["csv"]), "--bundle", str(paths["bundle"])],
+            "predict": ["--bundle", str(paths["bundle"]), "--text", "aku senang"],
+            "benchmark": ["--data", str(paths["csv"]), "--out-dir", str(paths["out"]),
+                          "--min_df", "1"],
+            "export": ["--bundle", str(paths["bundle"]), "--out-dir", str(paths["out"])],
+        }.get(command, [])
+        flags = st.sampled_from(cls.FLAGS[command] or cls.JUNK)
+        flags = st.one_of(flags, flags, flags, st.sampled_from(cls.JUNK))  # mostly its own
+        for flag in draw(st.lists(flags, max_size=4)):
+            value = draw(values[flag])
+            argv += [flag] if value is None else [flag, value]
+        return [command, *argv]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_failure_is_an_exit_code_without_traceback(self, paths, data):
+        argv = self._argv(data.draw, paths)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code:
+            assert err.getvalue().strip(), argv

@@ -13,6 +13,7 @@ from sentiga.features import (
     HybridFeatureSpace,
     HybridMatrix,
     TfidfConfig,
+    TfidfModel,
     extract_terms,
     fit_feature_space,
     fit_scaler,
@@ -186,6 +187,21 @@ class TestReferenceRow:
             model = fit_tfidf(docs, TfidfConfig(sublinear_tf=sublinear))
             for doc in docs:
                 assert_rows_bit_equal(model, doc)
+                # every term twice, and the first word four times
+                assert_rows_bit_equal(model, f"{doc} {doc}")
+                assert_rows_bit_equal(model, " ".join([doc, *doc.split()[:1] * 3]))
+
+    @pytest.mark.parametrize(
+        "doc", ["aa aa", "aa bb aa bb aa", "cc cc cc cc dd", "ee ff ee ff gg gg gg zz zz"]
+    )
+    @pytest.mark.parametrize("key", list(_ORACLE_MODELS), ids=str)
+    def test_equals_reference_with_repeated_terms(self, key, doc):
+        assert_rows_bit_equal(_ORACLE_MODELS[key], doc)
+
+    def test_column_beyond_the_idf_is_refused(self):
+        model = fit_tfidf(["aa bb", "bb cc"], UNIGRAM)
+        with pytest.raises(ValueError, match="outside"):
+            TfidfModel(vocabulary=model.vocabulary, idf=model.idf[:2], config=UNIGRAM)
 
 
 class TestNumericFeatures:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import make_separable_xy
+from sentiga import learners
 from sentiga.corpus import load_raw, prepare_corpus
 from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DegenerateLabelsError, NonFiniteFeatureError, TrainingError
 from sentiga.evaluation import featurized_split
 from sentiga.learners import (
+    N_CLASSES,
     LinearSvmConfig,
     LogRegConfig,
     LogRegModel,
@@ -19,6 +21,8 @@ from sentiga.learners import (
     _logreg_value_grad,
     _mlp_value_grads,
     _one_hot,
+    _row_max,
+    _row_sum,
     _svm_value_grads,
     balanced_weights,
     decision_scores_svm,
@@ -431,3 +435,72 @@ class TestSvm:
         a = train_linear_svm(X, y)
         b = train_linear_svm(X, y)
         assert np.array_equal(a.W, b.W) and np.array_equal(a.b, b.b)
+
+
+class TestClassAxisReductions:
+    """`_row_max` and `_row_sum` fold the class columns with one ufunc call
+    per column; their bits must equal numpy's row reductions."""
+
+    def test_equal_axis_one_reductions_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e300, 1.0])
+        for trial in range(300):
+            n = int(rng.integers(1, 2264))
+            scores = rng.standard_normal((n, N_CLASSES)) * 10.0 ** rng.integers(-300, 300)
+            ties = rng.random((n, N_CLASSES)) < 0.2
+            scores[ties] = rng.choice(specials, size=int(ties.sum()))
+            scores[rng.random(n) < 0.1] = rng.choice(specials)  # whole rows of one value
+            scores[0] = -0.0
+            assert _row_max(scores).tobytes() == scores.max(axis=1).tobytes(), trial
+            assert _row_sum(scores).tobytes() == scores.sum(axis=1).tobytes(), trial
+
+    def test_softmax_and_objective_use_it_with_unchanged_bits(self):
+        X, y = make_separable_xy(seed=4, per_class=7)
+        scores = np.random.default_rng(5).standard_normal((21, N_CLASSES)) * 30
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        assert softmax(scores).tobytes() == (exp / exp.sum(axis=1, keepdims=True)).tobytes()
+
+        theta = np.random.default_rng(6).standard_normal(N_CLASSES * 3 + N_CLASSES)
+        Y, sample_w = _one_hot(y), np.linspace(0.5, 2.0, len(y))
+        value, grad = _logreg_value_grad(theta, X, Y, sample_w, 2.0)
+        W, b = theta[:9].reshape(3, 3), theta[9:]
+        s = X @ W.T + b
+        s = s - s.max(axis=1, keepdims=True)
+        log_proba = s - np.log(np.exp(s).sum(axis=1))[:, None]
+        ce = -(Y * log_proba).sum(axis=1)
+        assert value == 2.0 * float(sample_w @ ce) + 0.5 * float(np.sum(W * W))
+        grad_scores = 2.0 * sample_w[:, None] * (np.exp(log_proba) - Y)
+        expected = np.concatenate([((X.T @ grad_scores).T + W).ravel(), grad_scores.sum(axis=0)])
+        assert grad.tobytes() == expected.tobytes()
+        assert _logreg_value_grad(theta, X, Y, sample_w, 2.0, X.T)[1].tobytes() == grad.tobytes()
+
+
+class TestLogRegEvaluationCount:
+    def test_reference_training_calls_the_module_objective_112_times(
+        self, reference_train_split, monkeypatch
+    ):
+        """perfbench counts `learners.logreg.evals` by wrapping this module
+        attribute; a refactor that bound the objective elsewhere would make
+        that counter read 0."""
+        calls = []
+        original = learners._logreg_value_grad
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learners, "_logreg_value_grad", counting)
+        model = train_logreg(*reference_train_split)
+        assert (len(calls), model.n_iter_) == (112, 103)
+        assert len(model.objective_history_) == 104
+
+
+class TestMlpValidationSplit:
+    def test_a_class_too_small_for_a_validation_share_still_validates(self):
+        # 4 per class: a stratified 10 % share rounds to no validation rows
+        X, y = make_separable_xy(seed=7, per_class=4)
+        model = train_mlp(X, y, MlpConfig(hidden_layer_sizes=(4,), max_iter=5))
+        assert model.validation_scores_ and np.all(np.isfinite(model.validation_scores_))
+        assert model.best_epoch_ >= 1
+        assert all(np.all(np.isfinite(W)) for W in model.weights)
