@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import learners
-from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts
+from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts, pairs_digest
 from .errors import (
     BundleError,
     BundleIntegrityError,
@@ -41,14 +41,7 @@ from .errors import (
     NonFiniteFeatureError,
     UnsupportedVersionError,
 )
-from .evaluation import (
-    EvalReport,
-    confusion,
-    featurized_split,
-    predict_model,
-    report,
-    train_model,
-)
+from .evaluation import EvalReport, featurized_split, held_out_report, train_model
 from .features import (
     NUMERIC_FEATURE_NAMES,
     HybridFeatureSpace,
@@ -125,7 +118,8 @@ def _decode(hint, value):
     value of exactly that type, so 2.5 or true is no int, and an array entry
     a JSON number, so "1.5" or true is no entry. A dataclass is rebuilt field
     by field from its type hints; the entries of a dict, list or array of
-    scalars are checked together, not one call each.
+    scalars are checked together, not one call each; the one dict is the
+    vocabulary, str -> int.
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -135,10 +129,8 @@ def _decode(hint, value):
         if value is None and type(None) in args:
             return None
         return _decode(next(a for a in args if a is not type(None)), value)
-    if origin is dict:  # JSON object keys are strings
-        if args[0] is str and args[1] in _SCALARS:  # the vocabulary
-            return dict(zip(value, _scalars(args[1], value.values())))
-        return {_decode(args[0], k): _decode(args[1], v) for k, v in value.items()}
+    if origin is dict:  # the vocabulary: JSON object keys are strings
+        return dict(zip(value, _scalars(args[1], value.values())))
     if origin in (list, tuple):  # homogeneous: list[T], tuple[T, ...], tuple[T, T]
         if args[0] in _SCALARS:
             return origin(_scalars(args[0], value))
@@ -173,11 +165,6 @@ def _scalars(hint, values) -> list:
     return values
 
 
-def _pairs_digest(entries: dict[str, str]) -> str:
-    canon = "\n".join(f"{k},{v}" for k, v in sorted(entries.items()))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # bundle model
 # --------------------------------------------------------------------------
@@ -200,11 +187,11 @@ class ModelBundle:
 
     @property
     def slang_digest(self) -> str:
-        return _pairs_digest(self.slang)
+        return pairs_digest(self.slang)
 
     @property
     def leet_digest(self) -> str:
-        return _pairs_digest(self.leet)
+        return pairs_digest(self.leet)
 
 
 def _report_to_payload(rep: EvalReport | None):
@@ -435,7 +422,7 @@ def train_bundle(
         records, test_fraction, seed, tfidf_config
     )
     model = train_model(kind, X_train, y_train, model_config)
-    holdout = report(confusion(y_test, predict_model(kind, model, X_test)))
+    holdout = held_out_report(kind, model, X_test, y_test)
 
     bundle = ModelBundle(
         kind=kind,

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[bundle, source, label_map, tables, split, tfidf, hyper],
                        help="train one model and save a bundle")
-    p.add_argument("--model", choices=evaluation.MODEL_KINDS, default="logreg")
+    p.add_argument("--model", choices=learners.LEARNERS, default="logreg")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[bundle, source, label_map, split],
@@ -244,17 +244,12 @@ def _parse_extra_rows(raw_rows) -> list[evaluation.BenchmarkRow]:
                 f"--extra-row expects MODEL,FAMILY,ACC,MACRO,WEIGHTED, got {raw!r}"
             )
         try:
-            rows.append(
-                evaluation.BenchmarkRow(
-                    model=parts[0],
-                    family=parts[1],
-                    accuracy=float(parts[2]),
-                    macro_f1=float(parts[3]),
-                    weighted_f1=float(parts[4]),
-                )
-            )
+            metrics = [float(part) for part in parts[2:]]
         except ValueError:
             raise _UsageError(f"--extra-row has non-numeric metrics: {raw!r}") from None
+        if not all(0.0 <= m <= 1.0 for m in metrics):  # false for NaN too
+            raise _UsageError(f"--extra-row metrics must be in [0, 1], got {raw!r}")
+        rows.append(evaluation.BenchmarkRow(parts[0], parts[1], *metrics))
     return rows
 
 
@@ -313,13 +308,10 @@ def cmd_evaluate(args) -> int:
     seed = loaded.seed if args.seed is None else args.seed
     fraction = loaded.test_fraction if args.test_fraction is None else args.test_fraction
     split = evaluation.stratified_split([r.label for r in records], fraction, seed)
-    test_records = [records[i] for i in split.test_indices]
     space = bundle_mod.HybridFeatureSpace(tfidf=loaded.tfidf, scaler=loaded.scaler)
-    X_test = space.featurize(test_records).to_csr()
-    y_test = [int(r.label) for r in test_records]
-    predictions = evaluation.predict_model(loaded.kind, loaded.classifier, X_test)
-    rep = evaluation.report(evaluation.confusion(y_test, predictions))
-    print(f"evaluated {loaded.kind} bundle on {len(test_records)} held-out records")
+    X_test, y_test = evaluation.featurized(space, [records[i] for i in split.test_indices])
+    rep = evaluation.held_out_report(loaded.kind, loaded.classifier, X_test, y_test)
+    print(f"evaluated {loaded.kind} bundle on {len(y_test)} held-out records")
     _print_report(rep)
     return EXIT_OK
 

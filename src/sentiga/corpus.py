@@ -106,10 +106,14 @@ class LabelMap:
 
     def digest(self) -> str:
         """Stable fingerprint of the mapping, independent of file layout."""
-        canon = "\n".join(
-            f"{key},{cls.label}" for key, cls in sorted(self.entries.items())
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return pairs_digest({key: cls.label for key, cls in self.entries.items()})
+
+
+def pairs_digest(pairs: Mapping[str, str]) -> str:
+    """SHA-256 of the pairs as sorted `key,value` lines: the fingerprint of a
+    label map, slang table or leet table."""
+    canon = "\n".join(f"{key},{value}" for key, value in sorted(pairs.items()))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def default_label_map_path() -> Path:
@@ -131,18 +135,10 @@ DEFAULT_SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
-def _resolve_columns(
-    header: Sequence[str], schema_config: Mapping[str, Sequence[str]] | None
-) -> dict[str, int]:
-    aliases = dict(DEFAULT_SCHEMA)
-    if schema_config:
-        for logical, names in schema_config.items():
-            if logical not in aliases:
-                raise SchemaError(f"unknown logical column: {logical!r}")
-            aliases[logical] = tuple(names) if not isinstance(names, str) else (names,)
+def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
     lowered = {name.strip().lower(): idx for idx, name in enumerate(header)}
     columns = {}
-    for logical, names in aliases.items():
+    for logical, names in DEFAULT_SCHEMA.items():
         for name in names:
             idx = lowered.get(name.lower())
             if idx is not None:
@@ -174,11 +170,7 @@ def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
     return value
 
 
-def load_raw(
-    path: str | Path,
-    schema_config: Mapping[str, Sequence[str]] | None = None,
-    lenient: bool = False,
-) -> list[RawRecord]:
+def load_raw(path: str | Path, lenient: bool = False) -> list[RawRecord]:
     """Read the raw CSV into records, one per data row.
 
     Rows with empty text are retained here (cleaning drops them later).
@@ -194,7 +186,7 @@ def load_raw(
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: missing header row") from None
-        columns = _resolve_columns(header, schema_config)
+        columns = _resolve_columns(header)
 
         records = []
         for row_num, row in enumerate(reader, start=2):

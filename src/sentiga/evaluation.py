@@ -33,8 +33,6 @@ N_CLASSES = len(CLASS_NAMES)
 class SplitIndex:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    seed: int | None
-    test_fraction: float
 
 
 def _per_class_test_counts(counts: np.ndarray, fraction: float) -> np.ndarray:
@@ -82,8 +80,6 @@ def stratified_split(
     return SplitIndex(
         train_indices=np.sort(np.concatenate(train_parts)),
         test_indices=np.sort(np.concatenate(test_parts)),
-        seed=seed if isinstance(seed, int) else None,
-        test_fraction=test_fraction,
     )
 
 
@@ -193,16 +189,7 @@ def report(cm: ConfusionMatrix) -> EvalReport:
 # benchmark harness
 # --------------------------------------------------------------------------
 
-MODEL_KINDS = tuple(learners.LEARNERS)
 MODEL_DISPLAY = {kind: (l.display, l.family) for kind, l in learners.LEARNERS.items()}
-
-
-@dataclass
-class ModelSpec:
-    kind: str
-    name: str
-    family: str
-    config: object = None
 
 
 @dataclass
@@ -215,13 +202,6 @@ class BenchmarkRow:
     failed: bool = False
     error: str | None = None
     report: EvalReport | None = field(default=None, repr=False)
-
-
-def default_model_specs(seed: int = 42) -> list[ModelSpec]:
-    return [
-        ModelSpec(kind=kind, name=l.display, family=l.family, config=l.config(seed=seed))
-        for kind, l in learners.LEARNERS.items()
-    ]
 
 
 def train_model(kind: str, X, y, config=None):
@@ -238,6 +218,16 @@ def predict_model(kind: str, model, X) -> np.ndarray:
     return getattr(learners, learners.get_learner(kind).predict)(model, X)
 
 
+def featurized(space: HybridFeatureSpace, records: Sequence[CleanRecord]):
+    """(X, y): the feature matrix of `records` in `space`, and their labels."""
+    return space.featurize(records).to_csr(), np.array([int(r.label) for r in records])
+
+
+def held_out_report(kind: str, model, X, y) -> EvalReport:
+    """The report of `model`'s predictions on held-out features X, labels y."""
+    return report(confusion(y, predict_model(kind, model, X)))
+
+
 def featurized_split(
     records: Sequence[CleanRecord],
     test_fraction: float,
@@ -250,46 +240,32 @@ def featurized_split(
     train_records = [records[i] for i in split.train_indices]
     test_records = [records[i] for i in split.test_indices]
     space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
-    return (
-        split,
-        space,
-        space.featurize(train_records).to_csr(),
-        np.array([int(r.label) for r in train_records]),
-        space.featurize(test_records).to_csr(),
-        np.array([int(r.label) for r in test_records]),
-    )
+    return split, space, *featurized(space, train_records), *featurized(space, test_records)
 
 
 def run_benchmark(
     records: Sequence[CleanRecord],
-    model_specs: Sequence[ModelSpec] | None = None,
     seed: int = 42,
     test_fraction: float = 0.2,
-    tfidf_config=None,
+    tfidf_config: TfidfConfig | None = None,
 ) -> list[BenchmarkRow]:
-    """Train every spec on one shared stratified split and evaluate on the
-    shared test part. A failing model yields a row flagged as failed; the
-    remaining rows are still produced. Rows are sorted by accuracy
-    descending, failed rows last."""
-    if model_specs is None:
-        model_specs = default_model_specs(seed)
-    if not model_specs:
-        return []
-
+    """Train every learner of `learners.LEARNERS` on one shared stratified
+    split and evaluate on the shared test part. A failing model yields a row
+    flagged as failed; the remaining rows are still produced. Rows are sorted
+    by accuracy descending, failed rows last."""
     _, _, X_train, y_train, X_test, y_test = featurized_split(
         records, test_fraction, seed, tfidf_config
     )
 
     rows = []
-    for spec in model_specs:
+    for kind, learner in learners.LEARNERS.items():
         try:
-            model = train_model(spec.kind, X_train, y_train, spec.config)
-            predictions = predict_model(spec.kind, model, X_test)
-            rep = report(confusion(y_test, predictions))
+            model = train_model(kind, X_train, y_train, learner.config(seed=seed))
+            rep = held_out_report(kind, model, X_test, y_test)
             rows.append(
                 BenchmarkRow(
-                    model=spec.name,
-                    family=spec.family,
+                    model=learner.display,
+                    family=learner.family,
                     accuracy=rep.accuracy,
                     macro_f1=rep.macro_f1,
                     weighted_f1=rep.weighted_f1,
@@ -299,8 +275,8 @@ def run_benchmark(
         except Exception as exc:  # isolate per-model failures
             rows.append(
                 BenchmarkRow(
-                    model=spec.name,
-                    family=spec.family,
+                    model=learner.display,
+                    family=learner.family,
                     accuracy=None,
                     macro_f1=None,
                     weighted_f1=None,
@@ -324,12 +300,12 @@ __all__ = [
     "ClassMetrics",
     "EvalReport",
     "report",
-    "ModelSpec",
     "BenchmarkRow",
-    "default_model_specs",
     "run_benchmark",
     "rank_rows",
+    "featurized",
     "featurized_split",
+    "held_out_report",
     "train_model",
     "predict_model",
 ]

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import LabelMap
-from .errors import DataError
 from .evaluation import BenchmarkRow, EvalReport
 from .features import TfidfConfig
 from .learners import LEARNERS
@@ -110,29 +109,22 @@ def per_class_table_rows(report: EvalReport) -> list[tuple]:
 
 
 def hyperparameter_table_rows(
-    tfidf_config: TfidfConfig | None = None,
-    model_configs: dict[str, object] | None = None,
+    tfidf_config: TfidfConfig, model_configs: dict[str, object]
 ) -> list[tuple]:
-    """Flatten component configs into (Component, Hyperparameter, Value) rows."""
+    """Flatten component configs into (Component, Hyperparameter, Value) rows:
+    each model's, under its display name, then the TF-IDF's."""
     field_names = {"seed": "random_state"}
+    configs = [(LEARNERS[kind].display, config) for kind, config in model_configs.items()]
     rows = []
-    configs: list[tuple[str, object]] = [
-        (LEARNERS[kind].display if kind in LEARNERS else kind, config)
-        for kind, config in (model_configs or {}).items()
-    ]
-    if tfidf_config is not None:
-        configs.append(("TF-IDF", tfidf_config))
-    for component, config in configs:
+    for component, config in [*configs, ("TF-IDF", tfidf_config)]:
         for key, value in asdict(config).items():
             rows.append((component, field_names.get(key, key), _format_value(value)))
     return rows
 
 
-def label_mapping_rows(label_map: LabelMap | None = None) -> list[tuple]:
-    """Mini mapping table; for a custom map, its entries for the reference
-    raw labels (falling back to the bundled assignments)."""
-    if label_map is None:
-        return [tuple(row) for row in MINI_LABEL_ROWS]
+def label_mapping_rows(label_map: LabelMap) -> list[tuple]:
+    """The label map's entries for the reference raw labels of the mini
+    table, falling back to the bundled assignments."""
     rows = []
     for raw_label, default_class in MINI_LABEL_ROWS:
         found = label_map.lookup(raw_label)
@@ -142,36 +134,23 @@ def label_mapping_rows(label_map: LabelMap | None = None) -> list[tuple]:
 
 def export_tables(
     out_dir: str | Path,
-    report: EvalReport | None = None,
-    benchmark: Sequence[BenchmarkRow] | None = None,
-    tfidf_config: TfidfConfig | None = None,
-    model_configs: dict[str, object] | None = None,
-    label_map: LabelMap | None = None,
+    report: EvalReport,
+    benchmark: Sequence[BenchmarkRow],
+    tfidf_config: TfidfConfig,
+    model_configs: dict[str, object],
+    label_map: LabelMap,
 ) -> dict[str, Path]:
-    """Write the available tables into out_dir and return name -> path.
-
-    Tables whose inputs are missing are skipped; asking for nothing at all
-    is an error.
-    """
-    if report is None and benchmark is None and not model_configs and tfidf_config is None:
-        raise DataError("nothing to export: no report, benchmark, or configs given")
+    """Write the four tables into out_dir and return name -> path."""
     out_dir = Path(out_dir)
-    written: dict[str, Path] = {}
-    if benchmark is not None:
-        written[BENCHMARK_FILE] = write_csv_atomic(
-            out_dir / BENCHMARK_FILE, BENCHMARK_HEADER, benchmark_table_rows(benchmark)
-        )
-    if report is not None:
-        written[PER_CLASS_FILE] = write_csv_atomic(
-            out_dir / PER_CLASS_FILE, PER_CLASS_HEADER, per_class_table_rows(report)
-        )
-    if model_configs or tfidf_config is not None:
-        written[HYPERPARAMETER_FILE] = write_csv_atomic(
-            out_dir / HYPERPARAMETER_FILE,
-            HYPERPARAMETER_HEADER,
-            hyperparameter_table_rows(tfidf_config, model_configs),
-        )
-    written[LABEL_MAPPING_FILE] = write_csv_atomic(
-        out_dir / LABEL_MAPPING_FILE, LABEL_MAPPING_HEADER, label_mapping_rows(label_map)
-    )
-    return written
+    tables = {
+        BENCHMARK_FILE: (BENCHMARK_HEADER, benchmark_table_rows(benchmark)),
+        PER_CLASS_FILE: (PER_CLASS_HEADER, per_class_table_rows(report)),
+        HYPERPARAMETER_FILE: (
+            HYPERPARAMETER_HEADER, hyperparameter_table_rows(tfidf_config, model_configs)
+        ),
+        LABEL_MAPPING_FILE: (LABEL_MAPPING_HEADER, label_mapping_rows(label_map)),
+    }
+    return {
+        name: write_csv_atomic(out_dir / name, header, rows)
+        for name, (header, rows) in tables.items()
+    }

@@ -17,7 +17,9 @@ for what differs between the three.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -52,6 +54,16 @@ def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
     return ClassWeights(w=n / (len(counts) * counts))
 
 
+def _check_finite(config) -> None:
+    """Raise ValueError unless every float field of `config`, read from its
+    type hints, is finite."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if hints[f.name] is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LogRegConfig:
     C: float = 2.0
@@ -62,6 +74,7 @@ class LogRegConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
         if not self.tol > 0:
@@ -86,6 +99,7 @@ class MlpConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.hidden_layer_sizes or min(self.hidden_layer_sizes) < 1:
             raise ValueError(
                 f"hidden_layer_sizes must be one or more positive widths, "
@@ -116,6 +130,7 @@ class LinearSvmConfig:
     seed: int = 42
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.regularization > 0:
             raise ValueError(f"regularization must be positive, got {self.regularization}")
         if self.epochs < 1:
@@ -228,6 +243,12 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return exp / _row_sum(exp)[:, None]
 
 
+def _log_softmax(scores: np.ndarray) -> np.ndarray:
+    shifted = scores - _row_max(scores)[:, None]
+    log_norm = np.log(_row_sum(np.exp(shifted)))
+    return shifted - log_norm[:, None]
+
+
 def forward(layers, X) -> np.ndarray:
     """Scores before any softmax: x @ W + b for each (W, b) of `layers`,
     ReLU between layers. X is one row (1-d) or a batch of rows."""
@@ -271,10 +292,7 @@ def _logreg_value_grad(
     W = theta[: N_CLASSES * D].reshape(N_CLASSES, D)
     b = theta[N_CLASSES * D :]
 
-    scores = X @ W.T + b
-    shifted = scores - _row_max(scores)[:, None]
-    log_norm = np.log(_row_sum(np.exp(shifted)))
-    log_proba = shifted - log_norm[:, None]
+    log_proba = _log_softmax(X @ W.T + b)
     ce = -_row_sum(Y * log_proba)
     value = C * float(sample_w @ ce) + 0.5 * float(np.sum(W * W))
 
@@ -415,10 +433,7 @@ def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
         if i != last:
             np.maximum(z, 0.0, out=z)
         activations.append(z)
-    scores = activations[-1]
-    shifted = scores - _row_max(scores)[:, None]
-    log_norm = np.log(_row_sum(np.exp(shifted)))
-    log_proba = shifted - log_norm[:, None]
+    log_proba = _log_softmax(activations[-1])
     proba = np.exp(log_proba)
 
     loss = -float((Y * log_proba).sum()) / n

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import edit_bundle_payload, spell_index, write_raw_csv
 import sentiga
 import sentiga.evaluation
+import sentiga.learners
 from sentiga import export
 from sentiga.cli import main
 
@@ -300,7 +301,6 @@ class TestExitCodes:
         "flags",
         [
             ("--model", "logreg", "--C", "1e300"),
-            ("--model", "logreg", "--C", "inf"),
             ("--model", "svm", "--regularization", "1e-300"),
             ("--model", "mlp", "--learning_rate_init", "1e300"),
         ],
@@ -314,6 +314,61 @@ class TestExitCodes:
         assert code == 4
         assert "diverged" in capsys.readouterr().err
         assert not bundle_path.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "model, flag",
+        [
+            ("logreg", "--C"),
+            ("logreg", "--tol"),
+            ("mlp", "--alpha"),
+            ("mlp", "--learning_rate_init"),
+            ("svm", "--regularization"),
+        ],
+    )
+    def test_non_finite_hyperparameter_is_usage_error(self, small_raw_csv, tmp_path, capsys,
+                                                      monkeypatch, model, flag, value):
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"trained with {flag} {value}")
+
+        for name in ("train_logreg", "train_mlp", "train_linear_svm"):
+            monkeypatch.setattr(sentiga.learners, name, no_training)
+        bundle_path = tmp_path / "m.bundle"
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--min_df", "1", "--model", model, f"{flag}={value}")
+        assert code == 2
+        assert f"{flag.removeprefix('--')} must be" in capsys.readouterr().err
+        assert not bundle_path.exists()
+
+    @pytest.mark.parametrize(
+        "extra_row",
+        ["A,B,nan,1,1", "C,D,inf,0.5,0.5", "C,D,0.5,-3,0.5", "C,D,0.5,0.5,7", "C,D,0.5,-inf,1"],
+    )
+    def test_extra_row_metric_outside_unit_interval_is_usage_error(
+        self, trained_bundle, small_raw_csv, tmp_path, capsys, monkeypatch, extra_row
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_benchmark called before --extra-row was parsed")
+
+        monkeypatch.setattr(sentiga.evaluation, "run_benchmark", no_training)
+        out_dir = tmp_path / "tables"
+        for argv in (
+            ["export", "--bundle", str(trained_bundle)],
+            ["benchmark", "--data", str(small_raw_csv)],
+        ):
+            code = run(*argv, "--out-dir", str(out_dir), "--extra-row", extra_row)
+            assert code == 2
+            assert "must be in [0, 1]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_extra_rows_at_the_bounds_rank_by_accuracy(self, trained_bundle, tmp_path, capsys):
+        out_dir = tmp_path / "tables"
+        code = run("export", "--bundle", str(trained_bundle), "--out-dir", str(out_dir),
+                   "--extra-row", "Bottom,X,0,0,0", "--extra-row", "Top,X,1,1,1")
+        assert code == 0
+        text = (out_dir / export.BENCHMARK_FILE).read_text(encoding="utf-8")
+        models = [row[0] for row in csv.reader(text.splitlines()[1:])]
+        assert models.index("Top") < models.index("Bottom") == len(models) - 1
 
     def test_evaluate_with_every_record_dropped_is_data_error(self, trained_bundle,
                                                               small_raw_csv, tmp_path, capsys):
@@ -462,6 +517,49 @@ class TestReferenceBundleBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[kind]
 
 
+@pytest.fixture(scope="module")
+def reference_logreg_bundle(tmp_path_factory):
+    """`sentiga train` with default flags, once per module."""
+    path = tmp_path_factory.mktemp("reference") / "logreg.bundle"
+    assert main(["train", "--bundle", str(path)]) == 0
+    return path
+
+
+class TestReferenceTableBytes:
+    """The tables the CLI writes on the bundled corpus with default flags,
+    recorded on the platform of TestReferenceBundleBytes."""
+
+    def test_benchmark_table_sha256(self, tmp_path, capsys):
+        assert run("benchmark", "--out-dir", str(tmp_path)) == 0
+        assert _sha256(tmp_path / export.BENCHMARK_FILE) == (
+            "6f879005137759504a7237adab98a28100d5f1504b9e7b300bf7e384aa97f48a"
+        )
+
+    def test_export_tables_sha256(self, reference_logreg_bundle, tmp_path, capsys):
+        assert run("export", "--bundle", str(reference_logreg_bundle),
+                   "--out-dir", str(tmp_path)) == 0
+        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == {
+            export.BENCHMARK_FILE:
+                "1671cc3cbf6953a95df549b0cb032859047c9e580e622376b658d8e7237c12f0",
+            export.PER_CLASS_FILE:
+                "c9bee05f5b5593918c021befefb9be58992ab463cda847f5b3a5eaa330147534",
+            export.HYPERPARAMETER_FILE:
+                "99410c52b49712436519e79b00a2643fbacafa11afa6e7ccbaf34cffb064b3cd",
+            export.LABEL_MAPPING_FILE:
+                "7bee13263c785d8edf01ebd5c4aba7b1c0d0ae7020779d5aec3803ad488b45ce",
+        }
+
+    def test_preprocess_corpus_sha256(self, tmp_path, capsys):
+        assert run("preprocess", "--out-dir", str(tmp_path)) == 0
+        assert _sha256(tmp_path / "clean_corpus.csv") == (
+            "47208a7e9fc7f5b09ef20cad11452b735bc6bf56360d75f6a6c6b4800e33ad09"
+        )
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestArgvProperty:
     """Any argv for any subcommand ends in a documented exit code, and a
     failure prints a diagnosis, never a traceback. Every command reads a
@@ -546,7 +644,8 @@ class TestArgvProperty:
             "--solver": st.sampled_from(["lbfgs", "adam", "sgd"]),
             "--text": st.text(max_size=30),
             "--extra-row": st.sampled_from(
-                ["RF,Classical,0.5,0.4,0.3", "bad", "a,b,x,1,1", "a,b,nan,1,1", ",,,,"]
+                ["RF,Classical,0.5,0.4,0.3", "bad", "a,b,x,1,1", "a,b,nan,1,1", ",,,,",
+                 "a,b,inf,-3,7"]
             ),
             "--drop-unmapped": st.none(), "--lenient": st.none(),
             "--bogus": st.none(), "stray": st.none(), "--help": st.none(),
@@ -579,5 +678,7 @@ class TestArgvProperty:
             code = main(argv)
         assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue(), argv
+        # a hyperparameter that trains a model no bundle can hold is refused first
+        assert "cannot serialize" not in err.getvalue(), argv
         if code:
             assert err.getvalue().strip(), argv

@@ -52,17 +52,6 @@ class TestLoadRaw:
         )
         assert load_raw(path)[0].raw_label == "Joy"
 
-    def test_alias_override(self, tmp_path):
-        path = write_raw_csv(
-            tmp_path / "alias.csv",
-            [("halo", "Joy", "1", "1", "")],
-            header=("Body", "Sentiment", "Retweets", "Likes", "Hashtags"),
-        )
-        with pytest.raises(SchemaError):
-            load_raw(path)
-        records = load_raw(path, schema_config={"text": ("body",)})
-        assert records[0].text == "halo"
-
     def test_missing_numeric_cell_parses_as_zero(self, tmp_path):
         path = write_raw_csv(tmp_path / "m.csv", [("halo", "Joy", "", "", "")])
         rec = load_raw(path)[0]

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_clean_records
+import sentiga.evaluation
 from sentiga.errors import (
     DataError,
     EmptyEvaluationError,
     ShapeMismatchError,
     StratificationError,
+    TrainingError,
 )
 from sentiga.features import TfidfConfig
 from sentiga.evaluation import (
     ConfusionMatrix,
     confusion,
-    default_model_specs,
     report,
     run_benchmark,
     stratified_split,
@@ -206,10 +207,6 @@ class TestBenchmark:
         accuracies = [row.accuracy for row in rows if not row.failed]
         assert accuracies == sorted(accuracies, reverse=True)
 
-    def test_empty_spec_list(self):
-        records = make_clean_records()
-        assert run_benchmark(records, model_specs=[]) == []
-
     def test_failing_model_is_isolated(self):
         # 6 records: enough for LR and SVM, below the MLP early-stopping minimum
         small = make_clean_records(n_per_class=(2, 2, 2), seed=5)
@@ -222,10 +219,25 @@ class TestBenchmark:
         assert not by_model["Linear SVM"].failed
         assert rows[-1].failed  # failed rows sort last
 
-    def test_default_specs_cover_reference_models(self):
-        specs = default_model_specs()
-        assert [s.kind for s in specs] == ["logreg", "mlp", "svm"]
-        assert specs[1].family == "Neural baseline"
+    def test_rows_cover_reference_models(self, monkeypatch):
+        # every model refused, so no accuracy reorders the rows
+        trained = []
+
+        def refuse(kind, X, y, config=None):
+            trained.append((kind, config))
+            raise TrainingError(f"{kind} refused")
+
+        monkeypatch.setattr(sentiga.evaluation, "train_model", refuse)
+        rows = run_benchmark(make_clean_records(n_per_class=(14, 14, 14), seed=4), seed=7,
+                             tfidf_config=TfidfConfig(min_df=1, max_df=1.0))
+        assert [(row.model, row.family) for row in rows] == [
+            ("Logistic Regression", "Classical ML"),
+            ("MLPClassifier", "Neural baseline"),
+            ("Linear SVM", "Classical ML"),
+        ]
+        assert [row.error for row in rows] == ["logreg refused", "mlp refused", "svm refused"]
+        assert [kind for kind, _ in trained] == ["logreg", "mlp", "svm"]
+        assert all(config.seed == 7 for _, config in trained)
 
     def test_reference_corpus_rows_share_the_142_row_test_split(self):
         from sentiga.corpus import load_raw, prepare_corpus

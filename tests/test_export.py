@@ -42,16 +42,21 @@ def benchmark_rows():
     ]
 
 
+@pytest.fixture
+def inputs(reference_report, benchmark_rows):
+    """Every input of export_tables, as `sentiga export` passes them."""
+    return {
+        "report": reference_report,
+        "benchmark": benchmark_rows,
+        "tfidf_config": TfidfConfig(),
+        "model_configs": {"logreg": LogRegConfig()},
+        "label_map": default_label_map(),
+    }
+
+
 class TestExportTables:
-    def test_writes_all_four_tables(self, tmp_path, reference_report, benchmark_rows):
-        written = export_tables(
-            tmp_path,
-            report=reference_report,
-            benchmark=benchmark_rows,
-            tfidf_config=TfidfConfig(),
-            model_configs={"logreg": LogRegConfig()},
-            label_map=default_label_map(),
-        )
+    def test_writes_all_four_tables(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         assert set(written) == {
             BENCHMARK_FILE,
             PER_CLASS_FILE,
@@ -61,21 +66,15 @@ class TestExportTables:
         for path in written.values():
             assert path.exists()
 
-    def test_headers_are_fixed(self, tmp_path, reference_report, benchmark_rows):
-        written = export_tables(
-            tmp_path,
-            report=reference_report,
-            benchmark=benchmark_rows,
-            tfidf_config=TfidfConfig(),
-            model_configs={"logreg": LogRegConfig()},
-        )
+    def test_headers_are_fixed(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         assert read_csv(written[BENCHMARK_FILE])[0] == list(BENCHMARK_HEADER)
         assert read_csv(written[PER_CLASS_FILE])[0] == list(PER_CLASS_HEADER)
         assert read_csv(written[HYPERPARAMETER_FILE])[0] == list(HYPERPARAMETER_HEADER)
         assert read_csv(written[LABEL_MAPPING_FILE])[0] == list(LABEL_MAPPING_HEADER)
 
-    def test_per_class_rows_match_reference_at_four_decimals(self, tmp_path, reference_report):
-        written = export_tables(tmp_path, report=reference_report)
+    def test_per_class_rows_match_reference_at_four_decimals(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         rows = read_csv(written[PER_CLASS_FILE])[1:]
         expected = {
             "negative": ("0.7429", "0.6842", "0.7123", "38"),
@@ -86,10 +85,10 @@ class TestExportTables:
         for name, precision, recall, f1, support in rows:
             assert (precision, recall, f1, support) == expected[name]
 
-    def test_exported_values_reparse_to_report_values(self, tmp_path, reference_report):
-        written = export_tables(tmp_path, report=reference_report)
+    def test_exported_values_reparse_to_report_values(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         rows = read_csv(written[PER_CLASS_FILE])[1:]
-        by_name = {m.name: m for m in reference_report.per_class}
+        by_name = {m.name: m for m in inputs["report"].per_class}
         for name, precision, recall, f1, support in rows:
             metric = by_name[name]
             assert float(precision) == pytest.approx(metric.precision, abs=5e-5)
@@ -97,18 +96,14 @@ class TestExportTables:
             assert float(f1) == pytest.approx(metric.f1, abs=5e-5)
             assert int(support) == metric.support
 
-    def test_benchmark_rows_render_failures(self, tmp_path, benchmark_rows):
-        written = export_tables(tmp_path, benchmark=benchmark_rows)
+    def test_benchmark_rows_render_failures(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         rows = read_csv(written[BENCHMARK_FILE])[1:]
         assert rows[0] == ["Logistic Regression", "Classical ML", "0.8028", "0.7276", "0.8003"]
         assert rows[1][2:] == ["failed", "failed", "failed"]
 
-    def test_hyperparameter_table_contains_reference_rows(self, tmp_path):
-        written = export_tables(
-            tmp_path,
-            tfidf_config=TfidfConfig(),
-            model_configs={"logreg": LogRegConfig()},
-        )
+    def test_hyperparameter_table_contains_reference_rows(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         rows = {tuple(r) for r in read_csv(written[HYPERPARAMETER_FILE])[1:]}
         assert ("Logistic Regression", "C", "2.0") in rows
         assert ("Logistic Regression", "class_weight", "balanced") in rows
@@ -121,24 +116,18 @@ class TestExportTables:
         assert ("TF-IDF", "ngram_range", "(1, 2)") in rows
         assert ("TF-IDF", "sublinear_tf", "True") in rows
 
-    def test_label_mapping_mini_table(self, tmp_path):
-        written = export_tables(tmp_path, report=None, benchmark=[])
+    def test_label_mapping_mini_table(self, tmp_path, inputs):
+        written = export_tables(tmp_path, **inputs)
         rows = read_csv(written[LABEL_MAPPING_FILE])[1:]
         assert rows == [list(r) for r in MINI_LABEL_ROWS]
         assert rows[0] == ["Joy", "positive"]
         assert rows[-1] == ["Curiosity", "neutral"]
 
-    def test_label_mapping_follows_custom_map(self, tmp_path):
+    def test_label_mapping_follows_custom_map(self, tmp_path, inputs):
         custom = LabelMap(entries={"joy": SentimentClass.NEGATIVE})
-        written = export_tables(tmp_path, benchmark=[], label_map=custom)
+        written = export_tables(tmp_path, **inputs | {"label_map": custom})
         rows = read_csv(written[LABEL_MAPPING_FILE])[1:]
         assert rows[0] == ["Joy", "negative"]
-
-    def test_nothing_to_export_raises(self, tmp_path):
-        from sentiga.errors import DataError
-
-        with pytest.raises(DataError):
-            export_tables(tmp_path)
 
 
 class TestWriteCsvAtomic:
