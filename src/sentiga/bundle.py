@@ -33,14 +33,7 @@ import numpy as np
 
 from . import learners
 from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts, pairs_digest
-from .errors import (
-    BundleError,
-    BundleIntegrityError,
-    DataError,
-    NegativeCountError,
-    NonFiniteFeatureError,
-    UnsupportedVersionError,
-)
+from .errors import BundleError, DataError, TrainingError
 from .evaluation import EvalReport, featurized_split, held_out_report, train_model
 from .features import (
     NUMERIC_FEATURE_NAMES,
@@ -227,12 +220,16 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     encoded = _encode(payload)
     checksum = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
     content = f"{_MAGIC} v{bundle.format_version}\nsha256:{checksum}\n{encoded}\n"
+    write_text_atomic(Path(path), content)
 
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` as UTF-8 through a temp file in the same directory and an
+    atomic rename, so a failed write never leaves a partial file behind."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(content)
+            handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -247,34 +244,37 @@ def load_bundle(path: str | Path) -> ModelBundle:
     text = path.read_text(encoding="utf-8")
     lines = text.split("\n", 2)
     if len(lines) < 3 or not lines[0].startswith(f"{_MAGIC} v"):
-        raise BundleIntegrityError(f"{path}: not a recognizable bundle")
+        raise BundleError(f"{path}: not a recognizable bundle")
     try:
         version = int(lines[0].removeprefix(f"{_MAGIC} v"))
     except ValueError:
-        raise BundleIntegrityError(f"{path}: malformed version header") from None
+        raise BundleError(f"{path}: malformed version header") from None
     if version > FORMAT_VERSION:
-        raise UnsupportedVersionError(
+        raise BundleError(
             f"{path}: format version {version} is newer than supported {FORMAT_VERSION}"
         )
     if not lines[1].startswith("sha256:"):
-        raise BundleIntegrityError(f"{path}: missing checksum header")
+        raise BundleError(f"{path}: missing checksum header")
     expected = lines[1].removeprefix("sha256:")
     payload_text = lines[2].rstrip("\n")
     actual = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
     if actual != expected:
-        raise BundleIntegrityError(f"{path}: checksum mismatch, bundle is corrupt")
+        raise BundleError(f"{path}: checksum mismatch, bundle is corrupt")
 
     try:
         data = json.loads(payload_text)
     except json.JSONDecodeError as exc:
-        raise BundleIntegrityError(f"{path}: unparseable payload: {exc}") from None
+        raise BundleError(f"{path}: unparseable payload: {exc}") from None
 
     try:
         bundle = _bundle_from_payload(data, version)
         _check_arrays(bundle)
         check_tables(bundle.slang, bundle.leet)
+        for table in ("slang", "leet"):
+            if data[f"{table}_digest"] != getattr(bundle, f"{table}_digest"):
+                raise ValueError(f"{table}_digest does not match the {table} table")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
-        raise BundleIntegrityError(f"{path}: malformed payload: {exc!r}") from None
+        raise BundleError(f"{path}: malformed payload: {exc!r}") from None
     return bundle
 
 
@@ -347,7 +347,7 @@ def predict(
     zero TF-IDF block plus the numeric features; this never hard-errors.
     """
     if retweets < 0 or likes < 0:
-        raise NegativeCountError(
+        raise DataError(
             f"retweets and likes must be non-negative, got {retweets} and {likes}"
         )
     text = clean_text(raw_text, bundle.slang, bundle.leet)
@@ -360,7 +360,7 @@ def predict(
         for v, m, s in zip(counts, scaler.means.tolist(), scaler.safe_stds_.tolist())
     ]
     if not all(map(math.isfinite, x)):
-        raise NonFiniteFeatureError("feature vector contains non-finite values")
+        raise TrainingError("feature vector contains non-finite values")
 
     n_terms = bundle.tfidf.n_features
     (W, b), *rest = bundle.classifier.layers

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, RowParseError, SchemaError, UnmappedLabelError
+from .errors import DataError
 from .textnorm import clean_text, count_hashtags, read_pairs_file
 
 
@@ -145,7 +145,7 @@ def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
                 columns[logical] = idx
                 break
         else:
-            raise SchemaError(f"required column not found: {logical!r}")
+            raise DataError(f"required column not found: {logical!r}")
     return columns
 
 
@@ -166,7 +166,7 @@ def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
     except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"
         if lenient:
             return 0
-        raise RowParseError(row, f"cannot parse {column}={cell!r}") from None
+        raise DataError(f"row {row}: cannot parse {column}={cell!r}") from None
     return value
 
 
@@ -179,13 +179,13 @@ def load_raw(path: str | Path, lenient: bool = False) -> list[RawRecord]:
     """
     path = Path(path)
     if not path.exists():
-        raise SchemaError(f"no such file: {path}")
+        raise DataError(f"no such file: {path}")
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError(f"{path}: missing header row") from None
+            raise DataError(f"{path}: missing header row") from None
         columns = _resolve_columns(header)
 
         records = []
@@ -199,7 +199,7 @@ def load_raw(path: str | Path, lenient: bool = False) -> list[RawRecord]:
 
             raw_label = cell("sentiment").strip()
             if not raw_label:
-                raise RowParseError(row_num, "empty sentiment label")
+                raise DataError(f"row {row_num}: empty sentiment label")
             records.append(
                 RawRecord(
                     text=cell("text"),
@@ -220,7 +220,7 @@ def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
     """
     found = label_map.lookup(raw_label)
     if found is None and label_map.unmapped_policy == "error":
-        raise UnmappedLabelError(raw_label)
+        raise DataError(f"unmapped raw label: {raw_label!r}")
     return found
 
 

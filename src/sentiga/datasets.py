@@ -83,7 +83,7 @@ def _noisify(tokens: list[str], rng: np.random.Generator, cls: SentimentClass) -
     tokens = list(tokens)
     if rng.random() < 0.20:  # leetspeak one word
         idx = int(rng.integers(len(tokens)))
-        letters = [ch for ch in set(tokens[idx]) if ch in _LEET_SUBS]
+        letters = [ch for ch in sorted(set(tokens[idx])) if ch in _LEET_SUBS]
         if letters:
             ch = letters[int(rng.integers(len(letters)))]
             tokens[idx] = tokens[idx].replace(ch, _LEET_SUBS[ch])

@@ -16,14 +16,7 @@ import numpy as np
 
 from . import learners
 from .corpus import CLASS_NAMES, CleanRecord
-from .errors import (
-    DataError,
-    EmptyCorpusError,
-    EmptyEvaluationError,
-    ShapeMismatchError,
-    StratificationError,
-    TrainingError,
-)
+from .errors import DataError, StratificationError, TrainingError
 from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 N_CLASSES = len(CLASS_NAMES)
@@ -64,7 +57,7 @@ def stratified_split(
     classes = np.unique(y)
     counts = np.array([int(np.sum(y == c)) for c in classes])
     if not len(classes):
-        raise EmptyCorpusError("no records to split")
+        raise DataError("no records to split")
     if np.any(counts < 2):
         small = classes[counts < 2]
         raise StratificationError(f"classes with fewer than 2 members: {small.tolist()}")
@@ -98,11 +91,11 @@ class ConfusionMatrix:
             raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
         self.counts = counts.astype(int)
         if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise ShapeMismatchError(
+            raise DataError(
                 f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {self.counts.shape}"
             )
         if np.any(self.counts < 0):
-            raise ShapeMismatchError("confusion counts must be non-negative")
+            raise DataError("confusion counts must be non-negative")
 
     @property
     def supports(self) -> np.ndarray:
@@ -117,7 +110,7 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_true = np.asarray([int(v) for v in y_true])
     y_pred = np.asarray([int(v) for v in y_pred])
     if y_true.shape != y_pred.shape:
-        raise ShapeMismatchError(
+        raise DataError(
             f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted"
         )
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
@@ -153,7 +146,7 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     counts = cm.counts
     total = cm.total
     if total == 0:
-        raise EmptyEvaluationError("confusion matrix is all zero")
+        raise DataError("confusion matrix is all zero")
 
     diag = np.diag(counts).astype(float)
     col_sums = counts.sum(axis=0).astype(float)

@@ -9,12 +9,12 @@ round-half-even; hyperparameter values keep their natural text form.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
+import io
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
+from .bundle import write_text_atomic
 from .corpus import LabelMap
 from .evaluation import BenchmarkRow, EvalReport
 from .features import TfidfConfig
@@ -48,32 +48,26 @@ def format_metric(value: float) -> str:
     return format(float(value), ".4f")
 
 
-def _format_value(value) -> str:
+def _format_value(key: str, value) -> str:
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(str(v) for v in value) + ")"
-    if value is None:
-        return "auto"
+    if value is None:  # the MLP's batch_size picks its own; class_weight none weighs nothing
+        return "auto" if key == "batch_size" else "none"
     return str(value)
 
 
 def write_csv_atomic(path: str | Path, header: Sequence[str], rows) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buffer.getvalue())
     return path
 
 
@@ -118,7 +112,7 @@ def hyperparameter_table_rows(
     rows = []
     for component, config in [*configs, ("TF-IDF", tfidf_config)]:
         for key, value in asdict(config).items():
-            rows.append((component, field_names.get(key, key), _format_value(value)))
+            rows.append((component, field_names.get(key, key), _format_value(key, value)))
     return rows
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .corpus import CleanRecord
-from .errors import EmptyCorpusError, EmptyVocabularyError, ShapeMismatchError
+from .errors import DataError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -84,7 +84,7 @@ def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfidf
     invariant under permutations of the input documents.
     """
     if len(docs) == 0:
-        raise EmptyCorpusError("cannot fit TF-IDF on an empty corpus")
+        raise DataError("cannot fit TF-IDF on an empty corpus")
 
     doc_freq: Counter[str] = Counter()
     total_count: Counter[str] = Counter()
@@ -101,7 +101,7 @@ def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfidf
         if df >= config.min_df and df <= max_count
     ]
     if not surviving:
-        raise EmptyVocabularyError(
+        raise DataError(
             f"no term survived pruning (min_df={config.min_df}, "
             f"max_df={config.max_df}, n_docs={n_docs})"
         )
@@ -181,7 +181,7 @@ class Scaler:
 def fit_scaler(rows: np.ndarray | Sequence[Sequence[float]]) -> Scaler:
     rows = np.asarray(rows, dtype=float)
     if rows.size == 0:
-        raise EmptyCorpusError("cannot fit scaler on empty input")
+        raise DataError("cannot fit scaler on empty input")
     return Scaler(means=rows.mean(axis=0), stds=rows.std(axis=0))
 
 
@@ -199,7 +199,7 @@ class HybridMatrix:
 
     def __post_init__(self):
         if self.tfidf_block.shape[0] != self.numeric_block.shape[0]:
-            raise ShapeMismatchError(
+            raise DataError(
                 f"row mismatch: tfidf {self.tfidf_block.shape[0]} rows, "
                 f"numeric {self.numeric_block.shape[0]} rows"
             )

@@ -24,13 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabelsError,
-    NonFiniteFeatureError,
-    SentigaError,
-    ShapeMismatchError,
-    TrainingError,
-)
+from .errors import DataError, SentigaError, StratificationError, TrainingError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -49,7 +43,7 @@ def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
     """w_c = n / (K * n_c): equalizes the aggregate influence of each class."""
     counts = np.asarray(class_counts, dtype=float)
     if np.any(counts <= 0):
-        raise DegenerateLabelsError(f"every class needs samples, got counts {counts}")
+        raise TrainingError(f"every class needs samples, got counts {counts}")
     n = counts.sum()
     return ClassWeights(w=n / (len(counts) * counts))
 
@@ -182,13 +176,13 @@ def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
     if sp.issparse(X):
         X = X.tocsr().astype(np.float64)
         if not np.all(np.isfinite(X.data)):
-            raise NonFiniteFeatureError("feature matrix contains non-finite values")
+            raise TrainingError("feature matrix contains non-finite values")
         return X
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-d feature matrix, got shape {X.shape}")
+        raise DataError(f"expected a 2-d feature matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
-        raise NonFiniteFeatureError("feature matrix contains non-finite values")
+        raise TrainingError("feature matrix contains non-finite values")
     return X
 
 
@@ -196,12 +190,12 @@ def _check_labels(X, y) -> np.ndarray:
     y = np.asarray([int(v) for v in y])
     n = X.shape[0]
     if y.shape[0] != n:
-        raise ShapeMismatchError(f"{n} rows but {y.shape[0]} labels")
+        raise DataError(f"{n} rows but {y.shape[0]} labels")
     if n < N_CLASSES:
         raise TrainingError(f"need at least {N_CLASSES} samples, got {n}")
     present = set(np.unique(y))
     if present != set(range(N_CLASSES)):
-        raise DegenerateLabelsError(
+        raise TrainingError(
             f"training data must contain all {N_CLASSES} classes, found {sorted(present)}"
         )
     return y
@@ -209,7 +203,7 @@ def _check_labels(X, y) -> np.ndarray:
 
 def _check_features(model_dim: int, n_features: int) -> None:
     if n_features != model_dim:
-        raise ShapeMismatchError(
+        raise DataError(
             f"model expects {model_dim} features, got {n_features}"
         )
 
@@ -496,7 +490,6 @@ def _validation_split(y, fraction, rng):
     """Stratified where possible, plain seeded shuffle otherwise. The
     validation part is never empty: its accuracy would be NaN, no epoch would
     count as best, and the model would keep no trained parameters."""
-    from .errors import StratificationError
     from .evaluation import stratified_split
 
     try:

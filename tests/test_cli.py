@@ -168,6 +168,16 @@ class TestBenchmarkExport:
         ):
             assert (out_dir / name).exists()
 
+    def test_export_spells_unweighted_class_weight_as_the_flag(self, small_raw_csv, tmp_path):
+        bundle_path, out_dir = tmp_path / "m.bundle", tmp_path / "tables"
+        assert run(
+            "train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+            "--min_df", "1", "--max_df", "1.0", "--class_weight", "none",
+        ) == 0
+        assert run("export", "--bundle", str(bundle_path), "--out-dir", str(out_dir)) == 0
+        text = (out_dir / export.HYPERPARAMETER_FILE).read_text(encoding="utf-8")
+        assert "Logistic Regression,class_weight,none\n" in text
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
@@ -269,6 +279,16 @@ class TestExitCodes:
         edit_bundle_payload(trained_bundle, lambda data: data["leet"].update({"10": "i"}))
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
         assert "leet key must be one digit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, edit", [
+        ("slang", lambda data: data["slang"].update({"gk": "bukan"})),
+        ("leet", lambda data: data["leet"].pop("3")),
+    ])
+    def test_bundle_with_stale_table_digest_is_io_error(self, trained_bundle, capsys,
+                                                          table, edit):
+        edit_bundle_payload(trained_bundle, edit)
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+        assert f"{table}_digest does not match" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",

@@ -15,7 +15,7 @@ from sentiga.corpus import (
     prepare_corpus,
 )
 from sentiga.datasets import reference_corpus_path
-from sentiga.errors import RowParseError, SchemaError, UnmappedLabelError
+from sentiga.errors import DataError
 
 
 class TestLoadRaw:
@@ -41,7 +41,7 @@ class TestLoadRaw:
         path = write_raw_csv(
             tmp_path / "bad.csv", [("a", "1", "2")], header=("Text", "Retweets", "Likes")
         )
-        with pytest.raises(SchemaError, match="sentiment"):
+        with pytest.raises(DataError, match="required column not found: 'sentiment'"):
             load_raw(path)
 
     def test_case_insensitive_header_binding(self, tmp_path):
@@ -85,19 +85,19 @@ class TestLoadRaw:
 
     @pytest.mark.parametrize("cell", ["-1", "inf", "1e400"])
     def test_count_cell_out_of_range_is_a_row_error(self, cell):
-        with pytest.raises(RowParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2: cannot parse"):
             _parse_count(cell, 2, "likes", False)
         assert _parse_count(cell, 2, "likes", True) == 0
 
     def test_unparseable_cell_strict_vs_lenient(self, tmp_path):
         path = write_raw_csv(tmp_path / "bad.csv", [("halo", "Joy", "abc", "1", "")])
-        with pytest.raises(RowParseError, match="row 2"):
+        with pytest.raises(DataError, match="row 2: cannot parse"):
             load_raw(path)
         assert load_raw(path, lenient=True)[0].retweets == 0
 
     def test_empty_label_is_rejected(self, tmp_path):
         path = write_raw_csv(tmp_path / "nolabel.csv", [("halo", "  ", "1", "1", "")])
-        with pytest.raises(RowParseError):
+        with pytest.raises(DataError, match="row 2: empty sentiment label"):
             load_raw(path)
 
     def test_unknown_columns_ignored(self, tmp_path):
@@ -124,7 +124,7 @@ class TestLabelMap:
 
     def test_unmapped_policies(self):
         strict = LabelMap(entries={"joy": SentimentClass.POSITIVE})
-        with pytest.raises(UnmappedLabelError, match="zzz"):
+        with pytest.raises(DataError, match="unmapped raw label: 'zzz'"):
             map_label("zzz", strict)
         dropping = LabelMap(entries={"joy": SentimentClass.POSITIVE}, unmapped_policy="drop")
         assert map_label("zzz", dropping) is None

@@ -19,7 +19,7 @@ from sentiga.export import (
     write_csv_atomic,
 )
 from sentiga.features import TfidfConfig
-from sentiga.learners import LogRegConfig
+from sentiga.learners import LogRegConfig, MlpConfig
 
 REFERENCE_CM = np.array([[26, 0, 12], [2, 7, 3], [7, 4, 81]])
 
@@ -115,6 +115,13 @@ class TestExportTables:
         assert ("TF-IDF", "max_df", "0.9") in rows
         assert ("TF-IDF", "ngram_range", "(1, 2)") in rows
         assert ("TF-IDF", "sublinear_tf", "True") in rows
+
+    def test_no_class_weighting_renders_as_none(self, tmp_path, inputs):
+        configs = {"logreg": LogRegConfig(class_weight=None), "mlp": MlpConfig()}
+        written = export_tables(tmp_path, **inputs | {"model_configs": configs})
+        rows = {tuple(r) for r in read_csv(written[HYPERPARAMETER_FILE])[1:]}
+        assert ("Logistic Regression", "class_weight", "none") in rows
+        assert ("MLPClassifier", "batch_size", "auto") in rows
 
     def test_label_mapping_mini_table(self, tmp_path, inputs):
         written = export_tables(tmp_path, **inputs)

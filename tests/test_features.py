@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from sentiga.corpus import CleanRecord, SentimentClass, load_raw, prepare_corpus
 from sentiga.datasets import reference_corpus_path
-from sentiga.errors import EmptyCorpusError, EmptyVocabularyError, ShapeMismatchError
+from sentiga.errors import DataError
 from sentiga.features import (
     HybridFeatureSpace,
     HybridMatrix,
@@ -104,11 +104,11 @@ class TestFitTfidf:
         assert "x y" in model.vocabulary
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(DataError, match="empty corpus"):
             fit_tfidf([], UNIGRAM)
 
     def test_min_df_above_corpus_size_raises(self):
-        with pytest.raises(EmptyVocabularyError):
+        with pytest.raises(DataError, match="no term survived pruning"):
             fit_tfidf(["a", "b"], TfidfConfig(min_df=5, max_df=1.0, ngram_range=(1, 1)))
 
     def test_vocabulary_invariant_under_document_permutation(self):
@@ -254,7 +254,7 @@ class TestScaler:
         assert np.allclose(recovered, rows, atol=1e-12)
 
     def test_empty_fit_raises(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(DataError, match="empty input"):
             fit_scaler(np.zeros((0, 3)))
 
 
@@ -274,7 +274,7 @@ class TestHybridMatrix:
         assert dense.tolist() == [[0.6, 0.8, 1.0, 2.0, 3.0]]
 
     def test_row_mismatch_raises(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="row mismatch"):
             HybridMatrix(tfidf_block=sp.csr_matrix((2, 4)), numeric_block=np.zeros((3, 3)))
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import edit_bundle_payload, make_clean_records
 from sentiga import learners
 from sentiga.bundle import load_bundle, save_bundle, train_bundle
-from sentiga.errors import BundleIntegrityError, SentigaError
+from sentiga.errors import BundleError, SentigaError
 from sentiga.evaluation import predict_model, run_benchmark, train_model
 from sentiga.features import TfidfConfig
 from sentiga.learners import LEARNERS, LinearSvmConfig, LogRegConfig, MlpConfig
@@ -77,7 +77,7 @@ def test_unknown_kind_is_rejected(records, tmp_path):
     path = tmp_path / "m.bundle"
     save_bundle(train_bundle(records, tfidf_config=SMALL_TFIDF).bundle, path)
     edit_bundle_payload(path, lambda data: data.update(kind="forest"))
-    with pytest.raises(BundleIntegrityError):
+    with pytest.raises(BundleError, match=r"malformed payload: KeyError\('forest'"):
         load_bundle(path)
 
 
