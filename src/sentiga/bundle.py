@@ -2,7 +2,7 @@
 
 A bundle is a single text file:
 
-    SENTIGA-BUNDLE v<format_version>
+    SENTIGA-BUNDLE v<format version, 1..FORMAT_VERSION>
     sha256:<hex digest of the payload line>
     <payload>
 
@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import learners
-from .corpus import CleanRecord, LabelMap, SentimentClass, metadata_counts, pairs_digest
+from .corpus import N_CLASSES, CleanRecord, LabelMap, SentimentClass, metadata_counts, pairs_digest
 from .errors import BundleError, DataError, TrainingError
 from .evaluation import EvalReport, featurized_split, held_out_report, train_model
 from .features import (
@@ -176,7 +176,6 @@ class ModelBundle:
     scaler: Scaler
     classifier: object
     metrics_snapshot: EvalReport | None = None
-    format_version: int = FORMAT_VERSION
 
     @property
     def slang_digest(self) -> str:
@@ -219,7 +218,7 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     }
     encoded = _encode(payload)
     checksum = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-    content = f"{_MAGIC} v{bundle.format_version}\nsha256:{checksum}\n{encoded}\n"
+    content = f"{_MAGIC} v{FORMAT_VERSION}\nsha256:{checksum}\n{encoded}\n"
     write_text_atomic(Path(path), content)
 
 
@@ -248,7 +247,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
     try:
         version = int(lines[0].removeprefix(f"{_MAGIC} v"))
     except ValueError:
-        raise BundleError(f"{path}: malformed version header") from None
+        version = 0
+    if version < 1:
+        raise BundleError(f"{path}: malformed version header")
     if version > FORMAT_VERSION:
         raise BundleError(
             f"{path}: format version {version} is newer than supported {FORMAT_VERSION}"
@@ -267,7 +268,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise BundleError(f"{path}: unparseable payload: {exc}") from None
 
     try:
-        bundle = _bundle_from_payload(data, version)
+        bundle = _bundle_from_payload(data)
         _check_arrays(bundle)
         check_tables(bundle.slang, bundle.leet)
         for table in ("slang", "leet"):
@@ -278,7 +279,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     return bundle
 
 
-def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
+def _bundle_from_payload(data: dict) -> ModelBundle:
     return ModelBundle(
         kind=data["kind"],
         seed=_decode(int, data["seed"]),
@@ -290,21 +291,16 @@ def _bundle_from_payload(data: dict, version: int) -> ModelBundle:
         scaler=_decode(Scaler, data["scaler"]),
         classifier=_decode(learners.LEARNERS[data["kind"]].model, data["classifier"]),
         metrics_snapshot=_report_from_payload(data["metrics_snapshot"]),
-        format_version=version,
     )
 
 
 def _check_arrays(bundle: ModelBundle) -> None:
-    """Raise ValueError unless the vocabulary maps onto columns 0..V-1, the
-    IDF has V entries, the scaler has one entry per numeric feature, the
-    classifier's layers chain from V + 3 inputs to one score per class, and
-    every entry of those arrays is finite (JSON parses NaN and Infinity,
-    which a saved bundle never holds)."""
+    """Raise ValueError unless the scaler has one entry per numeric feature,
+    the classifier's layers chain from V + 3 inputs (V vocabulary terms, whose
+    columns and IDF `TfidfModel` checks) to one score per class, and every
+    entry of those arrays is finite (JSON parses NaN and Infinity, which a
+    saved bundle never holds)."""
     n_terms = bundle.tfidf.n_features
-    if sorted(bundle.tfidf.vocabulary.values()) != list(range(n_terms)):
-        raise ValueError(f"vocabulary indices are not the columns 0..{n_terms - 1}")
-    if bundle.tfidf.idf.shape != (n_terms,):
-        raise ValueError(f"idf has shape {bundle.tfidf.idf.shape}, vocabulary has {n_terms} terms")
     n_numeric = len(NUMERIC_FEATURE_NAMES)
     for stats in (bundle.scaler.means, bundle.scaler.stds):
         if stats.shape != (n_numeric,):
@@ -316,8 +312,8 @@ def _check_arrays(bundle: ModelBundle) -> None:
                 f"classifier layer {W.shape} with bias {b.shape} does not take {width} inputs"
             )
         width = W.shape[1]
-    if width != learners.N_CLASSES:
-        raise ValueError(f"classifier emits {width} scores, expected {learners.N_CLASSES}")
+    if width != N_CLASSES:
+        raise ValueError(f"classifier emits {width} scores, expected {N_CLASSES}")
     arrays = [bundle.tfidf.idf, bundle.scaler.means, bundle.scaler.stds]
     arrays += [a for layer in bundle.classifier.layers for a in layer]
     if not all(np.isfinite(a).all() for a in arrays):

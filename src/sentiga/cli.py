@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--test-fraction", {"type": float, "default": None,
                              "help": "held-out fraction for evaluation (default 0.2)"}),
     )
-    bundle = _parent(("--bundle", {"default": None, "help": "model bundle path"}))
+    bundle = _parent(("--bundle", {"required": True, "help": "model bundle path"}))
     out_dir = _parent(("--out-dir", {"default": ".", "help": "directory for exported files"}))
     extra_row = _parent(("--extra-row", {
         "action": "append", "default": [], "metavar": "MODEL,FAMILY,ACC,MACRO,WEIGHTED",
@@ -160,20 +160,31 @@ def _resolve_data_path(args) -> Path:
     return Path(args.data) if args.data else datasets.reference_corpus_path()
 
 
-def _label_map(args, policy: str = "error") -> corpus.LabelMap:
+def _label_map(args, policy: str = "error", loaded=None) -> corpus.LabelMap:
+    """The --label-map map, or the bundled one; given a bundle, it must be the
+    map the bundle was trained with."""
     if args.label_map:
-        return corpus.LabelMap.from_file(args.label_map, policy)
-    return corpus.default_label_map(policy)
+        label_map = corpus.LabelMap.from_file(args.label_map, policy)
+    else:
+        label_map = corpus.default_label_map(policy)
+    if loaded is not None and label_map.digest() != loaded.label_map_digest:
+        raise DataError(
+            f"the label map's digest {label_map.digest()[:12]}... differs from the bundle's "
+            f"{loaded.label_map_digest[:12]}...; pass the label map the bundle was trained with"
+        )
+    return label_map
 
 
-def _load_assets(args):
-    slang = textnorm.load_slang(args.slang) if args.slang else textnorm.default_slang()
-    leet = textnorm.load_leet(args.leet) if args.leet else textnorm.default_leet()
-    return _label_map(args, "drop" if args.drop_unmapped else "error"), slang, leet
-
-
-def _load_records(args):
-    label_map, slang, leet = _load_assets(args)
+def _load_records(args, loaded=None):
+    """(records, label_map, slang, leet): the --data CSV, or the reference
+    corpus, cleaned with the tables of the bundle `loaded` when one is given,
+    else with --slang and --leet (default: the bundled tables)."""
+    if loaded is not None:
+        slang, leet = loaded.slang, loaded.leet
+    else:
+        slang = textnorm.load_slang(args.slang) if args.slang else textnorm.default_slang()
+        leet = textnorm.load_leet(args.leet) if args.leet else textnorm.default_leet()
+    label_map = _label_map(args, "drop" if args.drop_unmapped else "error", loaded)
     raw = corpus.load_raw(_resolve_data_path(args), lenient=args.lenient)
     records = corpus.prepare_corpus(raw, label_map, slang, leet)
     return records, label_map, slang, leet
@@ -215,12 +226,6 @@ def _model_config(args, seed: int):
         flags = ", ".join(f"--{name}" for name in unused)
         raise _UsageError(f"--model {args.model} does not take {flags}")
     return _config(cls, values)
-
-
-def _require_bundle_path(args) -> Path:
-    if not args.bundle:
-        raise _UsageError("--bundle is required for this command")
-    return Path(args.bundle)
 
 
 def _print_report(rep: evaluation.EvalReport) -> None:
@@ -276,7 +281,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    bundle_path = _require_bundle_path(args)
+    bundle_path = Path(args.bundle)
     records, label_map, slang, leet = _load_records(args)
     seed = _seed(args)
     result = bundle_mod.train_bundle(
@@ -300,10 +305,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    loaded = bundle_mod.load_bundle(_require_bundle_path(args))
-    label_map = _label_map(args, "drop" if args.drop_unmapped else "error")
-    raw = corpus.load_raw(_resolve_data_path(args), lenient=args.lenient)
-    records = corpus.prepare_corpus(raw, label_map, loaded.slang, loaded.leet)
+    loaded = bundle_mod.load_bundle(args.bundle)
+    records, _, _, _ = _load_records(args, loaded)
 
     seed = loaded.seed if args.seed is None else args.seed
     fraction = loaded.test_fraction if args.test_fraction is None else args.test_fraction
@@ -317,7 +320,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    loaded = bundle_mod.load_bundle(_require_bundle_path(args))
+    loaded = bundle_mod.load_bundle(args.bundle)
     result = bundle_mod.predict(loaded, args.text, args.retweets, args.likes)
     scores = {
         cls.label: float(result.scores[int(cls)]) for cls in corpus.SentimentClass
@@ -358,24 +361,17 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_export(args) -> int:
-    loaded = bundle_mod.load_bundle(_require_bundle_path(args))
+    loaded = bundle_mod.load_bundle(args.bundle)
     if loaded.metrics_snapshot is None:
         raise DataError("bundle carries no metrics snapshot; retrain to export tables")
-    name, family = evaluation.MODEL_DISPLAY[loaded.kind]
-    own_row = evaluation.BenchmarkRow(
-        model=name,
-        family=family,
-        accuracy=loaded.metrics_snapshot.accuracy,
-        macro_f1=loaded.metrics_snapshot.macro_f1,
-        weighted_f1=loaded.metrics_snapshot.weighted_f1,
-    )
+    own_row = evaluation.benchmark_row(loaded.kind, loaded.metrics_snapshot)
     written = export.export_tables(
         args.out_dir,
         report=loaded.metrics_snapshot,
         benchmark=evaluation.rank_rows([own_row, *_parse_extra_rows(args.extra_row)]),
         tfidf_config=loaded.tfidf.config,
         model_configs={loaded.kind: loaded.classifier.config},
-        label_map=_label_map(args),
+        label_map=_label_map(args, loaded=loaded),  # checked before any table is written
     )
     for path in written.values():
         print(f"wrote {path}")

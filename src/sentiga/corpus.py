@@ -47,6 +47,7 @@ class SentimentClass(IntEnum):
 
 
 CLASS_NAMES = tuple(c.label for c in SentimentClass)
+N_CLASSES = len(SentimentClass)
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def prepare_corpus(
 
 def class_counts(records: Iterable[CleanRecord]) -> np.ndarray:
     """Per-class record counts in ordinal order (negative, neutral, positive)."""
-    counts = np.zeros(len(SentimentClass), dtype=int)
+    counts = np.zeros(N_CLASSES, dtype=int)
     for record in records:
         counts[int(record.label)] += 1
     return counts

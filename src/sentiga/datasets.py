@@ -12,7 +12,6 @@ asset was produced with the default seed.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 from pathlib import Path
 
@@ -176,13 +175,9 @@ def _count_cell(rng: np.random.Generator, high: int) -> str:
 
 
 def write_reference_corpus(path: str | Path, seed: int = 42) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HEADER)
-        writer.writerows(generate_reference_rows(seed))
-    return path
+    from .export import write_csv_atomic
+
+    return write_csv_atomic(path, HEADER, generate_reference_rows(seed))
 
 
 def reference_corpus_path() -> Path:

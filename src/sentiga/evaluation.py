@@ -15,11 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from . import learners
-from .corpus import CLASS_NAMES, CleanRecord
+from .corpus import CLASS_NAMES, N_CLASSES, CleanRecord
 from .errors import DataError, StratificationError, TrainingError
 from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
-
-N_CLASSES = len(CLASS_NAMES)
 
 
 @dataclass
@@ -197,6 +195,13 @@ class BenchmarkRow:
     report: EvalReport | None = field(default=None, repr=False)
 
 
+def benchmark_row(kind: str, rep: EvalReport) -> BenchmarkRow:
+    """The benchmark row of learner `kind`, with the metrics of `rep`."""
+    learner = learners.get_learner(kind)
+    return BenchmarkRow(learner.display, learner.family, rep.accuracy, rep.macro_f1,
+                        rep.weighted_f1, report=rep)
+
+
 def train_model(kind: str, X, y, config=None):
     learner = learners.get_learner(kind)
     # an overflow or NaN on the way (say C = 1e300) is a fit that diverged
@@ -254,29 +259,10 @@ def run_benchmark(
     for kind, learner in learners.LEARNERS.items():
         try:
             model = train_model(kind, X_train, y_train, learner.config(seed=seed))
-            rep = held_out_report(kind, model, X_test, y_test)
-            rows.append(
-                BenchmarkRow(
-                    model=learner.display,
-                    family=learner.family,
-                    accuracy=rep.accuracy,
-                    macro_f1=rep.macro_f1,
-                    weighted_f1=rep.weighted_f1,
-                    report=rep,
-                )
-            )
+            rows.append(benchmark_row(kind, held_out_report(kind, model, X_test, y_test)))
         except Exception as exc:  # isolate per-model failures
-            rows.append(
-                BenchmarkRow(
-                    model=learner.display,
-                    family=learner.family,
-                    accuracy=None,
-                    macro_f1=None,
-                    weighted_f1=None,
-                    failed=True,
-                    error=str(exc),
-                )
-            )
+            rows.append(BenchmarkRow(learner.display, learner.family, None, None, None,
+                                     failed=True, error=str(exc)))
     return rank_rows(rows)
 
 
@@ -294,6 +280,7 @@ __all__ = [
     "EvalReport",
     "report",
     "BenchmarkRow",
+    "benchmark_row",
     "run_benchmark",
     "rank_rows",
     "featurized",

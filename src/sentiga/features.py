@@ -65,9 +65,13 @@ class TfidfModel:
     columns_: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n_terms = len(self.vocabulary)
+        if self.idf.shape != (n_terms,) or sorted(self.vocabulary.values()) != list(range(n_terms)):
+            raise ValueError(
+                f"a vocabulary column is missing, repeated or outside 0..{n_terms - 1}, "
+                f"or the IDF shape {self.idf.shape} is not ({n_terms},)"
+            )
         idf = self.idf.tolist()
-        if not all(0 <= col < len(idf) for col in self.vocabulary.values()):
-            raise ValueError(f"a vocabulary column is outside the {len(idf)} IDF entries")
         self.columns_ = {term: (col, idf[col]) for term, col in self.vocabulary.items()}
 
     @property

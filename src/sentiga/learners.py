@@ -19,17 +19,17 @@ from __future__ import annotations
 import functools
 import math
 import typing
+from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .corpus import N_CLASSES
 from .errors import DataError, SentigaError, StratificationError, TrainingError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-N_CLASSES = 3
 
 
 @dataclass(frozen=True)
@@ -302,14 +302,13 @@ def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
     Stops when the gradient sup-norm drops below tol, the iteration budget
     runs out, or no step achieves sufficient decrease. Every accepted step
     decreases the objective, so the recorded path is non-increasing.
+    Returns (theta, path, iterations), one iteration per step after the
+    starting value.
     """
     theta = np.array(theta0, dtype=float)
     value, grad = value_grad(theta)
     path = [value]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
-    n_iter = 0
+    memory = deque(maxlen=history)  # (s, y, 1 / (s @ y)) of the latest steps
 
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
@@ -318,16 +317,15 @@ def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
         # two-loop recursion for the quasi-Newton direction
         q = grad.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        for s, y, rho in reversed(memory):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if y_list:
-            gamma = (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
-            q *= gamma
-        for s, y, rho, a in zip(s_list, y_list, rho_list, reversed(alphas)):
-            beta = rho * (y @ q)
-            q += (a - beta) * s
+        if memory:
+            s, y, _ = memory[-1]
+            q *= (s @ y) / (y @ y)
+        for (s, y, rho), a in zip(memory, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
         direction = -q
 
         slope = grad @ direction
@@ -335,35 +333,26 @@ def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
             direction = -grad
             slope = -(grad @ grad)
 
-        step = 1.0 if s_list else min(1.0, 1.0 / max(1.0, np.abs(grad).sum()))
-        accepted = False
+        step = 1.0 if memory else min(1.0, 1.0 / max(1.0, np.abs(grad).sum()))
         for _backtrack in range(60):
             candidate = theta + step * direction
             cand_value, cand_grad = value_grad(candidate)
             if cand_value <= value + 1e-4 * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:  # no step decreased the objective enough
             break
 
         s = candidate - theta
         y = cand_grad - grad
         sy = s @ y
         if sy > 1e-12:
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > history:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            memory.append((s, y, 1.0 / sy))
 
         theta, value, grad = candidate, cand_value, cand_grad
         path.append(value)
-        n_iter += 1
 
-    return theta, path, n_iter
+    return theta, path, len(path) - 1
 
 
 def train_logreg(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:

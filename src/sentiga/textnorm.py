@@ -20,10 +20,6 @@ _ASCII_LETTER_RE = re.compile(r"[a-z]")
 _NON_ALPHA_SPACE_RE = re.compile(r"[^a-z ]")
 _NON_ALPHA_RE = re.compile(r"[^a-z]")
 
-# Digit-to-letter substitutions applied inside tokens that contain at least
-# one letter; pure numbers are left for the non-alphabetic strip.
-DEFAULT_LEET = {"0": "o", "1": "i", "3": "e", "4": "a", "5": "s", "7": "t"}
-
 
 def read_pairs_file(path: str | Path) -> dict[str, str]:
     """Read a UTF-8 asset of ``key,value`` lines; ``#`` starts a comment."""

@@ -17,6 +17,7 @@ import sentiga.evaluation
 import sentiga.learners
 from sentiga import export
 from sentiga.cli import main
+from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
 
 
 def run(*argv):
@@ -60,8 +61,9 @@ class TestTrainEvaluatePredict:
         out = capsys.readouterr().out
         assert "accuracy" in out
 
-    def test_train_requires_bundle_path(self, small_raw_csv):
+    def test_train_requires_bundle_path(self, small_raw_csv, capsys):
         assert run("train", "--data", str(small_raw_csv)) == 2
+        assert "the following arguments are required: --bundle" in capsys.readouterr().err
 
     def test_train_twice_is_byte_identical(self, small_raw_csv, tmp_path):
         a, b = tmp_path / "a.bundle", tmp_path / "b.bundle"
@@ -391,13 +393,23 @@ class TestExitCodes:
         assert models.index("Top") < models.index("Bottom") == len(models) - 1
 
     def test_evaluate_with_every_record_dropped_is_data_error(self, trained_bundle,
-                                                              small_raw_csv, tmp_path, capsys):
-        empty_map = tmp_path / "empty_map.csv"
-        empty_map.write_text("", encoding="utf-8")
-        code = run("evaluate", "--data", str(small_raw_csv), "--bundle", str(trained_bundle),
-                   "--drop-unmapped", "--label-map", str(empty_map))
+                                                              tmp_path, capsys):
+        # the bundle's own label map, which maps none of these labels
+        rows = [(f"senang bagus nomor u{spell_index(i)}", "NotAnEmotion", "1", "2", "")
+                for i in range(6)]
+        path = write_raw_csv(tmp_path / "unmapped.csv", rows)
+        code = run("evaluate", "--data", str(path), "--bundle", str(trained_bundle),
+                   "--drop-unmapped", "--label-map", str(default_label_map_path()))
         assert code == 3
         assert "no records to split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("version", ["0", "-1"])
+    def test_bundle_version_below_one_is_io_error(self, trained_bundle, capsys, version):
+        lines = trained_bundle.read_text(encoding="utf-8").split("\n")
+        lines[0] = f"SENTIGA-BUNDLE v{version}"
+        trained_bundle.write_text("\n".join(lines), encoding="utf-8")
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "senang") == 5
+        assert "malformed version header" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
@@ -578,6 +590,56 @@ class TestReferenceTableBytes:
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestLabelMapMatchesTheBundle:
+    """`evaluate` and `export` take only the label map the bundle was trained
+    with, compared by digest, so a file's order and comments do not matter."""
+
+    @staticmethod
+    def _write_map(path, entries, comments=False):
+        lines = [f"{key},{cls.label}" for key, cls in entries]
+        if comments:
+            lines = ["# a reordered copy", ""] + [f"{line}\n# entry" for line in lines]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def swapped_map(self, tmp_path):
+        swap = {"positive": "negative", "negative": "positive", "neutral": "neutral"}
+        entries = [(key, SentimentClass.parse(swap[cls.label]))
+                   for key, cls in default_label_map().entries.items()]
+        return self._write_map(tmp_path / "swapped.txt", entries)
+
+    def test_evaluate_refuses_a_swapped_map(self, trained_bundle, small_raw_csv, swapped_map,
+                                            capsys):
+        code = run("evaluate", "--data", str(small_raw_csv), "--bundle", str(trained_bundle),
+                   "--label-map", str(swapped_map))
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "differs from the bundle's" in err
+
+    def test_export_refuses_a_swapped_map_and_writes_nothing(self, trained_bundle, tmp_path,
+                                                             swapped_map, capsys):
+        out_dir = tmp_path / "tables"
+        code = run("export", "--bundle", str(trained_bundle), "--out-dir", str(out_dir),
+                   "--label-map", str(swapped_map))
+        assert code == 3
+        assert "differs from the bundle's" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_reordered_map_with_comments_is_the_same_map(self, trained_bundle, small_raw_csv,
+                                                         tmp_path, capsys):
+        entries = sorted(default_label_map().entries.items(), reverse=True)
+        reordered = self._write_map(tmp_path / "reordered.txt", entries, comments=True)
+        assert run("evaluate", "--data", str(small_raw_csv), "--bundle", str(trained_bundle),
+                   "--label-map", str(reordered)) == 0
+        for name, extra in (("default", []), ("reordered", ["--label-map", str(reordered)])):
+            assert run("export", "--bundle", str(trained_bundle),
+                       "--out-dir", str(tmp_path / name), *extra) == 0
+        table = export.LABEL_MAPPING_FILE
+        assert (tmp_path / "default" / table).read_bytes() == (
+            tmp_path / "reordered" / table).read_bytes()
 
 
 class TestArgvProperty:

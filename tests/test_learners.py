@@ -496,6 +496,19 @@ class TestLogRegEvaluationCount:
         assert len(model.objective_history_) == 104
 
 
+class TestLogRegReferencePath:
+    def test_objective_history_is_pinned(self, reference_train_split):
+        """Bundles leave the solver's path out, so this pin is what notices an
+        L-BFGS step that changed. SHA-256 over the float64 bytes of
+        `objective_history_`, on the platform of the MLP pins."""
+        model = train_logreg(*reference_train_split)
+        path = np.asarray(model.objective_history_, dtype=np.float64)
+        assert hashlib.sha256(path.tobytes()).hexdigest() == (
+            "155df1c6f91b9099eadea779750347af259774a891034729dfcc8fac3d699291"
+        )
+        assert model.n_iter_ == len(model.objective_history_) - 1 == 103
+
+
 class TestMlpValidationSplit:
     def test_a_class_too_small_for_a_validation_share_still_validates(self):
         # 4 per class: a stratified 10 % share rounds to no validation rows
