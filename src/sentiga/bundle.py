@@ -32,7 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from . import learners
-from .corpus import N_CLASSES, CleanRecord, LabelMap, SentimentClass, metadata_counts, pairs_digest
+from .corpus import (
+    N_CLASSES,
+    CleanRecord,
+    LabelMap,
+    SentimentClass,
+    default_label_map,
+    metadata_counts,
+    pairs_digest,
+)
 from .errors import BundleError, DataError, TrainingError
 from .evaluation import EvalReport, featurized_split, held_out_report, train_model
 from .features import (
@@ -111,8 +119,8 @@ def _decode(hint, value):
     value of exactly that type, so 2.5 or true is no int, and an array entry
     a JSON number, so "1.5" or true is no entry. A dataclass is rebuilt field
     by field from its type hints; the entries of a dict, list or array of
-    scalars are checked together, not one call each; the one dict is the
-    vocabulary, str -> int.
+    scalars are checked together, not one call each; a dict is the
+    vocabulary, str -> int, or a table, str -> str.
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -122,7 +130,7 @@ def _decode(hint, value):
         if value is None and type(None) in args:
             return None
         return _decode(next(a for a in args if a is not type(None)), value)
-    if origin is dict:  # the vocabulary: JSON object keys are strings
+    if origin is dict:  # JSON object keys are strings
         return dict(zip(value, _scalars(args[1], value.values())))
     if origin in (list, tuple):  # homogeneous: list[T], tuple[T, ...], tuple[T, T]
         if args[0] in _SCALARS:
@@ -186,36 +194,14 @@ class ModelBundle:
         return pairs_digest(self.leet)
 
 
-def _report_to_payload(rep: EvalReport | None):
-    """The report's fields, with the confusion matrix stored as bare counts."""
-    if rep is None:
-        return None
-    payload = {f.name: getattr(rep, f.name) for f in fields(rep)}
-    return payload | {"confusion": rep.confusion.counts}
-
-
-def _report_from_payload(data) -> EvalReport | None:
-    if data is None:
-        return None
-    return _decode(EvalReport, data | {"confusion": {"counts": data["confusion"]}})
-
-
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize deterministically and write atomically (temp file + rename)."""
-    payload = {
-        "kind": bundle.kind,
-        "seed": bundle.seed,
-        "test_fraction": bundle.test_fraction,
-        "slang": bundle.slang,
-        "leet": bundle.leet,
-        "label_map_digest": bundle.label_map_digest,
-        "slang_digest": bundle.slang_digest,
-        "leet_digest": bundle.leet_digest,
-        "tfidf": bundle.tfidf,
-        "scaler": bundle.scaler,
-        "classifier": bundle.classifier,
-        "metrics_snapshot": _report_to_payload(bundle.metrics_snapshot),
+    payload = vars(bundle) | {
+        "slang_digest": bundle.slang_digest, "leet_digest": bundle.leet_digest
     }
+    snapshot = bundle.metrics_snapshot
+    if snapshot is not None:  # the confusion matrix as bare counts
+        payload["metrics_snapshot"] = vars(snapshot) | {"confusion": snapshot.confusion.counts}
     encoded = _encode(payload)
     checksum = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
     content = f"{_MAGIC} v{FORMAT_VERSION}\nsha256:{checksum}\n{encoded}\n"
@@ -270,7 +256,6 @@ def load_bundle(path: str | Path) -> ModelBundle:
     try:
         bundle = _bundle_from_payload(data)
         _check_arrays(bundle)
-        check_tables(bundle.slang, bundle.leet)
         for table in ("slang", "leet"):
             if data[f"{table}_digest"] != getattr(bundle, f"{table}_digest"):
                 raise ValueError(f"{table}_digest does not match the {table} table")
@@ -280,17 +265,18 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
 
 def _bundle_from_payload(data: dict) -> ModelBundle:
+    """Decode each `ModelBundle` field by its type hint, the classifier by
+    the model type of its kind. The tables are checked first, so a bad entry
+    is the loaders' DataError rather than a decoding error."""
+    check_tables(data["slang"], data["leet"])
+    hints = typing.get_type_hints(ModelBundle)
+    hints["classifier"] = learners.LEARNERS[data["kind"]].model
+    snapshot = data["metrics_snapshot"]
+    if snapshot is not None:
+        counts = {"counts": snapshot["confusion"]}
+        data = data | {"metrics_snapshot": snapshot | {"confusion": counts}}
     return ModelBundle(
-        kind=data["kind"],
-        seed=_decode(int, data["seed"]),
-        test_fraction=_decode(float, data["test_fraction"]),
-        slang=dict(data["slang"]),
-        leet=dict(data["leet"]),
-        label_map_digest=_decode(str, data["label_map_digest"]),
-        tfidf=_decode(TfidfModel, data["tfidf"]),
-        scaler=_decode(Scaler, data["scaler"]),
-        classifier=_decode(learners.LEARNERS[data["kind"]].model, data["classifier"]),
-        metrics_snapshot=_report_from_payload(data["metrics_snapshot"]),
+        **{f.name: _decode(hints[f.name], data[f.name]) for f in fields(ModelBundle)}
     )
 
 
@@ -387,10 +373,16 @@ def predict(
 @dataclass
 class TrainResult:
     bundle: ModelBundle
-    holdout_report: EvalReport
-    space: HybridFeatureSpace
     train_indices: np.ndarray
     test_indices: np.ndarray
+
+    @property
+    def holdout_report(self) -> EvalReport:
+        return self.bundle.metrics_snapshot
+
+    @property
+    def space(self) -> HybridFeatureSpace:
+        return HybridFeatureSpace(self.bundle.tfidf, self.bundle.scaler)
 
 
 def train_bundle(
@@ -407,8 +399,6 @@ def train_bundle(
     """Stratified split, fit the feature space on the training part only,
     train one classifier, evaluate on the held-out part, and assemble a
     self-contained bundle with the evaluation snapshot."""
-    from .corpus import default_label_map
-
     slang = dict(slang if slang is not None else default_slang())
     leet = dict(leet if leet is not None else default_leet())
     check_tables(slang, leet)
@@ -418,8 +408,6 @@ def train_bundle(
         records, test_fraction, seed, tfidf_config
     )
     model = train_model(kind, X_train, y_train, model_config)
-    holdout = held_out_report(kind, model, X_test, y_test)
-
     bundle = ModelBundle(
         kind=kind,
         seed=seed,
@@ -430,12 +418,6 @@ def train_bundle(
         tfidf=space.tfidf,
         scaler=space.scaler,
         classifier=model,
-        metrics_snapshot=holdout,
+        metrics_snapshot=held_out_report(kind, model, X_test, y_test),
     )
-    return TrainResult(
-        bundle=bundle,
-        holdout_report=holdout,
-        space=space,
-        train_indices=split.train_indices,
-        test_indices=split.test_indices,
-    )
+    return TrainResult(bundle, split.train_indices, split.test_indices)

@@ -37,6 +37,12 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
+def _path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return value
+
+
 def _int_tuple(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in value.split(",") if part.strip())
@@ -104,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--test-fraction", {"type": float, "default": None,
                              "help": "held-out fraction for evaluation (default 0.2)"}),
     )
-    bundle = _parent(("--bundle", {"required": True, "help": "model bundle path"}))
+    bundle = _parent(("--bundle", {"required": True, "type": _path, "help": "model bundle path"}))
     out_dir = _parent(("--out-dir", {"default": ".", "help": "directory for exported files"}))
     extra_row = _parent(("--extra-row", {
         "action": "append", "default": [], "metavar": "MODEL,FAMILY,ACC,MACRO,WEIGHTED",

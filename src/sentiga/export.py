@@ -30,17 +30,10 @@ PER_CLASS_HEADER = ("Class", "Precision", "Recall", "F1", "Support")
 HYPERPARAMETER_HEADER = ("Component", "Hyperparameter", "Value")
 LABEL_MAPPING_HEADER = ("RawLabel", "MappedClass")
 
-# The compact reference subset of the label map used in reports.
-MINI_LABEL_ROWS = (
-    ("Joy", "positive"),
-    ("Gratitude", "positive"),
-    ("Excitement", "positive"),
-    ("Sad", "negative"),
-    ("Anger", "negative"),
-    ("Frustrated", "negative"),
-    ("Neutral", "neutral"),
-    ("Confusion", "neutral"),
-    ("Curiosity", "neutral"),
+# The raw labels of the compact label-map table used in reports.
+MINI_LABELS = (
+    "Joy", "Gratitude", "Excitement", "Sad", "Anger", "Frustrated",
+    "Neutral", "Confusion", "Curiosity",
 )
 
 
@@ -117,13 +110,10 @@ def hyperparameter_table_rows(
 
 
 def label_mapping_rows(label_map: LabelMap) -> list[tuple]:
-    """The label map's entries for the reference raw labels of the mini
-    table, falling back to the bundled assignments."""
-    rows = []
-    for raw_label, default_class in MINI_LABEL_ROWS:
-        found = label_map.lookup(raw_label)
-        rows.append((raw_label, default_class if found is None else found.label))
-    return rows
+    """The label map's class for each raw label of the mini table; a label
+    the map lacks is left out."""
+    found = [(raw_label, label_map.lookup(raw_label)) for raw_label in MINI_LABELS]
+    return [(raw_label, cls.label) for raw_label, cls in found if cls is not None]
 
 
 def export_tables(

@@ -165,6 +165,16 @@ class TestPersistence:
             result.holdout_report.confusion.counts,
         )
 
+    def test_bundle_without_snapshot_round_trips(self, trained, tmp_path):
+        result, _ = trained
+        first = tmp_path / "a.bundle"
+        second = tmp_path / "b.bundle"
+        save_bundle(_zero_weight_bundle(result.bundle), first)
+        loaded = load_bundle(first)
+        save_bundle(loaded, second)
+        assert loaded.metrics_snapshot is None
+        assert first.read_bytes() == second.read_bytes()
+
     def test_svm_and_mlp_bundles_round_trip(self, tmp_path):
         records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
         for kind in ("svm", "mlp"):
@@ -178,24 +188,28 @@ class TestPersistence:
             assert probe.probabilistic == (kind != "svm")
 
 
+def _zero_weight_bundle(bundle):
+    """A logreg bundle with the feature space of `bundle`, all-zero weights
+    and no metrics snapshot."""
+    return ModelBundle(
+        kind="logreg",
+        seed=0,
+        test_fraction=0.2,
+        slang=bundle.slang,
+        leet=bundle.leet,
+        label_map_digest=bundle.label_map_digest,
+        tfidf=bundle.tfidf,
+        scaler=bundle.scaler,
+        classifier=LogRegModel(
+            W=np.zeros_like(bundle.classifier.W), b=np.zeros(3), config=LogRegConfig()
+        ),
+    )
+
+
 class TestPredict:
     def test_zero_weight_model_is_uniform_and_ties_to_negative(self, trained):
         result, _ = trained
-        zero = ModelBundle(
-            kind="logreg",
-            seed=0,
-            test_fraction=0.2,
-            slang=result.bundle.slang,
-            leet=result.bundle.leet,
-            label_map_digest=result.bundle.label_map_digest,
-            tfidf=result.bundle.tfidf,
-            scaler=result.bundle.scaler,
-            classifier=LogRegModel(
-                W=np.zeros_like(result.bundle.classifier.W),
-                b=np.zeros(3),
-                config=LogRegConfig(),
-            ),
-        )
+        zero = _zero_weight_bundle(result.bundle)
         outcome = predict(zero, "apa saja boleh", 0, 0)
         assert np.allclose(outcome.scores, 1 / 3)
         assert outcome.label is SentimentClass.NEGATIVE
@@ -423,7 +437,18 @@ class TestBundleStructure:
         for kind in saved:
             load_bundle(self._edited(saved, kind, lambda data: None, tmp_path))
 
-    @pytest.mark.parametrize("key", ["scaler", "tfidf", "classifier", "kind"])
+    # every top-level key of a saved payload: the ModelBundle fields and the
+    # two table digests
+    PAYLOAD_KEYS = [
+        "kind", "seed", "test_fraction", "slang", "leet", "label_map_digest",
+        "tfidf", "scaler", "classifier", "metrics_snapshot", "slang_digest", "leet_digest",
+    ]
+
+    def test_payload_keys(self, saved):
+        payload = json.loads(saved["logreg"].read_text(encoding="utf-8").split("\n")[2])
+        assert sorted(payload) == sorted(self.PAYLOAD_KEYS)
+
+    @pytest.mark.parametrize("key", PAYLOAD_KEYS)
     def test_missing_key(self, saved, tmp_path, key):
         path = self._edited(saved, "logreg", lambda data: data.pop(key), tmp_path)
         with pytest.raises(BundleError, match="malformed payload"):

@@ -222,6 +222,18 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("train",), ("evaluate",), ("predict", "--text", "halo"), ("export",)],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_bundle_path_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        command, *rest = argv
+        assert run(command, "--bundle", "", *rest) == 2
+        assert "--bundle: expected a path, got an empty string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # refused before any work
+
     def test_corrupt_bundle_is_io_error(self, trained_bundle, capsys):
         blob = bytearray(trained_bundle.read_bytes())
         blob[-5] ^= 0x01

@@ -12,7 +12,7 @@ from sentiga.export import (
     HYPERPARAMETER_HEADER,
     LABEL_MAPPING_FILE,
     LABEL_MAPPING_HEADER,
-    MINI_LABEL_ROWS,
+    MINI_LABELS,
     PER_CLASS_FILE,
     PER_CLASS_HEADER,
     export_tables,
@@ -126,7 +126,9 @@ class TestExportTables:
     def test_label_mapping_mini_table(self, tmp_path, inputs):
         written = export_tables(tmp_path, **inputs)
         rows = read_csv(written[LABEL_MAPPING_FILE])[1:]
-        assert rows == [list(r) for r in MINI_LABEL_ROWS]
+        assert [raw_label for raw_label, _ in rows] == list(MINI_LABELS)
+        for raw_label, mapped in rows:
+            assert default_label_map().lookup(raw_label).label == mapped
         assert rows[0] == ["Joy", "positive"]
         assert rows[-1] == ["Curiosity", "neutral"]
 
@@ -134,7 +136,7 @@ class TestExportTables:
         custom = LabelMap(entries={"joy": SentimentClass.NEGATIVE})
         written = export_tables(tmp_path, **inputs | {"label_map": custom})
         rows = read_csv(written[LABEL_MAPPING_FILE])[1:]
-        assert rows[0] == ["Joy", "negative"]
+        assert rows == [["Joy", "negative"]]  # the labels the map lacks are left out
 
 
 class TestWriteCsvAtomic:
