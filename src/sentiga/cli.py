@@ -288,13 +288,15 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     bundle_path = Path(args.bundle)
-    records, label_map, slang, leet = _load_records(args)
     seed = _seed(args)
+    # the hyperparameters are checked before any data is read
+    model_config, tfidf_config = _model_config(args, seed), _tfidf_config(args)
+    records, label_map, slang, leet = _load_records(args)
     result = bundle_mod.train_bundle(
         records,
         kind=args.model,
-        model_config=_model_config(args, seed),
-        tfidf_config=_tfidf_config(args),
+        model_config=model_config,
+        tfidf_config=tfidf_config,
         label_map=label_map,
         slang=slang,
         leet=leet,
@@ -338,13 +340,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    extra_rows = _parse_extra_rows(args.extra_row)  # a usage error before any training
+    # usage errors before any data is read
+    extra_rows, tfidf_config = _parse_extra_rows(args.extra_row), _tfidf_config(args)
     records, _, _, _ = _load_records(args)
     rows = evaluation.run_benchmark(
         records,
         seed=_seed(args),
         test_fraction=_test_fraction(args),
-        tfidf_config=_tfidf_config(args),
+        tfidf_config=tfidf_config,
     )
     rows = evaluation.rank_rows(rows + extra_rows)
 

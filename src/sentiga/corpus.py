@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .textnorm import clean_text, count_hashtags, read_pairs_file
+from .textnorm import clean_text, count_hashtags, post_cleaner, read_pairs_file
 
 
 class SentimentClass(IntEnum):
@@ -225,14 +225,37 @@ def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
     return found
 
 
+def _engagement(retweets: int, likes: int) -> int:
+    engagement = retweets + likes
+    if engagement > sys.float_info.max:
+        raise DataError("retweets + likes is beyond the range of a float feature")
+    return engagement
+
+
 def metadata_counts(clean: str, raw: str, retweets: int, likes: int) -> list[int]:
     """The three metadata features of one post, shared by training and
     serving: [word count of the cleaned text, retweets + likes, hashtag
     count of the raw text]."""
-    engagement = retweets + likes
-    if engagement > sys.float_info.max:
-        raise DataError("retweets + likes is beyond the range of a float feature")
-    return [len(clean.split()), engagement, count_hashtags(raw)]
+    return [len(clean.split()), _engagement(retweets, likes), count_hashtags(raw)]
+
+
+def _record(
+    raw: RawRecord, label_map: LabelMap, text: str, word_count: int, hashtag_count: int
+) -> CleanRecord | None:
+    """The record of `raw` cleaned to `text`; None when the text is empty or
+    the label is dropped."""
+    if not text:
+        return None
+    label = map_label(raw.raw_label, label_map)
+    if label is None:
+        return None
+    return CleanRecord(
+        clean_text=text,
+        label=label,
+        word_count=word_count,
+        engagement=_engagement(raw.retweets, raw.likes),
+        hashtag_count=hashtag_count,
+    )
 
 
 def clean_record(
@@ -244,21 +267,7 @@ def clean_record(
     """Normalize one raw record; None when it cleans to empty or its label
     is dropped."""
     text = clean_text(raw.text, slang, leet)
-    if not text:
-        return None
-    label = map_label(raw.raw_label, label_map)
-    if label is None:
-        return None
-    word_count, engagement, hashtag_count = metadata_counts(
-        text, raw.text, raw.retweets, raw.likes
-    )
-    return CleanRecord(
-        clean_text=text,
-        label=label,
-        word_count=word_count,
-        engagement=engagement,
-        hashtag_count=hashtag_count,
-    )
+    return _record(raw, label_map, text, len(text.split()), count_hashtags(raw.text))
 
 
 def deduplicate(records: Iterable[CleanRecord]) -> list[CleanRecord]:
@@ -279,12 +288,15 @@ def prepare_corpus(
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,
 ) -> list[CleanRecord]:
-    """Full preparation: clean, drop empty texts, remap labels, deduplicate."""
+    """Full preparation: clean, drop empty texts, remap labels, deduplicate.
+    Gives ``deduplicate`` of each record's ``clean_record``, but cleans each
+    distinct raw token once (`textnorm.post_cleaner`)."""
     if label_map is None:
         label_map = default_label_map()
+    clean = post_cleaner(slang, leet)
     cleaned = []
     for raw in raw_records:
-        record = clean_record(raw, label_map, slang, leet)
+        record = _record(raw, label_map, *clean(raw.text))
         if record is not None:
             cleaned.append(record)
     return deduplicate(cleaned)

@@ -17,7 +17,7 @@ import numpy as np
 from . import learners
 from .corpus import CLASS_NAMES, N_CLASSES, CleanRecord
 from .errors import DataError, StratificationError, TrainingError
-from .features import HybridFeatureSpace, TfidfConfig, fit_feature_space
+from .features import DocTerms, HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 
 @dataclass
@@ -216,9 +216,12 @@ def predict_model(kind: str, model, X) -> np.ndarray:
     return getattr(learners, learners.get_learner(kind).predict)(model, X)
 
 
-def featurized(space: HybridFeatureSpace, records: Sequence[CleanRecord]):
-    """(X, y): the feature matrix of `records` in `space`, and their labels."""
-    return space.featurize(records).to_csr(), np.array([int(r.label) for r in records])
+def featurized(
+    space: HybridFeatureSpace, records: Sequence[CleanRecord], terms: DocTerms | None = None
+):
+    """(X, y): the feature matrix of `records` in `space`, and their labels;
+    `terms`, when given, are the `DocTerms` of their cleaned texts."""
+    return space.featurize(records, terms).to_csr(), np.array([int(r.label) for r in records])
 
 
 def held_out_report(kind: str, model, X, y) -> EvalReport:
@@ -233,12 +236,17 @@ def featurized_split(
     tfidf_config: TfidfConfig | None = None,
 ) -> tuple[SplitIndex, HybridFeatureSpace, object, np.ndarray, object, np.ndarray]:
     """Stratified split, then the feature space fitted on the training part
-    only. Returns (split, space, X_train, y_train, X_test, y_test)."""
+    only; the vocabulary and the training matrix come from one split of each
+    training text into terms. Returns (split, space, X_train, y_train,
+    X_test, y_test)."""
+    tfidf_config = tfidf_config or TfidfConfig()
     split = stratified_split([r.label for r in records], test_fraction, seed)
     train_records = [records[i] for i in split.train_indices]
     test_records = [records[i] for i in split.test_indices]
-    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
-    return split, space, *featurized(space, train_records), *featurized(space, test_records)
+    terms = DocTerms.of([r.clean_text for r in train_records], tfidf_config.ngram_range)
+    space = fit_feature_space(train_records, tfidf_config, terms)
+    return (split, space, *featurized(space, train_records, terms),
+            *featurized(space, test_records))
 
 
 def run_benchmark(

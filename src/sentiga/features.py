@@ -11,8 +11,10 @@ then concatenated after the text block.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -55,6 +57,43 @@ def extract_terms(doc: str, ngram_range: tuple[int, int]) -> list[str]:
     return terms
 
 
+@dataclass(frozen=True)
+class DocTerms:
+    """Documents split into their terms once (`extract_terms`), each term
+    held as an id: fitting a vocabulary on them and transforming them then
+    share that one pass."""
+
+    ngram_range: tuple[int, int]
+    terms: dict[str, int]   # distinct term -> id, ids 0, 1, ... in first-seen order
+    ids: np.ndarray         # the term ids of every document, documents in order
+    lengths: np.ndarray     # the number of terms of each document
+
+    @classmethod
+    def of(cls, docs: Sequence[str], ngram_range: tuple[int, int]) -> "DocTerms":
+        terms: defaultdict[str, int] = defaultdict()
+        terms.default_factory = terms.__len__   # an unseen term gets the next id
+        ids = array("q")
+        lengths = []
+        for doc in docs:
+            doc_terms = extract_terms(doc, ngram_range)
+            ids.extend(map(terms.__getitem__, doc_terms))
+            lengths.append(len(doc_terms))
+        return cls(tuple(ngram_range), dict(terms), np.frombuffer(ids, dtype=np.int64),
+                   np.array(lengths, dtype=np.int64))
+
+    def rows(self) -> np.ndarray:
+        """The document index of each entry of `ids`."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+
+def _as_doc_terms(docs: Sequence[str] | DocTerms, ngram_range: tuple[int, int]) -> DocTerms:
+    if not isinstance(docs, DocTerms):
+        return DocTerms.of(docs, ngram_range)
+    if docs.ngram_range != tuple(ngram_range):
+        raise ValueError(f"terms of n-grams {docs.ngram_range}, expected {ngram_range}")
+    return docs
+
+
 @dataclass
 class TfidfModel:
     vocabulary: dict[str, int]   # term -> dense column index, lexicographic
@@ -79,29 +118,30 @@ class TfidfModel:
         return len(self.vocabulary)
 
 
-def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
-    """Build vocabulary and IDF weights from cleaned documents.
+def fit_tfidf(docs: Sequence[str] | DocTerms, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+    """Build vocabulary and IDF weights from cleaned documents, given as
+    strings or as their `DocTerms`.
 
     Terms are pruned to document frequency >= min_df and <= max_df * n.
     If more than max_features survive, the terms with the highest total
     corpus count are kept, ties broken lexicographically. The result is
     invariant under permutations of the input documents.
     """
-    if len(docs) == 0:
+    docs = _as_doc_terms(docs, config.ngram_range)
+    n_docs, n_ids = len(docs.lengths), len(docs.terms)
+    if n_docs == 0:
         raise DataError("cannot fit TF-IDF on an empty corpus")
 
-    doc_freq: Counter[str] = Counter()
-    total_count: Counter[str] = Counter()
-    for doc in docs:
-        terms = extract_terms(doc, config.ngram_range)
-        total_count.update(terms)
-        doc_freq.update(set(terms))
+    # a term's document frequency: the distinct (document, term) pairs it has
+    pairs, _ = _count_distinct(docs.rows() * n_ids + docs.ids)
+    doc_freq = np.bincount(pairs % n_ids, minlength=n_ids).tolist()
+    total_count = np.bincount(docs.ids, minlength=n_ids).tolist()
+    names = list(docs.terms)
 
-    n_docs = len(docs)
     max_count = config.max_df * n_docs
     surviving = [
-        term
-        for term, df in doc_freq.items()
+        term_id
+        for term_id, df in enumerate(doc_freq)
         if df >= config.min_df and df <= max_count
     ]
     if not surviving:
@@ -110,14 +150,42 @@ def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> Tfidf
             f"max_df={config.max_df}, n_docs={n_docs})"
         )
     if len(surviving) > config.max_features:
-        surviving.sort(key=lambda term: (-total_count[term], term))
+        surviving.sort(key=lambda term_id: (-total_count[term_id], names[term_id]))
         surviving = surviving[: config.max_features]
 
-    vocabulary = {term: idx for idx, term in enumerate(sorted(surviving))}
-    idf = np.empty(len(vocabulary))
-    for term, idx in vocabulary.items():
-        idf[idx] = math.log((1 + n_docs) / (1 + doc_freq[term])) + 1.0
+    kept = sorted(surviving, key=names.__getitem__)
+    vocabulary = {names[term_id]: idx for idx, term_id in enumerate(kept)}
+    idf = np.array([math.log((1 + n_docs) / (1 + doc_freq[term_id])) + 1.0 for term_id in kept])
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
+
+
+def _count_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of non-negative `keys`, ascending, and how often
+    each occurs. Sorts: numpy's hashing `unique` is several times slower on
+    these keys."""
+    keys = np.sort(keys)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _left_sum(terms, total=0.0):
+    """`total` plus the terms, added left to right with one rounding per
+    addition: of floats, or elementwise of arrays. ``sum`` of floats is
+    compensated from CPython 3.12 on, so it would round differently there."""
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
+    """The k-th entry of every CSR row for k = 0, 1, ..., as one vector per
+    k, 0.0 for a row with k entries or fewer."""
+    starts, lengths = indptr[:-1], np.diff(indptr)
+    for k in range(lengths.max(initial=0)):
+        entries = np.zeros(len(lengths))
+        live = lengths > k
+        entries[live] = values[starts[live] + k]
+        yield entries
 
 
 def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
@@ -135,27 +203,59 @@ def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
             row = {col: float(counts[col]) * idf for col, idf in row.items()}
     # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
     weights = list(row.values())
-    norm = math.sqrt(sum(w * w for w in weights))
+    norm = math.sqrt(_left_sum(w * w for w in weights))
     if norm > 0:
         weights = [w / norm for w in weights]
     return list(row), weights
 
 
-def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
-    """Stack transform rows for many documents into an n x V CSR matrix."""
+def _vocabulary_hits(model: TfidfModel, docs: Sequence[str] | DocTerms) -> tuple[int, np.ndarray]:
+    """(number of documents, one key per in-vocabulary term occurrence):
+    the key of column c in document i is ``i * V + c``, keys in document
+    order. Each document's terms become columns as they are read."""
+    n_terms, column = model.n_features, model.vocabulary.get
+    if isinstance(docs, DocTerms):
+        docs = _as_doc_terms(docs, model.config.ngram_range)
+        column_of_id = np.fromiter((column(term, -1) for term in docs.terms),
+                                   dtype=np.int64, count=len(docs.terms))
+        cols = column_of_id[docs.ids]
+        known = cols >= 0
+        return len(docs.lengths), docs.rows()[known] * n_terms + cols[known]
+    hits = array("q")   # the in-vocabulary columns of every document, in order
+    ends = [0]
+    for doc in docs:
+        terms = extract_terms(doc, model.config.ngram_range)
+        # -1 marks a term outside the vocabulary; the filter drops it
+        hits.extend(filter((-1).__ne__, map(column, terms, repeat(-1))))
+        ends.append(len(hits))
+    rows = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+    return len(ends) - 1, rows * n_terms + np.frombuffer(hits, dtype=np.int64)
+
+
+def transform_corpus(model: TfidfModel, docs: Sequence[str] | DocTerms) -> sp.csr_matrix:
+    """The n x V CSR matrix of the documents, given as strings or as their
+    `DocTerms`; row i equals ``tfidf_row(model, docs[i])`` bit for bit.
+
+    The matrix is built from the flat (row, column) hits in one pass: the
+    counts from one sort, each row's norm from the same left fold of its
+    squared weights in ascending-column order that `tfidf_row` uses.
+    """
     import scipy.sparse as sp
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for doc in docs:
-        cols, weights = tfidf_row(model, doc)
-        indices.extend(cols)
-        data.extend(weights)
-        indptr.append(len(indices))
+    n_docs, keys = _vocabulary_hits(model, docs)
+    keys, counts = _count_distinct(keys)
+    rows, cols = np.divmod(keys, model.n_features)
+    if model.config.sublinear_tf:
+        tf = [1.0 + math.log(count) for count in range(1, counts.max(initial=1) + 1)]
+    else:
+        tf = [float(count) for count in range(1, counts.max(initial=1) + 1)]
+    weights = np.array(tf)[counts - 1] * model.idf[cols]
+    indptr = np.zeros(n_docs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
+    norms = np.sqrt(_left_sum(_entries_by_position(weights * weights, indptr), np.zeros(n_docs)))
+    weights /= np.where(norms > 0, norms, 1.0)[rows]
     return sp.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
-        shape=(len(docs), model.n_features),
+        (weights, cols.astype(np.int32), indptr), shape=(n_docs, model.n_features)
     )
 
 
@@ -223,17 +323,26 @@ class HybridFeatureSpace:
     tfidf: TfidfModel
     scaler: Scaler
 
-    def featurize(self, records: Sequence[CleanRecord]) -> HybridMatrix:
+    def featurize(
+        self, records: Sequence[CleanRecord], terms: DocTerms | None = None
+    ) -> HybridMatrix:
+        """The records' features; `terms`, when given, are the `DocTerms` of
+        their cleaned texts."""
         return HybridMatrix(
-            tfidf_block=transform_corpus(self.tfidf, [r.clean_text for r in records]),
+            tfidf_block=transform_corpus(
+                self.tfidf, [r.clean_text for r in records] if terms is None else terms
+            ),
             numeric_block=transform_scaler(self.scaler, numeric_matrix(records)),
         )
 
 
 def fit_feature_space(
-    records: Sequence[CleanRecord], config: TfidfConfig = TfidfConfig()
+    records: Sequence[CleanRecord],
+    config: TfidfConfig = TfidfConfig(),
+    terms: DocTerms | None = None,
 ) -> HybridFeatureSpace:
-    """Fit vectorizer and scaler on training records only (no leakage)."""
-    tfidf = fit_tfidf([r.clean_text for r in records], config)
+    """Fit vectorizer and scaler on training records only (no leakage);
+    `terms`, when given, are the `DocTerms` of their cleaned texts."""
+    tfidf = fit_tfidf([r.clean_text for r in records] if terms is None else terms, config)
     scaler = fit_scaler(numeric_matrix(records))
     return HybridFeatureSpace(tfidf=tfidf, scaler=scaler)

@@ -69,6 +69,8 @@ class LogRegConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        if self.solver != "lbfgs":
+            raise ValueError(f"unsupported solver: {self.solver!r}")
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C}")
         if not self.tol > 0:
@@ -94,6 +96,10 @@ class MlpConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        if self.activation != "relu":
+            raise ValueError(f"unsupported activation: {self.activation!r}")
+        if self.solver != "adam":
+            raise ValueError(f"unsupported solver: {self.solver!r}")
         if not self.hidden_layer_sizes or min(self.hidden_layer_sizes) < 1:
             raise ValueError(
                 f"hidden_layer_sizes must be one or more positive widths, "
@@ -357,8 +363,6 @@ def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
 
 def train_logreg(X, y, config: LogRegConfig = LogRegConfig()) -> LogRegModel:
     """Fit balanced multinomial logistic regression from the zero model."""
-    if config.solver != "lbfgs":
-        raise TrainingError(f"unsupported solver: {config.solver!r}")
     X = _as_matrix(X)
     y = _check_labels(X, y)
     sample_w = _sample_weights(y, config.class_weight)
@@ -500,10 +504,6 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
     improvement_tol for patience + 1 consecutive epochs; the best epoch's
     parameters are restored.
     """
-    if config.activation != "relu":
-        raise TrainingError(f"unsupported activation: {config.activation!r}")
-    if config.solver != "adam":
-        raise TrainingError(f"unsupported solver: {config.solver!r}")
     X = _as_matrix(X)
     y = _check_labels(X, y)
     if config.early_stopping and X.shape[0] < 10:

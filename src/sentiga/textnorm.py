@@ -12,12 +12,12 @@ import re
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .errors import DataError
 
 _URL_PREFIXES = ("http://", "https://", "www.")
 _ASCII_LETTER_RE = re.compile(r"[a-z]")
-_NON_ALPHA_SPACE_RE = re.compile(r"[^a-z ]")
 _NON_ALPHA_RE = re.compile(r"[^a-z]")
 
 
@@ -84,6 +84,37 @@ def default_leet() -> dict[str, str]:
     return load_leet(_asset_path("leet.txt"))
 
 
+def _clean_tokens(tokens: Iterable[str], slang: dict[str, str], leet: dict[str, str]) -> list[str]:
+    """Stages 2-6 of `clean_text` on lowercased whitespace tokens: the words
+    they leave, in order. The words of each token depend on that token alone.
+
+    Precondition: every leet key is a single digit (``check_tables``). A
+    token of ASCII letters alone is then unchanged by stages 2-4 and 6, so
+    it goes straight to the slang lookup.
+    """
+    leet_table = None
+    words: list[str] = []
+    for token in tokens:
+        if token.isascii() and token.isalpha():
+            core = token
+        else:
+            if token.startswith(_URL_PREFIXES) or token.startswith("@"):
+                continue
+            if _ASCII_LETTER_RE.search(token):
+                if leet_table is None:
+                    leet_table = str.maketrans(leet)
+                token = token.translate(leet_table)
+            core = _NON_ALPHA_RE.sub("", token)
+        expansion = slang.get(core)
+        if expansion is None:
+            if core:
+                words.append(core)
+        else:
+            expanded = (_NON_ALPHA_RE.sub("", word) for word in expansion.split())
+            words += [word for word in expanded if word]
+    return words
+
+
 def clean_text(
     raw: str,
     slang: dict[str, str] | None = None,
@@ -101,47 +132,67 @@ def clean_text(
        punctuation does not hide a match);
     6. delete remaining non-alphabetic characters, collapse whitespace, trim.
 
-    Token removal never merges neighbouring words, and the result is a fixed
-    point of the cleaner itself. The output may be empty.
-
-    Precondition: every leet key is a single digit (``check_tables``). A
-    token of ASCII letters alone is then unchanged by stages 2-4 and 6, so
-    it goes straight to the slang lookup.
+    Every stage after the first maps one whitespace token to zero or more
+    words (`_clean_tokens`), so token removal never merges neighbouring
+    words, and the result is a fixed point of the cleaner itself. The output
+    may be empty.
     """
     if slang is None:
         slang = default_slang()
     if leet is None:
         leet = default_leet()
-    leet_table = None
+    return " ".join(_clean_tokens(raw.lower().split(), slang, leet))
 
-    tokens: list[str] = []
-    for token in raw.lower().split():
-        if token.isascii() and token.isalpha():
-            core = token
-        else:
-            if token.startswith(_URL_PREFIXES) or token.startswith("@"):
-                continue
-            if _ASCII_LETTER_RE.search(token):
-                if leet_table is None:
-                    leet_table = str.maketrans(leet)
-                token = token.translate(leet_table)
-            core = _NON_ALPHA_RE.sub("", token)
-        expansion = slang.get(core)
-        if expansion is not None:
-            tokens.extend(expansion.split())
-        else:
-            tokens.append(token)
 
-    stripped = _NON_ALPHA_SPACE_RE.sub("", " ".join(tokens))
-    return " ".join(stripped.split())
+def _is_hashtag(token: str) -> bool:
+    return token.startswith("#") and any(ch.isalnum() for ch in token)
 
 
 def count_hashtags(raw: str) -> int:
     """Count whitespace tokens that start with ``#`` and carry an
     alphanumeric character. Counted on the raw text: cleaning destroys
     the ``#`` marker."""
-    count = 0
-    for token in raw.split():
-        if token.startswith("#") and any(ch.isalnum() for ch in token):
-            count += 1
-    return count
+    return sum(map(_is_hashtag, raw.split()))
+
+
+class _TokenMemo(dict):
+    """Raw whitespace token -> (the words it cleans to, joined by spaces;
+    how many; whether it is a hashtag), each entry made on first lookup."""
+
+    def __init__(self, slang: dict[str, str], leet: dict[str, str]):
+        super().__init__()
+        self.slang, self.leet = slang, leet
+
+    def __missing__(self, token: str) -> tuple[str, int, bool]:
+        words = _clean_tokens([token.lower()], self.slang, self.leet)
+        entry = self[token] = (" ".join(words), len(words), _is_hashtag(token))
+        return entry
+
+
+def post_cleaner(
+    slang: dict[str, str] | None = None,
+    leet: dict[str, str] | None = None,
+) -> Callable[[str], tuple[str, int, int]]:
+    """A function from a raw post to ``(clean_text(post), its word count,
+    count_hashtags(post))`` with these tables, for cleaning a whole corpus.
+
+    It cleans each distinct raw whitespace token once and remembers the
+    words it leaves and whether it is a hashtag, so each post is split once.
+    Lowercasing a whole post and then splitting it gives the same tokens as
+    splitting it and lowercasing each token: no whitespace character is
+    cased or case-ignorable, so no case mapping looks across one.
+    """
+    if slang is None:
+        slang = default_slang()
+    if leet is None:
+        leet = default_leet()
+    token_entry = _TokenMemo(slang, leet).__getitem__
+
+    def clean(raw: str) -> tuple[str, int, int]:
+        entries = list(map(token_entry, raw.split()))
+        if not entries:
+            return "", 0, 0
+        texts, word_counts, hashtags = zip(*entries)
+        return " ".join(filter(None, texts)), sum(word_counts), sum(hashtags)
+
+    return clean

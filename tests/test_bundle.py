@@ -524,6 +524,18 @@ class TestBundleStructure:
         with pytest.raises(BundleError, match="malformed payload"):
             load_bundle(self._edited(saved, "logreg", edit, tmp_path))
 
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            ("mlp", lambda data: data["classifier"]["config"].update(activation="tanh")),
+            ("logreg", lambda data: data["classifier"]["config"].update(solver="saga")),
+        ],
+        ids=["mlp-activation", "logreg-solver"],
+    )
+    def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit):
+        with pytest.raises(BundleError, match="malformed payload: ValueError.*unsupported"):
+            load_bundle(self._edited(saved, kind, edit, tmp_path))
+
     def test_whole_number_float_field_loads_as_float(self, saved, tmp_path):
         def edit(data):
             data["classifier"]["config"]["C"] = 2

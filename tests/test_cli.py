@@ -215,12 +215,26 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_unsupported_solver_is_training_error(self, small_raw_csv, tmp_path, capsys):
+    def test_unsupported_solver_is_usage_error(self, small_raw_csv, tmp_path, capsys):
         code = run(
             "train", "--data", str(small_raw_csv), "--bundle", str(tmp_path / "m.bundle"),
             "--min_df", "1", "--max_df", "1.0", "--solver", "saga",
         )
-        assert code == 4
+        assert code == 2
+        assert "unsupported solver: 'saga'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [("--model", "mlp", "--activation", "tanh"), ("--solver", "saga")],
+        ids=["activation", "solver"],
+    )
+    def test_unsupported_option_is_refused_before_the_data_is_read(
+        self, tmp_path, capsys, flags
+    ):
+        # a missing --data file would be exit 3; the option is checked first
+        code = run("train", "--data", "/nonexistent.csv",
+                   "--bundle", str(tmp_path / "m.bundle"), *flags)
+        assert code == 2
+        assert not (tmp_path / "m.bundle").exists()
 
     @pytest.mark.parametrize(
         "argv",

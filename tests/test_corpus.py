@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import write_raw_csv
 from sentiga.corpus import (
     CleanRecord,
     LabelMap,
+    RawRecord,
     SentimentClass,
     _parse_count,
     class_counts,
@@ -16,6 +18,7 @@ from sentiga.corpus import (
 )
 from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DataError
+from sentiga.textnorm import default_leet, load_slang
 
 
 class TestLoadRaw:
@@ -205,3 +208,69 @@ class TestReferenceFixture:
         assert counts[int(SentimentClass.POSITIVE)] == 459
         assert counts[int(SentimentClass.NEGATIVE)] == 188
         assert counts[int(SentimentClass.NEUTRAL)] == 60
+
+
+# Raw posts built from pieces that reach every stage of the cleaner, and the
+# Unicode case mappings and whitespace where lowercasing a whole post could
+# differ from lowercasing each token: final sigma, dotted capital I, sharp s,
+# a case-ignorable combining mark, and whitespace that str.split splits on
+# (\x1c, \xa0) or does not (U+180E).
+_SLANG_TEXT = "gk,tidak sama-sekali\nbgt,banget!! pol\nmantul,mantap betul .\nsja,saja\n"
+_PIECES = st.one_of(
+    st.sampled_from(["http://", "https://t.co/", "www.", "@", "@ΑΣ", "#", "##", "#1"]),
+    st.sampled_from(["gk", "GK", "bgt", "Bgt!!", "mantul", "g4k", "sja", "s4ja", "k3r3n", "1307"]),
+    st.sampled_from(["Σ", "ΑΣ", "ΣΑ", "İ", "ß", "STRASSE", "\u0345", "é", "ﬁ"]),
+    st.sampled_from([" ", "  ", "\t", "\x1c", "\xa0", "\u180e", "\n"]),
+    st.text(alphabet="aAbkSt0134579!.,#@Σͅ ", max_size=5),
+)
+_POST_TEXT = st.lists(_PIECES, max_size=14).map("".join)
+
+
+class TestPrepareCorpusTokenMemo:
+    """prepare_corpus cleans each distinct raw token once; its records must
+    equal cleaning every record on its own."""
+
+    @pytest.fixture(scope="class")
+    def slang(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("slang") / "slang.txt"
+        path.write_text(_SLANG_TEXT, encoding="utf-8")
+        return load_slang(path)
+
+    @settings(max_examples=300)
+    @given(texts=st.lists(_POST_TEXT, max_size=8), data=st.data())
+    def test_equals_deduplicated_per_record_cleaning(self, slang, texts, data):
+        raws = [
+            RawRecord(text=text, raw_label=data.draw(st.sampled_from(["Joy", "sad", " Anger "])),
+                      retweets=data.draw(st.integers(0, 3)), likes=data.draw(st.integers(0, 3)))
+            for text in texts
+        ]
+        raws += raws[::-1]  # every token seen again, through the memo
+        label_map = default_label_map()
+        for tables in ((slang, default_leet()), (None, None)):
+            expected = deduplicate(
+                [r for r in (clean_record(raw, label_map, *tables) for raw in raws) if r]
+            )
+            assert prepare_corpus(raws, label_map, *tables) == expected
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["halo", "", "@x", "bgt #y"]),
+                      st.sampled_from(["Joy", "NotAnEmotion"]),
+                      st.sampled_from([0, 1, 10**400])),
+            max_size=6,
+        )
+    )
+    def test_first_error_is_the_per_record_one(self, rows):
+        raws = [RawRecord(text=t, raw_label=label, retweets=n, likes=n) for t, label, n in rows]
+        label_map = default_label_map()
+
+        def outcome(prepare):
+            try:
+                return prepare()
+            except DataError as exc:
+                return str(exc)
+
+        expected = outcome(lambda: deduplicate(
+            [r for r in (clean_record(raw, label_map) for raw in raws) if r]
+        ))
+        assert outcome(lambda: prepare_corpus(raws, label_map)) == expected

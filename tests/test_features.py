@@ -6,10 +6,21 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from sentiga.corpus import CleanRecord, SentimentClass, load_raw, prepare_corpus
-from sentiga.datasets import reference_corpus_path
+from conftest import write_raw_csv
+from sentiga.corpus import (
+    CleanRecord,
+    SentimentClass,
+    clean_record,
+    deduplicate,
+    default_label_map,
+    load_raw,
+    prepare_corpus,
+)
+from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import DataError
+from sentiga.evaluation import featurized_split
 from sentiga.features import (
+    DocTerms,
     HybridFeatureSpace,
     HybridMatrix,
     TfidfConfig,
@@ -41,10 +52,48 @@ def reference_tfidf_row(model, doc):
     for idx, count in row:
         tf = 1.0 + math.log(count) if model.config.sublinear_tf else float(count)
         weights.append(tf * model.idf[idx])
-    norm = math.sqrt(sum(w * w for w in weights))
+    norm_sq = 0.0  # added left to right: `sum` of floats is compensated on 3.12+
+    for w in weights:
+        norm_sq += w * w
+    norm = math.sqrt(norm_sq)
     if norm > 0:
         weights = [w / norm for w in weights]
     return [idx for idx, _ in row], weights
+
+
+def reference_fit_tfidf(docs, config):
+    """(vocabulary, idf) counted over n-gram strings; fit_tfidf must match it."""
+    doc_freq, total_count = Counter(), Counter()
+    for doc in docs:
+        terms = extract_terms(doc, config.ngram_range)
+        total_count.update(terms)
+        doc_freq.update(set(terms))
+    kept = [t for t, df in doc_freq.items() if config.min_df <= df <= config.max_df * len(docs)]
+    kept = sorted(kept, key=lambda t: (-total_count[t], t))[: config.max_features]
+    vocabulary = {term: idx for idx, term in enumerate(sorted(kept))}
+    idf = [math.log((1 + len(docs)) / (1 + doc_freq[t])) + 1.0 for t in sorted(kept)]
+    return vocabulary, idf
+
+
+def stacked_reference_rows(model, docs):
+    """The n x V CSR matrix of tfidf_row rows, stacked the plain way."""
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        cols, weights = tfidf_row(model, doc)
+        indices.extend(cols)
+        data.extend(weights)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
+        shape=(len(docs), model.n_features),
+    )
+
+
+def assert_csr_identical(actual, expected):
+    assert actual.shape == expected.shape
+    for part in ("data", "indices", "indptr"):
+        a, e = getattr(actual, part), getattr(expected, part)
+        assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), part
 
 
 def assert_rows_bit_equal(model, doc):
@@ -202,6 +251,95 @@ class TestReferenceRow:
         model = fit_tfidf(["aa bb", "bb cc"], UNIGRAM)
         with pytest.raises(ValueError, match="outside"):
             TfidfModel(vocabulary=model.vocabulary, idf=model.idf[:2], config=UNIGRAM)
+
+
+# documents for the one-pass matrix: empty, all out of vocabulary, random
+# words, and one word repeated up to 30 times
+_ORACLE_DOCS = st.lists(
+    st.one_of(
+        st.sampled_from(["", "zz", "zz zz qq"]),
+        st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=12).map(" ".join),
+        st.tuples(st.sampled_from(_WORDS), st.integers(1, 30)).map(
+            lambda word_times: " ".join([word_times[0]] * word_times[1])
+        ),
+    ),
+    max_size=8,
+)
+
+
+class TestOnePassMatrix:
+    """transform_corpus builds the whole matrix from flat (row, column) hits;
+    every row must be the string-counting loop's, bit for bit."""
+
+    @pytest.mark.parametrize("key", list(_ORACLE_MODELS), ids=str)
+    @given(docs=_ORACLE_DOCS)
+    def test_rows_equal_reference(self, key, docs):
+        model = _ORACLE_MODELS[key]
+        X = transform_corpus(model, docs)
+        assert X.shape == (len(docs), model.n_features)
+        for i, doc in enumerate(docs):
+            ref_cols, ref_weights = reference_tfidf_row(model, doc)
+            entries = slice(X.indptr[i], X.indptr[i + 1])
+            assert X.indices[entries].tolist() == ref_cols
+            assert [w.hex() for w in X.data[entries].tolist()] == [
+                float(w).hex() for w in ref_weights
+            ]
+
+    @pytest.mark.parametrize("key", list(_ORACLE_MODELS), ids=str)
+    @given(docs=_ORACLE_DOCS)
+    def test_doc_terms_give_the_same_matrix(self, key, docs):
+        model = _ORACLE_MODELS[key]
+        expected = stacked_reference_rows(model, docs)
+        assert_csr_identical(transform_corpus(model, docs), expected)
+        terms = DocTerms.of(docs, model.config.ngram_range)
+        assert_csr_identical(transform_corpus(model, terms), expected)
+
+    @given(
+        docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
+                      min_size=1, max_size=12),
+        max_features=st.integers(1, 12),
+        ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 3)]),
+    )
+    def test_fit_equals_reference(self, docs, max_features, ngram_range):
+        config = TfidfConfig(max_features=max_features, min_df=1, max_df=0.8,
+                             ngram_range=ngram_range)
+        vocabulary, idf = reference_fit_tfidf(docs, config)
+        if not vocabulary:
+            with pytest.raises(DataError, match="no term survived"):
+                fit_tfidf(docs, config)
+            return
+        for fitted in (fit_tfidf(docs, config),
+                       fit_tfidf(DocTerms.of(docs, ngram_range), config)):
+            assert fitted.vocabulary == vocabulary
+            assert [w.hex() for w in fitted.idf.tolist()] == [w.hex() for w in idf]
+
+    def test_terms_of_other_ngrams_are_refused(self):
+        terms = DocTerms.of(["aa bb", "bb cc"], (1, 1))
+        with pytest.raises(ValueError, match="n-grams"):
+            fit_tfidf(terms, TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 2)))
+        with pytest.raises(ValueError, match="n-grams"):
+            transform_corpus(_ORACLE_MODELS[(1, 2), True], terms)
+
+    def test_empty_doc_terms_are_an_empty_corpus(self):
+        with pytest.raises(DataError, match="empty corpus"):
+            fit_tfidf(DocTerms.of([], (1, 2)))
+
+    def test_x4_corpus_matches_the_per_record_path(self, tmp_path):
+        rows = [row for seed in range(4) for row in generate_reference_rows(seed)]
+        raw = load_raw(write_raw_csv(tmp_path / "x4.csv", rows))
+        label_map = default_label_map()
+        records = prepare_corpus(raw, label_map)
+        assert records == deduplicate(
+            [r for r in (clean_record(one, label_map) for one in raw) if r]
+        )
+
+        split, space, X_train, _, _, _ = featurized_split(records, 0.2, 42)
+        train = [records[i] for i in split.train_indices]
+        expected = stacked_reference_rows(space.tfidf, [r.clean_text for r in train])
+        assert_csr_identical(transform_corpus(space.tfidf, [r.clean_text for r in train]),
+                             expected)
+        numeric = transform_scaler(space.scaler, numeric_matrix(train))
+        assert_csr_identical(X_train, HybridMatrix(expected, numeric).to_csr())
 
 
 class TestNumericFeatures:

@@ -98,6 +98,9 @@ def test_unknown_kind_is_rejected(records, tmp_path):
         (MlpConfig, {"validation_fraction": 1.0}),
         (MlpConfig, {"patience": -1}),
         (MlpConfig, {"batch_size": 0}),
+        (MlpConfig, {"activation": "tanh"}),
+        (MlpConfig, {"solver": "sgd"}),
+        (LogRegConfig, {"solver": "saga"}),
         (LinearSvmConfig, {"regularization": 0.0}),
         (LinearSvmConfig, {"epochs": 0}),
     ],
