@@ -185,6 +185,9 @@ class ModelBundle:
     classifier: object
     metrics_snapshot: EvalReport | None = None
 
+    def __post_init__(self):
+        learners._check_finite(self)  # the split seed has a model seed's bounds
+
     @property
     def slang_digest(self) -> str:
         return pairs_digest(self.slang)

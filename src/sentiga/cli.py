@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +23,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_IO = 5
+
+_MODEL_CONFIGS = [learner.config for learner in learners.LEARNERS.values()]
 
 
 class _UsageError(SentigaError):
@@ -50,37 +53,37 @@ def _int_tuple(value: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 
 
-# Override flags, each named after the config field it sets; `--random_state`
-# sets `seed`, and `--class_weight none` sets None.
-_TFIDF_FLAGS = {
-    "max_features": {"type": int},
-    "min_df": {"type": int},
-    "max_df": {"type": float},
-    "ngram_range": {"type": _int_tuple},
-    "sublinear_tf": {"type": _bool_flag},
-}
-_MODEL_FLAGS = {
-    "C": {"type": float},
-    "class_weight": {"choices": ["balanced", "none"]},
-    "max_iter": {"type": int},
-    "tol": {"type": float},
-    "random_state": {"type": int},
-    "hidden_layer_sizes": {"type": _int_tuple},
-    "activation": {},
-    "solver": {},
-    "alpha": {"type": float},
-    "learning_rate_init": {"type": float},
-    "early_stopping": {"type": _bool_flag},
-    "regularization": {"type": float},
-    "epochs": {"type": int},
-}
+def _seed_flag(value: str) -> int:
+    if not value.strip().isdecimal():  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
 
 
-def _flag_parser(title: str, flags: dict) -> argparse.ArgumentParser:
+def _flag_type(hint):
+    """The parser of a config field's override flag, by the field's type
+    hint; for `X | None`, the value `none` means None."""
+    if type(None) not in typing.get_args(hint):
+        return {bool: _bool_flag, tuple: _int_tuple}.get(typing.get_origin(hint) or hint, hint)
+    parse = _flag_type(typing.get_args(hint)[0])
+
+    def parse_or_none(value: str):
+        return None if value == "none" else parse(value)
+
+    parse_or_none.__name__ = parse.__name__  # for argparse's "invalid int value: 'x'"
+    return parse_or_none
+
+
+def _override_parser(title: str, configs) -> argparse.ArgumentParser:
+    """A flag per field of `configs`, under its public name; one that is not
+    given sets nothing, so `_given` sees exactly the flags given."""
     parser = argparse.ArgumentParser(add_help=False)
     group = parser.add_argument_group(title)
-    for name, options in flags.items():
-        group.add_argument(f"--{name}", default=None, **options)
+    flags = {}
+    for cls in configs:
+        hints = typing.get_type_hints(cls)
+        flags |= {export.public_name(f.name): _flag_type(hints[f.name]) for f in fields(cls)}
+    for name, parse in flags.items():
+        group.add_argument(f"--{name}", type=parse, default=argparse.SUPPRESS)
     return parser
 
 
@@ -106,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--leet", {"default": None, "help": "leet map asset path"}),
     )
     split = _parent(
-        ("--seed", {"type": int, "default": None, "help": "split/model seed (default 42)"}),
+        ("--seed", {"type": _seed_flag, "default": None, "help": "split/model seed (default 42)"}),
         ("--test-fraction", {"type": float, "default": None,
                              "help": "held-out fraction for evaluation (default 0.2)"}),
     )
@@ -117,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "help": "externally supplied benchmark row (repeatable)",
     }))
 
-    tfidf = _flag_parser("TF-IDF overrides", _TFIDF_FLAGS)
-    hyper = _flag_parser("model hyperparameter overrides (each applies to some --model)",
-                         _MODEL_FLAGS)
+    tfidf = _override_parser("TF-IDF overrides", [TfidfConfig])
+    hyper = _override_parser("model hyperparameter overrides (each applies to some --model)",
+                             _MODEL_CONFIGS)
 
     parser = argparse.ArgumentParser(
         prog="sentiga",
@@ -204,9 +207,10 @@ def _test_fraction(args) -> float:
     return 0.2 if args.test_fraction is None else args.test_fraction
 
 
-def _given(args, flags: dict) -> dict:
-    """The flags of `flags` that the command line set."""
-    return {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
+def _given(args, configs) -> dict:
+    """Field name -> value of each override flag of `configs` that is given."""
+    flags = {export.public_name(f.name): f.name for cls in configs for f in fields(cls)}
+    return {flags[flag]: value for flag, value in vars(args).items() if flag in flags}
 
 
 def _config(cls, values: dict):
@@ -218,18 +222,15 @@ def _config(cls, values: dict):
 
 
 def _tfidf_config(args) -> TfidfConfig:
-    return _config(TfidfConfig, _given(args, _TFIDF_FLAGS))
+    return _config(TfidfConfig, _given(args, [TfidfConfig]))
 
 
 def _model_config(args, seed: int):
     cls = learners.LEARNERS[args.model].config
-    values = _given(args, _MODEL_FLAGS)
-    values["seed"] = values.pop("random_state", seed)
-    if values.get("class_weight") == "none":
-        values["class_weight"] = None
+    values = {"seed": seed} | _given(args, _MODEL_CONFIGS)
     unused = sorted(values.keys() - {f.name for f in fields(cls)})
     if unused:
-        flags = ", ".join(f"--{name}" for name in unused)
+        flags = ", ".join(f"--{export.public_name(name)}" for name in unused)
         raise _UsageError(f"--model {args.model} does not take {flags}")
     return _config(cls, values)
 

@@ -41,15 +41,20 @@ def format_metric(value: float) -> str:
     return format(float(value), ".4f")
 
 
-def _format_value(key: str, value) -> str:
+def public_name(field: str) -> str:
+    """A config field's name in its override flag and the hyperparameter table."""
+    return "random_state" if field == "seed" else field
+
+
+def _format_value(value) -> str:
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(str(v) for v in value) + ")"
-    if value is None:  # the MLP's batch_size picks its own; class_weight none weighs nothing
-        return "auto" if key == "batch_size" else "none"
+    if value is None:  # as its override flag spells it
+        return "none"
     return str(value)
 
 
@@ -100,12 +105,11 @@ def hyperparameter_table_rows(
 ) -> list[tuple]:
     """Flatten component configs into (Component, Hyperparameter, Value) rows:
     each model's, under its display name, then the TF-IDF's."""
-    field_names = {"seed": "random_state"}
     configs = [(LEARNERS[kind].display, config) for kind, config in model_configs.items()]
     rows = []
     for component, config in [*configs, ("TF-IDF", tfidf_config)]:
         for key, value in asdict(config).items():
-            rows.append((component, field_names.get(key, key), _format_value(key, value)))
+            rows.append((component, public_name(key), _format_value(value)))
     return rows
 
 

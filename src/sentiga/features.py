@@ -37,6 +37,8 @@ class TfidfConfig:
     sublinear_tf: bool = True
 
     def __post_init__(self):
+        if self.max_features < 1:
+            raise ValueError(f"max_features must be at least 1, got {self.max_features}")
         lo, hi = self.ngram_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad ngram_range: {self.ngram_range}")

@@ -50,12 +50,14 @@ def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
 
 def _check_finite(config) -> None:
     """Raise ValueError unless every float field of `config`, read from its
-    type hints, is finite."""
+    type hints, is finite, and its seed non-negative as numpy requires."""
     hints = typing.get_type_hints(type(config))
     for f in fields(config):
         value = getattr(config, f.name)
         if hints[f.name] is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {config.seed}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class LogRegConfig:
 
     def __post_init__(self):
         _check_finite(self)
+        if self.class_weight not in ("balanced", None):
+            raise ValueError(f"unsupported class_weight: {self.class_weight!r}")
         if self.solver != "lbfgs":
             raise ValueError(f"unsupported solver: {self.solver!r}")
         if not self.C > 0:
@@ -217,8 +221,6 @@ def _check_features(model_dim: int, n_features: int) -> None:
 def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
     if class_weight is None:
         return np.ones(len(y))
-    if class_weight != "balanced":
-        raise TrainingError(f"unknown class_weight: {class_weight!r}")
     counts = np.bincount(y, minlength=N_CLASSES)
     return balanced_weights(counts).w[y]
 
@@ -480,14 +482,14 @@ class _Adam:
 
 
 def _validation_split(y, fraction, rng):
-    """Stratified where possible, plain seeded shuffle otherwise. The
-    validation part is never empty: its accuracy would be NaN, no epoch would
-    count as best, and the model would keep no trained parameters."""
+    """Stratified where possible, plain seeded shuffle otherwise. Neither part
+    is ever empty: without validation rows no epoch would count as best and
+    the model would keep no trained parameters; without training rows, no batch."""
     from .evaluation import stratified_split
 
     try:
         split = stratified_split(y, fraction, rng)
-        if len(split.test_indices):
+        if len(split.test_indices) and len(split.train_indices):
             return split.train_indices, split.test_indices
     except StratificationError:
         pass

@@ -525,15 +525,25 @@ class TestBundleStructure:
             load_bundle(self._edited(saved, "logreg", edit, tmp_path))
 
     @pytest.mark.parametrize(
-        "kind, edit",
+        "kind, edit, message",
         [
-            ("mlp", lambda data: data["classifier"]["config"].update(activation="tanh")),
-            ("logreg", lambda data: data["classifier"]["config"].update(solver="saga")),
+            ("mlp", lambda data: data["classifier"]["config"].update(activation="tanh"),
+             "unsupported activation"),
+            ("logreg", lambda data: data["classifier"]["config"].update(solver="saga"),
+             "unsupported solver"),
+            ("logreg", lambda data: data["classifier"]["config"].update(class_weight="bogus"),
+             "unsupported class_weight"),
+            ("logreg", lambda data: data.update(seed=-1), "seed must be non-negative"),
+            ("mlp", lambda data: data["classifier"]["config"].update(seed=-1),
+             "seed must be non-negative"),
+            ("logreg", lambda data: data["tfidf"]["config"].update(max_features=0),
+             "max_features must be at least 1"),
         ],
-        ids=["mlp-activation", "logreg-solver"],
+        ids=["mlp-activation", "logreg-solver", "logreg-class-weight", "split-seed",
+             "mlp-seed", "max-features"],
     )
-    def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit):
-        with pytest.raises(BundleError, match="malformed payload: ValueError.*unsupported"):
+    def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit, message):
+        with pytest.raises(BundleError, match=f"malformed payload: ValueError.*{message}"):
             load_bundle(self._edited(saved, kind, edit, tmp_path))
 
     def test_whole_number_float_field_loads_as_float(self, saved, tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,10 @@ import sentiga
 import sentiga.evaluation
 import sentiga.learners
 from sentiga import export
-from sentiga.cli import main
+from sentiga.cli import build_parser, main
 from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
+from sentiga.features import TfidfConfig
+from sentiga.learners import LEARNERS
 
 
 def run(*argv):
@@ -89,6 +93,21 @@ class TestTrainEvaluatePredict:
         assert loaded.classifier.config.C == 0.5
         assert loaded.classifier.config.max_iter == 500
         assert loaded.classifier.config.seed == 7
+
+    def test_mlp_overrides_reach_the_model(self, small_raw_csv, tmp_path):
+        from sentiga.bundle import load_bundle
+
+        bundle_path = tmp_path / "m.bundle"
+        code = run(
+            "train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+            "--min_df", "1", "--max_df", "1.0", "--model", "mlp", "--hidden_layer_sizes", "8",
+            "--batch_size", "none", "--patience", "0", "--validation_fraction", "0.25",
+            "--improvement_tol", "0",
+        )
+        assert code == 0
+        config = load_bundle(bundle_path).classifier.config
+        assert (config.batch_size, config.patience) == (None, 0)
+        assert (config.validation_fraction, config.improvement_tol) == (0.25, 0.0)
 
     def test_evaluate_prints_metrics(self, trained_bundle, small_raw_csv, capsys):
         code = run("evaluate", "--data", str(small_raw_csv), "--bundle", str(trained_bundle))
@@ -224,17 +243,48 @@ class TestExitCodes:
         assert "unsupported solver: 'saga'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [("--model", "mlp", "--activation", "tanh"), ("--solver", "saga")],
-        ids=["activation", "solver"],
+        "flags, message",
+        [
+            (("--model", "mlp", "--activation", "tanh"), "unsupported activation: 'tanh'"),
+            (("--solver", "saga"), "unsupported solver: 'saga'"),
+            (("--class_weight", "bogus"), "usage error: unsupported class_weight: 'bogus'"),
+            (("--model", "mlp", "--random_state=-1"), "seed must be non-negative, got -1"),
+            (("--max_features=-2",), "max_features must be at least 1, got -2"),
+            (("--max_features", "0"), "max_features must be at least 1, got 0"),
+        ],
+        ids=["activation", "solver", "class_weight", "random_state", "max_features-negative",
+             "max_features-zero"],
     )
     def test_unsupported_option_is_refused_before_the_data_is_read(
-        self, tmp_path, capsys, flags
+        self, tmp_path, capsys, flags, message
     ):
         # a missing --data file would be exit 3; the option is checked first
         code = run("train", "--data", "/nonexistent.csv",
                    "--bundle", str(tmp_path / "m.bundle"), *flags)
         assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "m.bundle").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--bundle", "m.bundle", "--seed=-1"),
+            ("benchmark", "--seed=-1"),
+            ("evaluate", "--bundle", "m.bundle", "--seed=-3"),
+        ],
+        ids=" ".join,
+    )
+    def test_negative_seed_is_usage_error_before_the_data_is_read(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # numpy's generators take no negative seed (for --random_state, see
+        # the test above); a missing --data file would be exit 3, and
+        # evaluate's missing bundle exit 5
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--data", "/nonexistent.csv") == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -556,6 +606,38 @@ class TestFlagsPerCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _override_flags(command: str) -> list[str]:
+    """The flags of `command`'s override groups, as `build_parser` declares them."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        option
+        for group in commands.choices[command]._action_groups if "overrides" in group.title
+        for action in group._group_actions for option in action.option_strings
+    ]
+
+
+class TestOverrideFlags:
+    """The override flags are derived from the config dataclasses: one per
+    field, under the field's public name."""
+
+    def test_train_takes_one_flag_per_config_field(self):
+        configs = [TfidfConfig, *(learner.config for learner in LEARNERS.values())]
+        public = {f"--{export.public_name(f.name)}" for cls in configs for f in fields(cls)}
+        assert sorted(_override_flags("train")) == sorted(public)
+        assert "--random_state" in public and "--seed" not in public
+
+    def test_benchmark_takes_the_tfidf_flags(self):
+        assert _override_flags("benchmark") == [f"--{f.name}" for f in fields(TfidfConfig)]
+
+    def test_readme_table_lists_every_override_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Hyperparameter overrides", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines()
+                if line.startswith("| `--")]
+        assert sorted(rows) == sorted(f"`{flag}`" for flag in _override_flags("train"))
+
+
 class TestReferenceBundleBytes:
     """`sentiga train` with default flags on the bundled corpus writes these
     exact bytes. Recorded with CPython 3.11, numpy 2.4.6 and scipy 1.17.1
@@ -681,7 +763,8 @@ class TestArgvProperty:
     MODEL = [
         "--model", "--C", "--class_weight", "--max_iter", "--tol", "--random_state",
         "--hidden_layer_sizes", "--activation", "--solver", "--alpha",
-        "--learning_rate_init", "--early_stopping", "--regularization", "--epochs",
+        "--learning_rate_init", "--early_stopping", "--validation_fraction", "--patience",
+        "--improvement_tol", "--batch_size", "--regularization", "--epochs",
     ]
     FLAGS = {  # what each command reads, as build_parser declares it
         "preprocess": SOURCE + TABLES + ["--out-dir"],
@@ -740,10 +823,12 @@ class TestArgvProperty:
             "--leet": path("garbage", "empty", "dir", "missing", "csv"),
             "--seed": small_int, "--random_state": small_int, "--max_features": small_int,
             "--min_df": small_int, "--max_iter": small_int, "--epochs": small_int,
+            "--patience": small_int, "--batch_size": st.one_of(small_int, st.just("none")),
             "--retweets": st.one_of(small_int, st.just("9" * 400)),
             "--likes": small_int,
             "--test-fraction": number, "--max_df": number, "--C": number, "--tol": number,
             "--alpha": number, "--learning_rate_init": number, "--regularization": number,
+            "--validation_fraction": number, "--improvement_tol": number,
             "--sublinear_tf": boolean, "--early_stopping": boolean,
             "--ngram_range": sizes, "--hidden_layer_sizes": sizes,
             "--class_weight": st.sampled_from(["balanced", "none", "bogus"]),

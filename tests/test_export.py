@@ -121,7 +121,7 @@ class TestExportTables:
         written = export_tables(tmp_path, **inputs | {"model_configs": configs})
         rows = {tuple(r) for r in read_csv(written[HYPERPARAMETER_FILE])[1:]}
         assert ("Logistic Regression", "class_weight", "none") in rows
-        assert ("MLPClassifier", "batch_size", "auto") in rows
+        assert ("MLPClassifier", "batch_size", "none") in rows
 
     def test_label_mapping_mini_table(self, tmp_path, inputs):
         written = export_tables(tmp_path, **inputs)

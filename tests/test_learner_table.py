@@ -103,6 +103,13 @@ def test_unknown_kind_is_rejected(records, tmp_path):
         (LogRegConfig, {"solver": "saga"}),
         (LinearSvmConfig, {"regularization": 0.0}),
         (LinearSvmConfig, {"epochs": 0}),
+        (LogRegConfig, {"class_weight": "bogus"}),
+        (LogRegConfig, {"class_weight": "none"}),
+        (LogRegConfig, {"seed": -1}),
+        (MlpConfig, {"seed": -1}),
+        (LinearSvmConfig, {"seed": -3}),
+        (TfidfConfig, {"max_features": 0}),
+        (TfidfConfig, {"max_features": -2}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )

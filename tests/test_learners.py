@@ -517,3 +517,11 @@ class TestMlpValidationSplit:
         assert model.validation_scores_ and np.all(np.isfinite(model.validation_scores_))
         assert model.best_epoch_ >= 1
         assert all(np.all(np.isfinite(W)) for W in model.weights)
+
+    def test_a_share_that_takes_every_row_still_leaves_a_training_row(self):
+        # 4 per class: a stratified 99.9 % share rounds to every row
+        X, y = make_separable_xy(seed=7, per_class=4)
+        config = MlpConfig(hidden_layer_sizes=(4,), max_iter=5, validation_fraction=0.999)
+        model = train_mlp(X, y, config)
+        assert model.loss_curve_ and np.all(np.isfinite(model.loss_curve_))
+        assert model.validation_scores_ and np.all(np.isfinite(model.validation_scores_))
