@@ -16,6 +16,7 @@ from .errors import SentigaError
 from .evaluation import (
     ConfusionMatrix,
     EvalReport,
+    SplitConfig,
     SplitIndex,
     confusion,
     report,

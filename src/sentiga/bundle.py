@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import learners
+from . import evaluation, learners
 from .corpus import (
     N_CLASSES,
     CleanRecord,
@@ -42,7 +42,6 @@ from .corpus import (
     pairs_digest,
 )
 from .errors import BundleError, DataError, TrainingError
-from .evaluation import EvalReport, featurized_split, held_out_report, train_model
 from .features import (
     NUMERIC_FEATURE_NAMES,
     HybridFeatureSpace,
@@ -183,10 +182,10 @@ class ModelBundle:
     tfidf: TfidfModel
     scaler: Scaler
     classifier: object
-    metrics_snapshot: EvalReport | None = None
+    metrics_snapshot: evaluation.EvalReport | None = None
 
     def __post_init__(self):
-        learners._check_finite(self)  # the split seed has a model seed's bounds
+        evaluation.SplitConfig(self.seed, self.test_fraction)  # the split's bounds
 
     @property
     def slang_digest(self) -> str:
@@ -380,7 +379,7 @@ class TrainResult:
     test_indices: np.ndarray
 
     @property
-    def holdout_report(self) -> EvalReport:
+    def holdout_report(self) -> evaluation.EvalReport:
         return self.bundle.metrics_snapshot
 
     @property
@@ -396,31 +395,31 @@ def train_bundle(
     label_map: LabelMap | None = None,
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,
-    seed: int = 42,
-    test_fraction: float = 0.2,
+    split: evaluation.SplitConfig = evaluation.SplitConfig(),
 ) -> TrainResult:
     """Stratified split, fit the feature space on the training part only,
-    train one classifier, evaluate on the held-out part, and assemble a
-    self-contained bundle with the evaluation snapshot."""
+    train one classifier (`model_config`, else `kind`'s default seeded by the
+    split), evaluate on the held-out part, and bundle it with the snapshot."""
     slang = dict(slang if slang is not None else default_slang())
     leet = dict(leet if leet is not None else default_leet())
     check_tables(slang, leet)
     label_map = label_map if label_map is not None else default_label_map()
 
-    split, space, X_train, y_train, X_test, y_test = featurized_split(
-        records, test_fraction, seed, tfidf_config
+    indices, space, X_train, y_train, X_test, y_test = evaluation.featurized_split(
+        records, split, tfidf_config
     )
-    model = train_model(kind, X_train, y_train, model_config)
+    model_config = model_config or evaluation.seeded_config(kind, split)
+    model = evaluation.train_model(kind, X_train, y_train, model_config)
     bundle = ModelBundle(
         kind=kind,
-        seed=seed,
-        test_fraction=test_fraction,
+        seed=split.seed,
+        test_fraction=split.test_fraction,
         slang=slang,
         leet=leet,
         label_map_digest=label_map.digest(),
         tfidf=space.tfidf,
         scaler=space.scaler,
         classifier=model,
-        metrics_snapshot=held_out_report(kind, model, X_test, y_test),
+        metrics_snapshot=evaluation.held_out_report(kind, model, X_test, y_test),
     )
-    return TrainResult(bundle, split.train_indices, split.test_indices)
+    return TrainResult(bundle, indices.train_indices, indices.test_indices)

@@ -16,6 +16,7 @@ from pathlib import Path
 from . import bundle as bundle_mod
 from . import corpus, datasets, evaluation, export, learners, textnorm
 from .errors import BundleError, DataError, SentigaError, TrainingError
+from .evaluation import SplitConfig
 from .features import TfidfConfig
 
 EXIT_OK = 0
@@ -51,12 +52,6 @@ def _int_tuple(value: str) -> tuple[int, ...]:
         return tuple(int(part) for part in value.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
-
-
-def _seed_flag(value: str) -> int:
-    if not value.strip().isdecimal():  # numpy's generators take no negative seed
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def _flag_type(hint):
@@ -109,9 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("--leet", {"default": None, "help": "leet map asset path"}),
     )
     split = _parent(
-        ("--seed", {"type": _seed_flag, "default": None, "help": "split/model seed (default 42)"}),
-        ("--test-fraction", {"type": float, "default": None,
-                             "help": "held-out fraction for evaluation (default 0.2)"}),
+        ("--seed", {"type": int, "default": argparse.SUPPRESS,
+                    "help": f"split/model seed (default {SplitConfig.seed})"}),
+        ("--test-fraction", {"type": float, "default": argparse.SUPPRESS,
+                             "help": "held-out fraction for evaluation "
+                                     f"(default {SplitConfig.test_fraction})"}),
     )
     bundle = _parent(("--bundle", {"required": True, "type": _path, "help": "model bundle path"}))
     out_dir = _parent(("--out-dir", {"default": ".", "help": "directory for exported files"}))
@@ -199,14 +196,6 @@ def _load_records(args, loaded=None):
     return records, label_map, slang, leet
 
 
-def _seed(args) -> int:
-    return 42 if args.seed is None else args.seed
-
-
-def _test_fraction(args) -> float:
-    return 0.2 if args.test_fraction is None else args.test_fraction
-
-
 def _given(args, configs) -> dict:
     """Field name -> value of each override flag of `configs` that is given."""
     flags = {export.public_name(f.name): f.name for cls in configs for f in fields(cls)}
@@ -225,14 +214,20 @@ def _tfidf_config(args) -> TfidfConfig:
     return _config(TfidfConfig, _given(args, [TfidfConfig]))
 
 
-def _model_config(args, seed: int):
+def _split(args, base: SplitConfig) -> SplitConfig:
+    """`base` with the --seed and --test-fraction that are given."""
+    given = {f.name: getattr(args, f.name) for f in fields(SplitConfig) if f.name in args}
+    return _config(SplitConfig, vars(base) | given)
+
+
+def _model_config(args, split: SplitConfig):
     cls = learners.LEARNERS[args.model].config
-    values = {"seed": seed} | _given(args, _MODEL_CONFIGS)
+    values = _given(args, _MODEL_CONFIGS)
     unused = sorted(values.keys() - {f.name for f in fields(cls)})
     if unused:
         flags = ", ".join(f"--{export.public_name(name)}" for name in unused)
         raise _UsageError(f"--model {args.model} does not take {flags}")
-    return _config(cls, values)
+    return _config(lambda **given: evaluation.seeded_config(args.model, split, **given), values)
 
 
 def _print_report(rep: evaluation.EvalReport) -> None:
@@ -289,9 +284,9 @@ def cmd_preprocess(args) -> int:
 
 def cmd_train(args) -> int:
     bundle_path = Path(args.bundle)
-    seed = _seed(args)
-    # the hyperparameters are checked before any data is read
-    model_config, tfidf_config = _model_config(args, seed), _tfidf_config(args)
+    # the split and the hyperparameters are checked before any data is read
+    split = _split(args, SplitConfig())
+    model_config, tfidf_config = _model_config(args, split), _tfidf_config(args)
     records, label_map, slang, leet = _load_records(args)
     result = bundle_mod.train_bundle(
         records,
@@ -301,8 +296,7 @@ def cmd_train(args) -> int:
         label_map=label_map,
         slang=slang,
         leet=leet,
-        seed=seed,
-        test_fraction=_test_fraction(args),
+        split=split,
     )
     bundle_mod.save_bundle(result.bundle, bundle_path)
     print(
@@ -314,14 +308,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _split(args, SplitConfig())  # the flags given are checked before the bundle is read
     loaded = bundle_mod.load_bundle(args.bundle)
+    split = _split(args, SplitConfig(loaded.seed, loaded.test_fraction))
     records, _, _, _ = _load_records(args, loaded)
 
-    seed = loaded.seed if args.seed is None else args.seed
-    fraction = loaded.test_fraction if args.test_fraction is None else args.test_fraction
-    split = evaluation.stratified_split([r.label for r in records], fraction, seed)
+    labels = [r.label for r in records]
+    test = evaluation.stratified_split(labels, split.test_fraction, split.seed).test_indices
     space = bundle_mod.HybridFeatureSpace(tfidf=loaded.tfidf, scaler=loaded.scaler)
-    X_test, y_test = evaluation.featurized(space, [records[i] for i in split.test_indices])
+    X_test, y_test = evaluation.featurized(space, [records[i] for i in test])
     rep = evaluation.held_out_report(loaded.kind, loaded.classifier, X_test, y_test)
     print(f"evaluated {loaded.kind} bundle on {len(y_test)} held-out records")
     _print_report(rep)
@@ -342,14 +337,10 @@ def cmd_predict(args) -> int:
 
 def cmd_benchmark(args) -> int:
     # usage errors before any data is read
+    split = _split(args, SplitConfig())
     extra_rows, tfidf_config = _parse_extra_rows(args.extra_row), _tfidf_config(args)
     records, _, _, _ = _load_records(args)
-    rows = evaluation.run_benchmark(
-        records,
-        seed=_seed(args),
-        test_fraction=_test_fraction(args),
-        tfidf_config=tfidf_config,
-    )
+    rows = evaluation.run_benchmark(records, split, tfidf_config)
     rows = evaluation.rank_rows(rows + extra_rows)
 
     print(f"{'Model':<22} {'Family':<16} {'Accuracy':>9} {'MacroF1':>9} {'WeightedF1':>11}")

@@ -20,6 +20,24 @@ from .errors import DataError, StratificationError, TrainingError
 from .features import DocTerms, HybridFeatureSpace, TfidfConfig, fit_feature_space
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """The held-out split; its seed also seeds a model whose config is not given."""
+
+    seed: int = 42
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        learners._check_finite(self)
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+
+
+def seeded_config(kind: str, split: SplitConfig, **values):
+    """Learner `kind`'s config with `values`, seeded by the split unless they give a seed."""
+    return learners.get_learner(kind).config(**{"seed": split.seed} | values)
+
+
 @dataclass
 class SplitIndex:
     train_indices: np.ndarray
@@ -42,7 +60,7 @@ def _per_class_test_counts(counts: np.ndarray, fraction: float) -> np.ndarray:
 def stratified_split(
     labels: Sequence[int] | np.ndarray,
     test_fraction: float,
-    seed: int | np.random.Generator = 42,
+    seed: int | np.random.Generator,
 ) -> SplitIndex:
     """Partition indices per class, preserving class proportions.
 
@@ -202,12 +220,12 @@ def benchmark_row(kind: str, rep: EvalReport) -> BenchmarkRow:
                         rep.weighted_f1, report=rep)
 
 
-def train_model(kind: str, X, y, config=None):
+def train_model(kind: str, X, y, config):
     learner = learners.get_learner(kind)
     # an overflow or NaN on the way (say C = 1e300) is a fit that diverged
     with np.errstate(over="raise", invalid="raise"):
         try:
-            return getattr(learners, learner.train)(X, y, config or learner.config())
+            return getattr(learners, learner.train)(X, y, config)
         except FloatingPointError as exc:
             raise TrainingError(f"{kind} training diverged: {exc}") from None
 
@@ -231,42 +249,38 @@ def held_out_report(kind: str, model, X, y) -> EvalReport:
 
 def featurized_split(
     records: Sequence[CleanRecord],
-    test_fraction: float,
-    seed: int,
+    split: SplitConfig,
     tfidf_config: TfidfConfig | None = None,
 ) -> tuple[SplitIndex, HybridFeatureSpace, object, np.ndarray, object, np.ndarray]:
     """Stratified split, then the feature space fitted on the training part
     only; the vocabulary and the training matrix come from one split of each
-    training text into terms. Returns (split, space, X_train, y_train,
+    training text into terms. Returns (indices, space, X_train, y_train,
     X_test, y_test)."""
     tfidf_config = tfidf_config or TfidfConfig()
-    split = stratified_split([r.label for r in records], test_fraction, seed)
-    train_records = [records[i] for i in split.train_indices]
-    test_records = [records[i] for i in split.test_indices]
+    indices = stratified_split([r.label for r in records], split.test_fraction, split.seed)
+    train_records = [records[i] for i in indices.train_indices]
+    test_records = [records[i] for i in indices.test_indices]
     terms = DocTerms.of([r.clean_text for r in train_records], tfidf_config.ngram_range)
     space = fit_feature_space(train_records, tfidf_config, terms)
-    return (split, space, *featurized(space, train_records, terms),
+    return (indices, space, *featurized(space, train_records, terms),
             *featurized(space, test_records))
 
 
 def run_benchmark(
     records: Sequence[CleanRecord],
-    seed: int = 42,
-    test_fraction: float = 0.2,
+    split: SplitConfig = SplitConfig(),
     tfidf_config: TfidfConfig | None = None,
 ) -> list[BenchmarkRow]:
     """Train every learner of `learners.LEARNERS` on one shared stratified
     split and evaluate on the shared test part. A failing model yields a row
     flagged as failed; the remaining rows are still produced. Rows are sorted
     by accuracy descending, failed rows last."""
-    _, _, X_train, y_train, X_test, y_test = featurized_split(
-        records, test_fraction, seed, tfidf_config
-    )
+    _, _, X_train, y_train, X_test, y_test = featurized_split(records, split, tfidf_config)
 
     rows = []
     for kind, learner in learners.LEARNERS.items():
         try:
-            model = train_model(kind, X_train, y_train, learner.config(seed=seed))
+            model = train_model(kind, X_train, y_train, seeded_config(kind, split))
             rows.append(benchmark_row(kind, held_out_report(kind, model, X_test, y_test)))
         except Exception as exc:  # isolate per-model failures
             rows.append(BenchmarkRow(learner.display, learner.family, None, None, None,
@@ -278,22 +292,3 @@ def rank_rows(rows: Sequence[BenchmarkRow]) -> list[BenchmarkRow]:
     """The rows by accuracy descending, failed rows last; ties keep their order."""
     return sorted(rows, key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0)))
 
-
-__all__ = [
-    "SplitIndex",
-    "stratified_split",
-    "ConfusionMatrix",
-    "confusion",
-    "ClassMetrics",
-    "EvalReport",
-    "report",
-    "BenchmarkRow",
-    "benchmark_row",
-    "run_benchmark",
-    "rank_rows",
-    "featurized",
-    "featurized_split",
-    "held_out_report",
-    "train_model",
-    "predict_model",
-]

@@ -123,6 +123,8 @@ class MlpConfig:
             )
         if self.patience < 0:
             raise ValueError(f"patience must be non-negative, got {self.patience}")
+        if not self.improvement_tol >= 0:
+            raise ValueError(f"improvement_tol must be non-negative, got {self.improvement_tol}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be None or at least 1, got {self.batch_size}")
 

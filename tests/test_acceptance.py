@@ -18,7 +18,7 @@ from sentiga import export as export_mod
 from sentiga.bundle import load_bundle, predict
 from sentiga.cli import main as cli_main
 from sentiga.corpus import SentimentClass
-from sentiga.evaluation import ConfusionMatrix, report, stratified_split
+from sentiga.evaluation import ConfusionMatrix, SplitConfig, report, stratified_split
 from sentiga.features import TfidfConfig, fit_tfidf, transform_corpus
 from sentiga.learners import (
     LogRegConfig,
@@ -265,7 +265,7 @@ def test_criterion_09_external_dataset_reference_point():
     from sentiga.corpus import default_label_map, load_raw, prepare_corpus
 
     records = prepare_corpus(load_raw(path, lenient=True), default_label_map("drop"))
-    result = train_bundle(records, kind="logreg", seed=42)
+    result = train_bundle(records, kind="logreg", split=SplitConfig(seed=42))
     print(
         f"[NOTE] criterion 9: external dataset accuracy "
         f"{result.holdout_report.accuracy:.4f} (reference point, not a gate)"

@@ -27,7 +27,7 @@ from sentiga.corpus import (
 from sentiga.cli import main
 from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import BundleError, DataError, TrainingError
-from sentiga.evaluation import predict_model
+from sentiga.evaluation import SplitConfig, predict_model
 from sentiga.features import Scaler, TfidfConfig
 from sentiga.learners import (
     LogRegConfig,
@@ -45,7 +45,8 @@ SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 @pytest.fixture(scope="module")
 def trained():
     records = make_clean_records(n_per_class=(10, 10, 10), seed=2)
-    return train_bundle(records, kind="logreg", tfidf_config=SMALL_TFIDF, seed=42), records
+    split = SplitConfig(seed=42)
+    return train_bundle(records, kind="logreg", tfidf_config=SMALL_TFIDF, split=split), records
 
 
 def _encode_per_element(value):
@@ -178,7 +179,8 @@ class TestPersistence:
     def test_svm_and_mlp_bundles_round_trip(self, tmp_path):
         records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
         for kind in ("svm", "mlp"):
-            result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF, seed=1)
+            result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF,
+                                  split=SplitConfig(seed=1))
             path = tmp_path / f"{kind}.bundle"
             save_bundle(result.bundle, path)
             loaded = load_bundle(path)
@@ -260,7 +262,7 @@ class TestPredict:
             for text in docs
         ]
         result = train_bundle(
-            records, kind="logreg", tfidf_config=SMALL_TFIDF, seed=0, test_fraction=0.34
+            records, kind="logreg", tfidf_config=SMALL_TFIDF, split=SplitConfig(0, 0.34)
         )
         vocab = result.bundle.tfidf.vocabulary
         weights = result.bundle.classifier.W
@@ -423,7 +425,8 @@ class TestBundleStructure:
         records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
         paths = {}
         for kind in ("logreg", "mlp"):
-            result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF, seed=1)
+            result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF,
+                                  split=SplitConfig(seed=1))
             paths[kind] = tmp_path_factory.mktemp(kind) / "m.bundle"
             save_bundle(result.bundle, paths[kind])
         return paths
@@ -534,13 +537,20 @@ class TestBundleStructure:
             ("logreg", lambda data: data["classifier"]["config"].update(class_weight="bogus"),
              "unsupported class_weight"),
             ("logreg", lambda data: data.update(seed=-1), "seed must be non-negative"),
+            ("logreg", lambda data: data.update(test_fraction=5.0),
+             r"test_fraction must be in \(0, 1\), got 5.0"),
+            ("logreg", lambda data: data.update(test_fraction=0),
+             r"test_fraction must be in \(0, 1\), got 0.0"),
             ("mlp", lambda data: data["classifier"]["config"].update(seed=-1),
              "seed must be non-negative"),
             ("logreg", lambda data: data["tfidf"]["config"].update(max_features=0),
              "max_features must be at least 1"),
+            ("mlp", lambda data: data["classifier"]["config"].update(improvement_tol=-1),
+             "improvement_tol must be non-negative"),
         ],
         ids=["mlp-activation", "logreg-solver", "logreg-class-weight", "split-seed",
-             "mlp-seed", "max-features"],
+             "split-test-fraction-5", "split-test-fraction-0", "mlp-seed", "max-features",
+             "mlp-improvement-tol"],
     )
     def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit, message):
         with pytest.raises(BundleError, match=f"malformed payload: ValueError.*{message}"):
@@ -611,7 +621,7 @@ class TestBundleStructure:
         configs = {"logreg": None, "mlp": MlpConfig(hidden_layer_sizes=(4, 3)), "svm": None}
         paths = {}
         for kind, config in configs.items():
-            result = train_bundle(records, kind, config, SMALL_TFIDF, seed=1)
+            result = train_bundle(records, kind, config, SMALL_TFIDF, split=SplitConfig(seed=1))
             paths[kind] = tmp_path_factory.mktemp(kind) / "m.bundle"
             save_bundle(result.bundle, paths[kind])
         return paths
@@ -682,11 +692,19 @@ class TestTrainBundle:
         with pytest.raises(Exception):
             train_bundle(records, kind="forest")
 
+    @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
+    def test_model_without_a_config_takes_the_split_seed(self, kind):
+        records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
+        result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF,
+                              split=SplitConfig(seed=7))
+        assert (result.bundle.seed, result.bundle.classifier.config.seed) == (7, 7)
+
 
 def test_misshapen_metrics_snapshot_is_integrity_error(tmp_path):
     records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
     path = tmp_path / "m.bundle"
-    save_bundle(train_bundle(records, tfidf_config=SMALL_TFIDF, seed=1).bundle, path)
+    result = train_bundle(records, tfidf_config=SMALL_TFIDF, split=SplitConfig(seed=1))
+    save_bundle(result.bundle, path)
     edit_bundle_payload(path, lambda data: data["metrics_snapshot"]["confusion"].pop())
     with pytest.raises(BundleError, match="expected a 3x3 matrix"):
         load_bundle(path)

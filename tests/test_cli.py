@@ -20,6 +20,7 @@ import sentiga.learners
 from sentiga import export
 from sentiga.cli import build_parser, main
 from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
+from sentiga.evaluation import SplitConfig
 from sentiga.features import TfidfConfig
 from sentiga.learners import LEARNERS
 
@@ -251,9 +252,11 @@ class TestExitCodes:
             (("--model", "mlp", "--random_state=-1"), "seed must be non-negative, got -1"),
             (("--max_features=-2",), "max_features must be at least 1, got -2"),
             (("--max_features", "0"), "max_features must be at least 1, got 0"),
+            (("--model", "mlp", "--improvement_tol", "-1"),
+             "improvement_tol must be non-negative, got -1.0"),
         ],
         ids=["activation", "solver", "class_weight", "random_state", "max_features-negative",
-             "max_features-zero"],
+             "max_features-zero", "improvement_tol"],
     )
     def test_unsupported_option_is_refused_before_the_data_is_read(
         self, tmp_path, capsys, flags, message
@@ -266,24 +269,31 @@ class TestExitCodes:
         assert not (tmp_path / "m.bundle").exists()
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ("train", "--bundle", "m.bundle", "--seed=-1"),
-            ("benchmark", "--seed=-1"),
-            ("evaluate", "--bundle", "m.bundle", "--seed=-3"),
-        ],
-        ids=" ".join,
+        "command",
+        [("train", "--bundle", "m.bundle"), ("benchmark",), ("evaluate", "--bundle", "m.bundle")],
+        ids=lambda command: command[0],
     )
-    def test_negative_seed_is_usage_error_before_the_data_is_read(
-        self, tmp_path, monkeypatch, capsys, argv
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--seed=-1", "usage error: seed must be non-negative, got -1"),
+            ("--seed=-3", "usage error: seed must be non-negative, got -3"),
+            ("--test-fraction=2", "usage error: test_fraction must be in (0, 1), got 2.0"),
+            ("--test-fraction=0", "usage error: test_fraction must be in (0, 1), got 0.0"),
+            ("--test-fraction=nan", "usage error: test_fraction must be finite, got nan"),
+        ],
+        ids=["seed=-1", "seed=-3", "test-fraction=2", "test-fraction=0", "test-fraction=nan"],
+    )
+    def test_split_out_of_bounds_is_usage_error_before_the_data_is_read(
+        self, tmp_path, monkeypatch, capsys, command, flag, message
     ):
         # numpy's generators take no negative seed (for --random_state, see
         # the test above); a missing --data file would be exit 3, and
         # evaluate's missing bundle exit 5
         monkeypatch.chdir(tmp_path)
-        assert run(*argv, "--data", "/nonexistent.csv") == 2
+        assert run(*command, flag, "--data", "/nonexistent.csv") == 2
         err = capsys.readouterr().err
-        assert "non-negative" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -487,6 +497,12 @@ class TestExitCodes:
         assert run("predict", "--bundle", str(trained_bundle), "--text", "senang") == 5
         assert "malformed version header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction", [5.0, 0])
+    def test_bundle_with_split_out_of_bounds_is_io_error(self, trained_bundle, capsys, fraction):
+        edit_bundle_payload(trained_bundle, lambda data: data.update(test_fraction=fraction))
+        assert run("predict", "--bundle", str(trained_bundle), "--text", "senang") == 5
+        assert "test_fraction must be in (0, 1)" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
 
@@ -606,13 +622,18 @@ class TestFlagsPerCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _override_flags(command: str) -> list[str]:
-    """The flags of `command`'s override groups, as `build_parser` declares them."""
+def _subcommand(command: str) -> argparse.ArgumentParser:
+    """`command`'s parser, as `build_parser` declares it."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+def _override_flags(command: str) -> list[str]:
+    """The flags of `command`'s override groups."""
     return [
         option
-        for group in commands.choices[command]._action_groups if "overrides" in group.title
+        for group in _subcommand(command)._action_groups if "overrides" in group.title
         for action in group._group_actions for option in action.option_strings
     ]
 
@@ -629,6 +650,18 @@ class TestOverrideFlags:
 
     def test_benchmark_takes_the_tfidf_flags(self):
         assert _override_flags("benchmark") == [f"--{f.name}" for f in fields(TfidfConfig)]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "benchmark"])
+    def test_split_flags_are_the_split_config_fields(self, command):
+        split = fields(SplitConfig)
+        actions = [action for action in _subcommand(command)._actions
+                   if action.dest in {f.name for f in split}]
+        assert [(action.option_strings, action.dest) for action in actions] == [
+            ([f"--{f.name.replace('_', '-')}"], f.name) for f in split
+        ]
+        for action, f in zip(actions, split):
+            assert action.default is argparse.SUPPRESS
+            assert action.help.endswith(f"(default {f.default})")
 
     def test_readme_table_lists_every_override_flag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

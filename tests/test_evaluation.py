@@ -8,6 +8,7 @@ from sentiga.errors import DataError, StratificationError, TrainingError
 from sentiga.features import TfidfConfig
 from sentiga.evaluation import (
     ConfusionMatrix,
+    SplitConfig,
     confusion,
     report,
     run_benchmark,
@@ -76,6 +77,26 @@ class TestStratifiedSplit:
         combined = np.concatenate([split.train_indices, split.test_indices])
         assert len(combined) == len(labels)
         assert np.array_equal(np.sort(combined), np.arange(len(labels)))
+
+
+class TestSplitConfig:
+    def test_default_is_the_papers_split(self):
+        assert SplitConfig() == SplitConfig(seed=42, test_fraction=0.2)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"test_fraction": float("nan")}, "test_fraction must be finite, got nan"),
+            ({"test_fraction": float("inf")}, "test_fraction must be finite, got inf"),
+            ({"test_fraction": 0.0}, r"test_fraction must be in \(0, 1\), got 0.0"),
+            ({"test_fraction": 1.0}, r"test_fraction must be in \(0, 1\), got 1.0"),
+        ],
+        ids=["seed-negative", "fraction-nan", "fraction-inf", "fraction-0", "fraction-1"],
+    )
+    def test_refuses_values_out_of_bounds(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            SplitConfig(**values)
 
 
 class TestConfusion:
@@ -190,7 +211,7 @@ class TestReport:
 class TestBenchmark:
     def test_three_rows_on_shared_split(self):
         records = make_clean_records(n_per_class=(14, 14, 14), seed=4)
-        rows = run_benchmark(records, seed=42, test_fraction=0.25,
+        rows = run_benchmark(records, SplitConfig(42, 0.25),
                              tfidf_config=TfidfConfig(min_df=1, max_df=1.0))
         assert len(rows) == 3
         assert {row.model for row in rows} == {
@@ -204,7 +225,7 @@ class TestBenchmark:
     def test_failing_model_is_isolated(self):
         # 6 records: enough for LR and SVM, below the MLP early-stopping minimum
         small = make_clean_records(n_per_class=(2, 2, 2), seed=5)
-        rows = run_benchmark(small, seed=0, test_fraction=0.4,
+        rows = run_benchmark(small, SplitConfig(0, 0.4),
                              tfidf_config=TfidfConfig(min_df=1, max_df=1.0))
         by_model = {row.model: row for row in rows}
         assert by_model["MLPClassifier"].failed
@@ -222,7 +243,8 @@ class TestBenchmark:
             raise TrainingError(f"{kind} refused")
 
         monkeypatch.setattr(sentiga.evaluation, "train_model", refuse)
-        rows = run_benchmark(make_clean_records(n_per_class=(14, 14, 14), seed=4), seed=7,
+        rows = run_benchmark(make_clean_records(n_per_class=(14, 14, 14), seed=4),
+                             SplitConfig(seed=7),
                              tfidf_config=TfidfConfig(min_df=1, max_df=1.0))
         assert [(row.model, row.family) for row in rows] == [
             ("Logistic Regression", "Classical ML"),
@@ -238,7 +260,7 @@ class TestBenchmark:
         from sentiga.datasets import reference_corpus_path
 
         records = prepare_corpus(load_raw(reference_corpus_path()))
-        rows = run_benchmark(records, seed=42)
+        rows = run_benchmark(records, SplitConfig(seed=42))
         assert len(rows) == 3
         assert not any(row.failed for row in rows)
         assert all(row.report.confusion.total == 142 for row in rows)

@@ -18,7 +18,7 @@ from sentiga.corpus import (
 )
 from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import DataError
-from sentiga.evaluation import featurized_split
+from sentiga.evaluation import SplitConfig, featurized_split
 from sentiga.features import (
     DocTerms,
     HybridFeatureSpace,
@@ -333,7 +333,7 @@ class TestOnePassMatrix:
             [r for r in (clean_record(one, label_map) for one in raw) if r]
         )
 
-        split, space, X_train, _, _, _ = featurized_split(records, 0.2, 42)
+        split, space, X_train, _, _, _ = featurized_split(records, SplitConfig(42, 0.2))
         train = [records[i] for i in split.train_indices]
         expected = stacked_reference_rows(space.tfidf, [r.clean_text for r in train])
         assert_csr_identical(transform_corpus(space.tfidf, [r.clean_text for r in train]),

@@ -70,7 +70,7 @@ def test_dispatch_looks_up_learners_attributes_at_call_time(records, monkeypatch
 
 def test_unknown_kind_is_rejected(records, tmp_path):
     with pytest.raises(SentigaError, match="unknown model kind"):
-        train_model("forest", None, None)
+        train_model("forest", None, None, None)
     with pytest.raises(SentigaError, match="unknown model kind"):
         predict_model("forest", None, None)
 
@@ -97,6 +97,7 @@ def test_unknown_kind_is_rejected(records, tmp_path):
         (MlpConfig, {"validation_fraction": 0.0}),
         (MlpConfig, {"validation_fraction": 1.0}),
         (MlpConfig, {"patience": -1}),
+        (MlpConfig, {"improvement_tol": -1.0}),
         (MlpConfig, {"batch_size": 0}),
         (MlpConfig, {"activation": "tanh"}),
         (MlpConfig, {"solver": "sgd"}),
@@ -120,5 +121,6 @@ def test_config_rejects_values_out_of_bounds(cls, values):
 
 def test_config_accepts_boundary_values():
     LogRegConfig(max_iter=1)
-    MlpConfig(alpha=0.0, learning_rate_init=0.0, max_iter=1, patience=0, batch_size=1)
+    MlpConfig(alpha=0.0, learning_rate_init=0.0, max_iter=1, patience=0, batch_size=1,
+              improvement_tol=0.0)
     LinearSvmConfig(epochs=1)

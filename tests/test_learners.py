@@ -9,7 +9,7 @@ from sentiga import learners
 from sentiga.corpus import load_raw, prepare_corpus
 from sentiga.datasets import reference_corpus_path
 from sentiga.errors import TrainingError
-from sentiga.evaluation import featurized_split
+from sentiga.evaluation import SplitConfig, featurized_split
 from sentiga.learners import (
     N_CLASSES,
     LinearSvmConfig,
@@ -290,7 +290,7 @@ def _mlp_digest(model):
 @pytest.fixture(scope="module")
 def reference_train_split():
     records = prepare_corpus(load_raw(reference_corpus_path()))
-    _, _, X_train, y_train, _, _ = featurized_split(records, 0.2, 42)
+    _, _, X_train, y_train, _, _ = featurized_split(records, SplitConfig(42, 0.2))
     return X_train, y_train
 
 
