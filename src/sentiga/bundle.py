@@ -25,9 +25,9 @@ import os
 import tempfile
 import types
 import typing
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .corpus import (
     CleanRecord,
     LabelMap,
     SentimentClass,
+    _engagement,
     default_label_map,
-    metadata_counts,
     pairs_digest,
 )
-from .errors import BundleError, DataError, TrainingError
+from .errors import BundleError, DataError, SentigaError, TrainingError
 from .features import (
     NUMERIC_FEATURE_NAMES,
     HybridFeatureSpace,
@@ -50,7 +50,7 @@ from .features import (
     TfidfModel,
     tfidf_row,
 )
-from .textnorm import check_tables, clean_text, default_leet, default_slang
+from .textnorm import check_tables, default_leet, default_slang, post_cleaner
 
 FORMAT_VERSION = 1
 _MAGIC = "SENTIGA-BUNDLE"
@@ -106,7 +106,7 @@ def _encode_floats(nested: list, ndim: int) -> str:
 
 def _persisted(cls) -> list:
     """The fields a bundle stores: those not ending in "_", which hold
-    training diagnostics."""
+    training diagnostics or what is derived from the stored fields."""
     return [f for f in fields(cls) if not f.name.endswith("_")]
 
 
@@ -183,9 +183,14 @@ class ModelBundle:
     scaler: Scaler
     classifier: object
     metrics_snapshot: evaluation.EvalReport | None = None
+    # raw post -> (clean text, word count, hashtag count) for predict:
+    # `textnorm.post_cleaner` of the tables, a token memo that fills as the
+    # bundle serves; derived from the tables, so bundles do not store it
+    clean_: Callable[[str], tuple[str, int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         evaluation.SplitConfig(self.seed, self.test_fraction)  # the split's bounds
+        self.clean_ = post_cleaner(self.slang, self.leet)
 
     @property
     def slang_digest(self) -> str:
@@ -198,7 +203,7 @@ class ModelBundle:
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize deterministically and write atomically (temp file + rename)."""
-    payload = vars(bundle) | {
+    payload = {f.name: getattr(bundle, f.name) for f in _persisted(bundle)} | {
         "slang_digest": bundle.slang_digest, "leet_digest": bundle.leet_digest
     }
     snapshot = bundle.metrics_snapshot
@@ -278,7 +283,7 @@ def _bundle_from_payload(data: dict) -> ModelBundle:
         counts = {"counts": snapshot["confusion"]}
         data = data | {"metrics_snapshot": snapshot | {"confusion": counts}}
     return ModelBundle(
-        **{f.name: _decode(hints[f.name], data[f.name]) for f in fields(ModelBundle)}
+        **{f.name: _decode(hints[f.name], data[f.name]) for f in _persisted(ModelBundle)}
     )
 
 
@@ -334,11 +339,12 @@ def predict(
         raise DataError(
             f"retweets and likes must be non-negative, got {retweets} and {likes}"
         )
-    text = clean_text(raw_text, bundle.slang, bundle.leet)
+    # cleaned and counted as prepare_corpus does for training
+    text, word_count, hashtag_count = bundle.clean_(raw_text)
+    counts = (word_count, _engagement(retweets, likes), hashtag_count)
     cols, x = tfidf_row(bundle.tfidf, text)
     # the scaled metadata as transform_scaler computes it, in Python floats
     scaler = bundle.scaler
-    counts = metadata_counts(text, raw_text, retweets, likes)
     x += [
         (v - m) / s
         for v, m, s in zip(counts, scaler.means.tolist(), scaler.safe_stds_.tolist())
@@ -399,7 +405,14 @@ def train_bundle(
 ) -> TrainResult:
     """Stratified split, fit the feature space on the training part only,
     train one classifier (`model_config`, else `kind`'s default seeded by the
-    split), evaluate on the held-out part, and bundle it with the snapshot."""
+    split), evaluate on the held-out part, and bundle it with the snapshot.
+    The kind and its config are checked before any data is touched."""
+    learner = learners.get_learner(kind)
+    if model_config is not None and not isinstance(model_config, learner.config):
+        raise SentigaError(
+            f"model kind {kind!r} takes a {learner.config.__name__}, "
+            f"got a {type(model_config).__name__}"
+        )
     slang = dict(slang if slang is not None else default_slang())
     leet = dict(leet if leet is not None else default_leet())
     check_tables(slang, leet)
@@ -408,7 +421,8 @@ def train_bundle(
     indices, space, X_train, y_train, X_test, y_test = evaluation.featurized_split(
         records, split, tfidf_config
     )
-    model_config = model_config or evaluation.seeded_config(kind, split)
+    if model_config is None:
+        model_config = evaluation.seeded_config(kind, split)
     model = evaluation.train_model(kind, X_train, y_train, model_config)
     bundle = ModelBundle(
         kind=kind,

@@ -226,17 +226,11 @@ def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
 
 
 def _engagement(retweets: int, likes: int) -> int:
+    """retweets + likes, the engagement feature of training and serving."""
     engagement = retweets + likes
     if engagement > sys.float_info.max:
         raise DataError("retweets + likes is beyond the range of a float feature")
     return engagement
-
-
-def metadata_counts(clean: str, raw: str, retweets: int, likes: int) -> list[int]:
-    """The three metadata features of one post, shared by training and
-    serving: [word count of the cleaned text, retweets + likes, hashtag
-    count of the raw text]."""
-    return [len(clean.split()), _engagement(retweets, likes), count_hashtags(raw)]
 
 
 def _record(

@@ -15,6 +15,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter, mul, truediv
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -198,16 +199,16 @@ def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
                                    extract_terms(doc, model.config.ngram_range))))
     row = dict(hits)  # column -> idf, ascending
     if len(row) < len(hits):  # a repeated term: weigh each column by its count
-        counts = Counter(col for col, _ in hits)
+        counts = Counter(map(itemgetter(0), hits))
         if model.config.sublinear_tf:
             row = {col: (1.0 + math.log(counts[col])) * idf for col, idf in row.items()}
         else:
             row = {col: float(counts[col]) * idf for col, idf in row.items()}
     # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
     weights = list(row.values())
-    norm = math.sqrt(_left_sum(w * w for w in weights))
+    norm = math.sqrt(_left_sum(map(mul, weights, weights)))
     if norm > 0:
-        weights = [w / norm for w in weights]
+        weights = list(map(truediv, weights, repeat(norm)))
     return list(row), weights
 
 

@@ -155,6 +155,12 @@ def count_hashtags(raw: str) -> int:
     return sum(map(_is_hashtag, raw.split()))
 
 
+# the raw tokens a `_TokenMemo` holds before it starts over, so the memo of a
+# long-running server stays bounded; the distinct tokens of one corpus or
+# stream are far fewer
+_MEMO_LIMIT = 1 << 16
+
+
 class _TokenMemo(dict):
     """Raw whitespace token -> (the words it cleans to, joined by spaces;
     how many; whether it is a hashtag), each entry made on first lookup."""
@@ -164,9 +170,20 @@ class _TokenMemo(dict):
         self.slang, self.leet = slang, leet
 
     def __missing__(self, token: str) -> tuple[str, int, bool]:
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
         words = _clean_tokens([token.lower()], self.slang, self.leet)
         entry = self[token] = (" ".join(words), len(words), _is_hashtag(token))
         return entry
+
+    def clean(self, raw: str) -> tuple[str, int, int]:
+        """`post_cleaner`'s function: the post split once, each token
+        looked up."""
+        entries = list(map(self.__getitem__, raw.split()))
+        if not entries:
+            return "", 0, 0
+        texts, word_counts, hashtags = zip(*entries)
+        return " ".join(filter(None, texts)), sum(word_counts), sum(hashtags)
 
 
 def post_cleaner(
@@ -174,10 +191,15 @@ def post_cleaner(
     leet: dict[str, str] | None = None,
 ) -> Callable[[str], tuple[str, int, int]]:
     """A function from a raw post to ``(clean_text(post), its word count,
-    count_hashtags(post))`` with these tables, for cleaning a whole corpus.
+    count_hashtags(post))`` with these tables, for cleaning a whole corpus
+    or serving post by post.
 
     It cleans each distinct raw whitespace token once and remembers the
-    words it leaves and whether it is a hashtag, so each post is split once.
+    words it leaves and whether it is a hashtag, so each post is split once;
+    the memo starts over once it holds `_MEMO_LIMIT` tokens. The function is
+    a bound method whose ``__self__`` is the memo. An entry keeps what the
+    tables gave when it was made, so the tables must not change while the
+    function is in use.
     Lowercasing a whole post and then splitting it gives the same tokens as
     splitting it and lowercasing each token: no whitespace character is
     cased or case-ignorable, so no case mapping looks across one.
@@ -186,13 +208,4 @@ def post_cleaner(
         slang = default_slang()
     if leet is None:
         leet = default_leet()
-    token_entry = _TokenMemo(slang, leet).__getitem__
-
-    def clean(raw: str) -> tuple[str, int, int]:
-        entries = list(map(token_entry, raw.split()))
-        if not entries:
-            return "", 0, 0
-        texts, word_counts, hashtags = zip(*entries)
-        return " ".join(filter(None, texts)), sum(word_counts), sum(hashtags)
-
-    return clean
+    return _TokenMemo(slang, leet).clean

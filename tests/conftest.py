@@ -4,8 +4,33 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sentiga.corpus import CleanRecord, SentimentClass
+from sentiga.textnorm import default_slang
+
+
+# Token pieces that reach every stage of the cleaner. Half of all tokens
+# are slang keys with a non-ASCII letter, leet digit or punctuation
+# attached; the rest glue one to three pieces together.
+_NON_ASCII = ["é", "ß", "İ", "ﬁ", "café", "straße", "İstanbul", "naïve", "k3rén"]
+_SLANG_TOKEN = st.tuples(
+    st.sampled_from(["", "é", "ß", "İ", "@", "4"]),
+    st.sampled_from(sorted(default_slang())),
+    st.sampled_from(["", "!", "!!!", ".", ",", "7", "é", "ß", "İ"]),
+).map("".join)
+_PIECES = st.one_of(
+    st.sampled_from(["http://", "https://", "www.", "@"]),
+    st.from_regex(r"[a-z]{0,3}[0-9][a-z0-9]{0,3}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.from_regex(r"[A-Za-z]{1,6}", fullmatch=True),
+    st.sampled_from(_NON_ASCII + list("!?.,#:;'\"()-_/")),
+    _SLANG_TOKEN,
+)
+SOCIAL_POSTS = st.lists(
+    st.one_of(_SLANG_TOKEN, st.lists(_PIECES, min_size=1, max_size=3).map("".join)),
+    max_size=12,
+).map(" ".join)
 
 
 def make_separable_xy(seed=1, per_class=10, scale=3.0, noise=0.1):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import edit_bundle_payload, make_clean_records, write_raw_csv
-from sentiga import learners
+from conftest import SOCIAL_POSTS, edit_bundle_payload, make_clean_records, write_raw_csv
+from sentiga import evaluation, learners, textnorm
 from sentiga.bundle import (
     FORMAT_VERSION,
     ModelBundle,
@@ -18,18 +18,21 @@ from sentiga.bundle import (
 )
 from sentiga.corpus import (
     CleanRecord,
+    RawRecord,
     SentimentClass,
+    clean_record,
+    default_label_map,
     load_raw,
-    metadata_counts,
     pairs_digest,
     prepare_corpus,
 )
 from sentiga.cli import main
 from sentiga.datasets import generate_reference_rows, reference_corpus_path
-from sentiga.errors import BundleError, DataError, TrainingError
+from sentiga.errors import BundleError, DataError, SentigaError, TrainingError
 from sentiga.evaluation import SplitConfig, predict_model
 from sentiga.features import Scaler, TfidfConfig
 from sentiga.learners import (
+    LinearSvmConfig,
     LogRegConfig,
     LogRegModel,
     MlpConfig,
@@ -37,7 +40,7 @@ from sentiga.learners import (
     predict_proba_logreg,
     predict_proba_mlp,
 )
-from sentiga.textnorm import clean_text
+from sentiga.textnorm import clean_text, count_hashtags
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 
@@ -124,6 +127,21 @@ class TestPersistence:
             after = predict(loaded, text, retweets, likes)
             assert before.label is after.label
             assert np.array_equal(before.scores, after.scores)
+
+    def test_serving_leaves_the_payload_unchanged(self, trained, tmp_path):
+        result, records = trained
+        bundle = replace(result.bundle)  # an empty token memo
+        before, after = tmp_path / "before.bundle", tmp_path / "after.bundle"
+        save_bundle(bundle, before)
+        for record in records:
+            predict(bundle, f"{record.clean_text} #Served", 1, 2)
+        assert "#Served" in bundle.clean_.__self__
+        save_bundle(bundle, after)
+        assert after.read_bytes() == before.read_bytes()
+        save_bundle(load_bundle(after), after)
+        assert after.read_bytes() == before.read_bytes()
+        assert replace(bundle) == bundle  # a fresh memo compares equal
+        assert "clean_" not in repr(bundle) and "Served" not in repr(bundle)
 
     def test_newer_version_is_rejected(self, trained, tmp_path):
         result, _ = trained
@@ -322,9 +340,21 @@ def _layer_loop(layers, X):
     return activation
 
 
+def _training_row(raw, bundle):
+    """The row training builds for `raw` with the bundle's tables
+    (`corpus.clean_record`). A post that cleans to nothing, which training
+    drops, is served as no words."""
+    record = clean_record(raw, default_label_map(), bundle.slang, bundle.leet)
+    if record is None:
+        engagement = raw.retweets + raw.likes
+        return CleanRecord("", SentimentClass.NEUTRAL, 0, engagement, count_hashtags(raw.text))
+    return record
+
+
 class TestMatrixPathParity:
-    """Single-post predict scores gathered weight columns; batch scoring
-    multiplies the featurized matrix. Both must agree on every row."""
+    """Single-post predict cleans through the bundle's token memo and scores
+    gathered weight columns; batch scoring featurizes what training cleans
+    and multiplies the matrix. Both must agree on every row."""
 
     SCORERS = {
         "logreg": predict_proba_logreg,
@@ -336,11 +366,7 @@ class TestMatrixPathParity:
     def test_every_reference_row_matches_the_matrix_path(self, reference_raw, kind):
         result = train_bundle(prepare_corpus(reference_raw), kind=kind)
         bundle = result.bundle
-        rows = []
-        for raw in reference_raw:
-            text = clean_text(raw.text, bundle.slang, bundle.leet)
-            counts = metadata_counts(text, raw.text, raw.retweets, raw.likes)
-            rows.append(CleanRecord(text, SentimentClass.NEUTRAL, *counts))
+        rows = [_training_row(raw, bundle) for raw in reference_raw]
         X = result.space.featurize(rows).to_csr()
         expected = self.SCORERS[kind](bundle.classifier, X)
         served = np.array(
@@ -359,15 +385,50 @@ class TestMatrixPathParity:
     def test_stream_posts_match_the_matrix_path(self, reference_results, stream, kind):
         result = reference_results[kind]
         bundle = result.bundle
-        rows = []
-        for raw in stream:
-            text = clean_text(raw.text, bundle.slang, bundle.leet)
-            counts = metadata_counts(text, raw.text, raw.retweets, raw.likes)
-            rows.append(CleanRecord(text, SentimentClass.NEUTRAL, *counts))
+        rows = [_training_row(raw, bundle) for raw in stream]
         expected = self.SCORERS[kind](bundle.classifier, result.space.featurize(rows).to_csr())
         served = [predict(bundle, r.text, r.retweets, r.likes) for r in stream]
         assert [int(p.label) for p in served] == expected.argmax(axis=1).tolist()
         assert np.max(np.abs(np.array([p.scores for p in served]) - expected)) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["logreg", "mlp", "svm"]),
+        text=SOCIAL_POSTS,
+        retweets=st.integers(0, 10**6),
+        likes=st.integers(0, 10**6),
+    )
+    def test_social_media_posts_match_the_matrix_path(
+        self, reference_results, kind, text, retweets, likes
+    ):
+        result = reference_results[kind]
+        row = _training_row(RawRecord(text, "Joy", retweets, likes), result.bundle)
+        expected = self.SCORERS[kind](
+            result.bundle.classifier, result.space.featurize([row]).to_csr()
+        )[0]
+        served = predict(result.bundle, text, retweets, likes)
+        assert int(served.label) == int(expected.argmax())
+        assert np.max(np.abs(served.scores - expected)) <= 1e-12
+        warm = predict(result.bundle, text, retweets, likes)  # every token memoized
+        assert warm.label is served.label
+        assert np.array_equal(warm.scores, served.scores)
+
+    def test_each_distinct_raw_token_is_cleaned_once(self, reference_raw, reference_results,
+                                                       monkeypatch):
+        bundle = replace(reference_results["logreg"].bundle)  # an empty token memo
+        posts = [raw.text for raw in reference_raw[:10]]
+        calls = []
+        clean_tokens = textnorm._clean_tokens
+
+        def counted(tokens, slang, leet):
+            calls.append(tokens)
+            return clean_tokens(tokens, slang, leet)
+
+        monkeypatch.setattr(textnorm, "_clean_tokens", counted)
+        for _ in range(2):
+            for post in posts:
+                predict(bundle, post, 1, 2)
+        assert len(calls) == len({token for post in posts for token in post.split()})
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
     def test_forward_is_the_batch_scorers_before_softmax(
@@ -689,8 +750,27 @@ class TestTrainBundle:
 
     def test_unknown_kind_rejected(self):
         records = make_clean_records()
-        with pytest.raises(Exception):
+        with pytest.raises(SentigaError, match="unknown model kind: 'forest'"):
             train_bundle(records, kind="forest")
+
+    @pytest.mark.parametrize(
+        "kind, config, message",
+        [
+            ("forest", None, "unknown model kind: 'forest'"),
+            ("svm", LogRegConfig(), "model kind 'svm' takes a LinearSvmConfig, got a LogRegConfig"),
+            ("logreg", LinearSvmConfig(), "'logreg' takes a LogRegConfig, got a LinearSvmConfig"),
+            ("mlp", LogRegConfig(), "'mlp' takes a MlpConfig, got a LogRegConfig"),
+        ],
+    )
+    def test_bad_kind_or_config_is_refused_before_the_split(
+        self, monkeypatch, kind, config, message
+    ):
+        def no_split(*args, **kwargs):
+            raise AssertionError("featurized_split ran for a model that cannot be trained")
+
+        monkeypatch.setattr(evaluation, "featurized_split", no_split)
+        with pytest.raises(SentigaError, match=message):
+            train_bundle(make_clean_records(), kind=kind, model_config=config)
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
     def test_model_without_a_config_takes_the_split_seed(self, kind):

@@ -4,6 +4,8 @@ import string
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import SOCIAL_POSTS
+from sentiga import textnorm
 from sentiga.corpus import load_raw
 from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DataError
@@ -15,6 +17,7 @@ from sentiga.textnorm import (
     default_slang,
     load_leet,
     load_slang,
+    post_cleaner,
     read_pairs_file,
 )
 
@@ -39,29 +42,6 @@ def reference_clean_text(raw, slang, leet):
             tokens.append(token)
     stripped = re.sub(r"[^a-z ]", "", " ".join(tokens))
     return " ".join(stripped.split())
-
-
-# Token pieces that reach every stage of the cleaner. Half of all tokens
-# are slang keys with a non-ASCII letter, leet digit or punctuation
-# attached; the rest glue one to three pieces together.
-_NON_ASCII = ["é", "ß", "İ", "ﬁ", "café", "straße", "İstanbul", "naïve", "k3rén"]
-_SLANG_TOKEN = st.tuples(
-    st.sampled_from(["", "é", "ß", "İ", "@", "4"]),
-    st.sampled_from(sorted(default_slang())),
-    st.sampled_from(["", "!", "!!!", ".", ",", "7", "é", "ß", "İ"]),
-).map("".join)
-_PIECES = st.one_of(
-    st.sampled_from(["http://", "https://", "www.", "@"]),
-    st.from_regex(r"[a-z]{0,3}[0-9][a-z0-9]{0,3}", fullmatch=True),
-    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
-    st.from_regex(r"[A-Za-z]{1,6}", fullmatch=True),
-    st.sampled_from(_NON_ASCII + list("!?.,#:;'\"()-_/")),
-    _SLANG_TOKEN,
-)
-_POSTS = st.lists(
-    st.one_of(_SLANG_TOKEN, st.lists(_PIECES, min_size=1, max_size=3).map("".join)),
-    max_size=12,
-).map(" ".join)
 
 
 class TestCleanText:
@@ -132,7 +112,7 @@ class TestReferenceCleaner:
     def test_equals_reference_on_any_text(self, raw):
         assert clean_text(raw) == reference_clean_text(raw, default_slang(), default_leet())
 
-    @given(_POSTS)
+    @given(SOCIAL_POSTS)
     @example("gakß ébgt g4k!! k3rén @gak www.bgt 2bgt")
     def test_equals_reference_on_social_media_tokens(self, raw):
         assert clean_text(raw) == reference_clean_text(raw, default_slang(), default_leet())
@@ -158,6 +138,28 @@ class TestCountHashtags:
 
     def test_mid_word_hash_not_counted(self):
         assert count_hashtags("a#b") == 0
+
+
+class TestPostCleaner:
+    """The token memo behind prepare_corpus and bundle.predict starts over
+    once it is full; what it returns never depends on what it holds."""
+
+    @given(posts=st.lists(SOCIAL_POSTS, max_size=8))
+    def test_bounded_memo_gives_the_cleaner_and_counts(self, posts):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(textnorm, "_MEMO_LIMIT", 4)
+            clean = post_cleaner()
+            for post in posts + posts[::-1]:
+                text = clean_text(post)
+                assert clean(post) == (text, len(text.split()), count_hashtags(post))
+                assert len(clean.__self__) <= 4
+
+    def test_full_memo_starts_over(self, monkeypatch):
+        monkeypatch.setattr(textnorm, "_MEMO_LIMIT", 4)
+        clean = post_cleaner()
+        assert clean("satu dua tiga empat") == ("satu dua tiga empat", 4, 0)
+        assert clean("lima #enam") == ("lima enam", 2, 1)
+        assert sorted(clean.__self__) == ["#enam", "lima"]
 
 
 class TestAssets:
