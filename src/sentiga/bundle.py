@@ -169,9 +169,10 @@ def _scalars(hint, values) -> list:
 # bundle model
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ModelBundle:
-    """Everything needed to turn one raw post into a prediction."""
+    """Everything needed to turn one raw post into a prediction. Bundles
+    compare by identity: a bundle's value is its saved bytes."""
 
     kind: str                       # a key of learners.LEARNERS
     seed: int
@@ -186,7 +187,7 @@ class ModelBundle:
     # raw post -> (clean text, word count, hashtag count) for predict:
     # `textnorm.post_cleaner` of the tables, a token memo that fills as the
     # bundle serves; derived from the tables, so bundles do not store it
-    clean_: Callable[[str], tuple[str, int, int]] = field(init=False, repr=False, compare=False)
+    clean_: Callable[[str], tuple[str, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         evaluation.SplitConfig(self.seed, self.test_fraction)  # the split's bounds
@@ -233,7 +234,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
     path = Path(path)
     if not path.exists():
         raise BundleError(f"no such bundle: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: not UTF-8 text: {exc}") from None
     lines = text.split("\n", 2)
     if len(lines) < 3 or not lines[0].startswith(f"{_MAGIC} v"):
         raise BundleError(f"{path}: not a recognizable bundle")

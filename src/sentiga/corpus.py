@@ -1,10 +1,12 @@
 """Raw CSV ingestion, label remapping, and corpus preparation.
 
-Raw posts come from an RFC-4180 style CSV with a header row. Logical
-columns (text, sentiment, retweets, likes, hashtags) are bound to headers
-case-insensitively through an alias table, so differently named exports of
-the same data load without preprocessing. Fine-grained emotion labels are
-compressed to three operational classes through an editable label map.
+Raw posts come from an RFC-4180 style CSV with a header row. The four
+logical columns the pipeline reads (text, sentiment, retweets, likes) are
+bound to headers once, case-insensitively through an alias table, so
+differently named exports of the same data load without preprocessing.
+Other columns, a Hashtags column among them, are ignored: the hashtag count
+is taken from the text. Fine-grained emotion labels are compressed to three
+operational classes through an editable label map.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class RawRecord:
     raw_label: str
     retweets: int
     likes: int
-    hashtags_field: str = ""
 
 
 @dataclass(frozen=True)
@@ -132,21 +133,21 @@ DEFAULT_SCHEMA: dict[str, tuple[str, ...]] = {
     "sentiment": ("sentiment", "label", "emotion"),
     "retweets": ("retweets", "retweet_count"),
     "likes": ("likes", "like_count", "favourites"),
-    "hashtags": ("hashtags", "hashtag"),
 }
 
 
-def _resolve_columns(header: Sequence[str]) -> dict[str, int]:
-    lowered = {name.strip().lower(): idx for idx, name in enumerate(header)}
-    columns = {}
-    for logical, names in DEFAULT_SCHEMA.items():
-        for name in names:
-            idx = lowered.get(name.lower())
-            if idx is not None:
-                columns[logical] = idx
-                break
-        else:
+def _resolve_columns(header: Sequence[str]) -> list[int]:
+    """The header index of each logical column, in schema order; the first
+    alias present binds it, and naming that alias twice is refused."""
+    names = [name.strip().lower() for name in header]
+    columns = []
+    for logical, aliases in DEFAULT_SCHEMA.items():
+        name = next((alias for alias in aliases if alias in names), None)
+        if name is None:
             raise DataError(f"required column not found: {logical!r}")
+        if names.count(name) > 1:
+            raise DataError(f"header repeats {name!r}, the {logical!r} column")
+        columns.append(names.index(name))
     return columns
 
 
@@ -172,44 +173,40 @@ def _parse_count(cell: str, row: int, column: str, lenient: bool) -> int:
 
 
 def load_raw(path: str | Path, lenient: bool = False) -> list[RawRecord]:
-    """Read the raw CSV into records, one per data row.
+    """Read the raw CSV, UTF-8 with or without a byte-order mark, into
+    records, one per data row; a file that does not decode or parse is a
+    DataError naming the line.
 
-    Rows with empty text are retained here (cleaning drops them later).
-    Unknown columns are ignored. Missing numeric cells parse as 0; other
-    unparseable numeric cells raise unless ``lenient`` maps them to 0 too.
+    Only the four schema columns are read, and a short row's missing cells
+    read as empty. Rows with empty text are retained here (cleaning drops
+    them later). Missing numeric cells parse as 0; other unparseable
+    numeric cells raise unless ``lenient`` maps them to 0 too.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
+    with path.open(encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: missing header row") from None
-        columns = _resolve_columns(header)
-
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-
-            def cell(logical: str) -> str:
-                idx = columns[logical]
-                return row[idx] if idx < len(row) else ""
-
-            raw_label = cell("sentiment").strip()
-            if not raw_label:
-                raise DataError(f"row {row_num}: empty sentiment label")
-            records.append(
-                RawRecord(
-                    text=cell("text"),
-                    raw_label=raw_label,
-                    retweets=_parse_count(cell("retweets"), row_num, "retweets", lenient),
-                    likes=_parse_count(cell("likes"), row_num, "likes", lenient),
-                    hashtags_field=cell("hashtags").strip(),
-                )
-            )
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: missing header row")
+            columns = _resolve_columns(header)
+            records = []
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                text, raw_label, retweets, likes = (row[i] if i < len(row) else "" for i in columns)
+                raw_label = raw_label.strip()
+                if not raw_label:
+                    raise DataError(f"row {row_num}: empty sentiment label")
+                records.append(RawRecord(
+                    text, raw_label,
+                    _parse_count(retweets, row_num, "retweets", lenient),
+                    _parse_count(likes, row_num, "likes", lenient),
+                ))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
     return records
 
 

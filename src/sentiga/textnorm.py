@@ -24,7 +24,10 @@ _NON_ALPHA_RE = re.compile(r"[^a-z]")
 def read_pairs_file(path: str | Path) -> dict[str, str]:
     """Read a UTF-8 asset of ``key,value`` lines; ``#`` starts a comment."""
     entries: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -140,8 +140,17 @@ class TestPersistence:
         assert after.read_bytes() == before.read_bytes()
         save_bundle(load_bundle(after), after)
         assert after.read_bytes() == before.read_bytes()
-        assert replace(bundle) == bundle  # a fresh memo compares equal
         assert "clean_" not in repr(bundle) and "Served" not in repr(bundle)
+
+    def test_loaded_copies_compare_by_identity_and_save_equal_bytes(self, trained, tmp_path):
+        result, _ = trained
+        path, first, second = (tmp_path / name for name in ("m", "first", "second"))
+        save_bundle(result.bundle, path)
+        copies = load_bundle(path), load_bundle(path)
+        assert copies[0] == copies[0] and copies[0] != copies[1]
+        save_bundle(copies[0], first)
+        save_bundle(copies[1], second)
+        assert first.read_bytes() == second.read_bytes() == path.read_bytes()
 
     def test_newer_version_is_rejected(self, trained, tmp_path):
         result, _ = trained

@@ -20,6 +20,7 @@ import sentiga.learners
 from sentiga import export
 from sentiga.cli import build_parser, main
 from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
+from sentiga.datasets import reference_corpus_path
 from sentiga.evaluation import SplitConfig
 from sentiga.features import TfidfConfig
 from sentiga.learners import LEARNERS
@@ -507,6 +508,78 @@ class TestExitCodes:
         assert run("--help") == 0
 
 
+def write_unreadable_files(root, bundle):
+    """Inputs that no reader can decode: a Latin-1 CSV, a Latin-1 pairs
+    file, `bundle` with one Latin-1 byte in its payload, and a CSV whose
+    unclosed quote runs past the csv module's 128 KiB field limit."""
+    paths = {key: root / name for key, name in [
+        ("latin1_csv", "latin1.csv"), ("latin1_pairs", "latin1.txt"),
+        ("latin1_bundle", "latin1.bundle"), ("unclosed", "unclosed.csv"),
+    ]}
+    header = "Text,Sentiment,Retweets,Likes\n"
+    paths["latin1_csv"].write_bytes(f"{header}café,Joy,1,1\n".encode("latin-1"))
+    paths["latin1_pairs"].write_bytes("café,joy\n".encode("latin-1"))
+    paths["latin1_bundle"].write_bytes(bundle.read_bytes().replace(b"{", b"\xe9{", 1))
+    paths["unclosed"].write_text(f'{header}"' + "a" * 140_000, encoding="utf-8")
+    return paths
+
+
+class TestUnreadableFiles:
+    """A file that does not decode or parse is a typed error, not a
+    traceback: exit 3 for data, 5 for a bundle."""
+
+    @pytest.fixture
+    def files(self, trained_bundle, tmp_path):
+        return write_unreadable_files(tmp_path, trained_bundle)
+
+    def _run(self, capsys, *argv):
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("key", ["latin1_csv", "unclosed"])
+    def test_unreadable_csv_is_data_error(self, files, tmp_path, capsys, key):
+        code, err = self._run(capsys, "preprocess", "--data", str(files[key]),
+                              "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert f"{files[key].name}: unreadable after line" in err
+
+    @pytest.mark.parametrize("flag", ["--label-map", "--slang", "--leet"])
+    def test_pairs_file_that_is_not_utf8_is_data_error(self, files, small_raw_csv, tmp_path,
+                                                        capsys, flag):
+        code, err = self._run(capsys, "preprocess", "--data", str(small_raw_csv),
+                              flag, str(files["latin1_pairs"]), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "latin1.txt: not UTF-8 text" in err
+
+    def test_bundle_that_is_not_utf8_is_io_error(self, files, capsys):
+        code, err = self._run(capsys, "predict", "--bundle", str(files["latin1_bundle"]),
+                              "--text", "halo")
+        assert code == 5
+        assert "latin1.bundle: not UTF-8 text" in err
+
+
+class TestCsvHeader:
+    def test_repeated_bound_header_is_data_error_naming_the_column(self, tmp_path, capsys):
+        path = write_raw_csv(tmp_path / "dup.csv", [("halo", "Joy", "1", "1", "")],
+                             header=("Text", "Sentiment", "Retweets", "Likes", "Text"))
+        assert run("preprocess", "--data", str(path), "--out-dir", str(tmp_path)) == 3
+        assert "header repeats 'text', the 'text' column" in capsys.readouterr().err
+
+    def test_four_column_reference_corpus_trains_the_reference_bundle(self, tmp_path, capsys):
+        """The Hashtags column feeds nothing: without it, `train` writes the
+        bytes of TestReferenceBundleBytes."""
+        with reference_corpus_path().open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][4] == "Hashtags"
+        data = write_raw_csv(tmp_path / "four.csv", [row[:4] for row in rows[1:]],
+                             header=rows[0][:4])
+        path = tmp_path / "logreg.bundle"
+        assert run("train", "--data", str(data), "--bundle", str(path)) == 0
+        assert _sha256(path) == TestReferenceBundleBytes.DIGESTS["logreg"]
+
+
 class TestConfigErrors:
     def _train(self, small_raw_csv, tmp_path, *extra):
         return run(
@@ -833,7 +906,7 @@ class TestArgvProperty:
         paths["empty"].write_text("", encoding="utf-8")
         assert main(["train", "--data", str(paths["csv"]), "--bundle", str(paths["bundle"]),
                      "--min_df", "1", "--max_df", "1.0"]) == 0
-        return paths
+        return paths | write_unreadable_files(root, paths["bundle"])
 
     @classmethod
     def _argv(cls, draw, paths):
@@ -848,12 +921,14 @@ class TestArgvProperty:
         boolean = st.sampled_from(["true", "false", "yes", "0", "maybe", ""])
         sizes = st.sampled_from(["1,1", "1,2", "2,1", "0,1", "1", "1,2,3", "4,3", "-1", "a", ""])
         values = {
-            "--data": path("csv", "garbage", "empty", "dir", "missing", "bundle"),
-            "--bundle": path("bundle", "garbage", "empty", "dir", "missing", "csv"),
+            "--data": path("csv", "garbage", "empty", "dir", "missing", "bundle", "latin1_csv",
+                           "unclosed"),
+            "--bundle": path("bundle", "garbage", "empty", "dir", "missing", "csv",
+                             "latin1_bundle"),
             "--out-dir": path("out", "csv", "missing"),
-            "--label-map": path("garbage", "empty", "dir", "missing"),
-            "--slang": path("garbage", "empty", "dir", "missing", "csv"),
-            "--leet": path("garbage", "empty", "dir", "missing", "csv"),
+            "--label-map": path("garbage", "empty", "dir", "missing", "latin1_pairs"),
+            "--slang": path("garbage", "empty", "dir", "missing", "csv", "latin1_pairs"),
+            "--leet": path("garbage", "empty", "dir", "missing", "csv", "latin1_pairs"),
             "--seed": small_int, "--random_state": small_int, "--max_features": small_int,
             "--min_df": small_int, "--max_iter": small_int, "--epochs": small_int,
             "--patience": small_int, "--batch_size": st.one_of(small_int, st.just("none")),

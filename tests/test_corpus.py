@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_raw_csv
 from sentiga.corpus import (
+    DEFAULT_SCHEMA,
     CleanRecord,
     LabelMap,
     RawRecord,
@@ -34,7 +37,6 @@ class TestLoadRaw:
         assert rec.text == "halo #x"
         assert rec.raw_label == "Joy"
         assert (rec.retweets, rec.likes) == (2, 3)
-        assert rec.hashtags_field == "#x"
 
     def test_empty_text_rows_are_retained(self, tmp_path):
         path = write_raw_csv(tmp_path / "e.csv", [("", "Joy", "0", "0", "")])
@@ -110,6 +112,89 @@ class TestLoadRaw:
             header=("Text", "Sentiment", "Retweets", "Likes", "Hashtags", "Extra"),
         )
         assert len(load_raw(path)) == 1
+
+    def test_four_column_csv_loads_the_same_records(self, tmp_path):
+        rows = [("halo #x", "Joy", "2", "3"), ("sedih", "Sad", "", "1")]
+        four = write_raw_csv(tmp_path / "four.csv", rows, header=_PRIMARY)
+        five = write_raw_csv(tmp_path / "five.csv", [row + ("#x",) for row in rows])
+        assert load_raw(four) == load_raw(five)
+
+    def test_short_row_reads_missing_cells_as_empty(self, tmp_path):
+        path = write_raw_csv(tmp_path / "short.csv", [("halo", "Joy", "4")])
+        assert load_raw(path) == [RawRecord("halo", "Joy", 4, 0)]
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            ("Text", "Sentiment", "Retweets", "Likes", "Text"),
+            ("Text", "Sentiment", "Retweets", "Likes", "Hashtags", " TEXT "),
+            ("Text", "Sentiment", "Retweets", "Likes", "likes"),
+        ],
+    )
+    def test_repeated_bound_header_is_refused(self, tmp_path, header):
+        repeated = header[-1].strip().lower()
+        path = write_raw_csv(tmp_path / "dup.csv", [("halo", "Joy", "1", "1", "")], header=header)
+        with pytest.raises(DataError, match=f"header repeats '{repeated}'"):
+            load_raw(path)
+
+    def test_repeated_unbound_header_is_ignored(self, tmp_path):
+        header = _PRIMARY + ("Extra", "extra", "Hashtags", "Hashtags")
+        path = write_raw_csv(tmp_path / "x.csv", [("halo", "Joy", "1", "2", "", "", "", "")],
+                             header=header)
+        assert load_raw(path) == [RawRecord("halo", "Joy", 1, 2)]
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + reference_corpus_path().read_bytes())
+        assert prepare_corpus(load_raw(path)) == prepare_corpus(load_raw(reference_corpus_path()))
+
+
+_PRIMARY = ("Text", "Sentiment", "Retweets", "Likes")
+# the RawRecord field each schema column is read into
+_FIELD = {"text": "text", "sentiment": "raw_label", "retweets": "retweets", "likes": "likes"}
+_CELL = {"text": "halo", "sentiment": "Joy", "retweets": "7", "likes": "9"}
+
+
+def _bound_value(tmp_path, header, row, column):
+    """The value that `column` reads from a one-row CSV."""
+    record = load_raw(write_raw_csv(tmp_path / "one.csv", [row], header=header))[0]
+    value = getattr(record, _FIELD[column])
+    return str(value) if column in ("retweets", "likes") else value
+
+
+class TestHeaderAliases:
+    """Each logical column binds any of its aliases, in any case and with
+    surrounding spaces; when several aliases are present, the first in
+    `DEFAULT_SCHEMA` wins."""
+
+    @pytest.mark.parametrize(
+        "column, alias",
+        [(column, alias) for column, aliases in DEFAULT_SCHEMA.items() for alias in aliases],
+    )
+    @pytest.mark.parametrize("spell", [str.lower, str.upper, str.title, lambda s: f"  {s}\t"])
+    def test_alias_binds_its_column(self, tmp_path, column, alias, spell):
+        columns = list(DEFAULT_SCHEMA)
+        header = [spell(alias) if c == column else name for c, name in zip(columns, _PRIMARY)]
+        row = [_CELL[c] for c in columns]
+        assert _bound_value(tmp_path, header, row, column) == _CELL[column]
+
+    @pytest.mark.parametrize(
+        "column, first, later",
+        [
+            (column, aliases[i], aliases[j])
+            for column, aliases in DEFAULT_SCHEMA.items()
+            for i in range(len(aliases))
+            for j in range(i + 1, len(aliases))
+        ],
+    )
+    def test_first_alias_wins(self, tmp_path, column, first, later):
+        others = [name for c, name in zip(DEFAULT_SCHEMA, _PRIMARY) if c != column]
+        header = [later.upper(), *others, first]  # the later alias comes first in the file
+        cells = {"text": ("kalah", "menang"), "sentiment": ("Sad", "Joy"),
+                 "retweets": ("1", "2"), "likes": ("3", "4")}
+        lose, win = cells[column]
+        row = [lose] + [_CELL[c] for c in DEFAULT_SCHEMA if c != column] + [win]
+        assert _bound_value(tmp_path, header, row, column) == win
 
 
 class TestLabelMap:
@@ -192,6 +277,28 @@ class TestCleanRecord:
 
         raw = RawRecord(text="http://t.co/x", raw_label="Joy", retweets=0, likes=0)
         assert clean_record(raw, default_label_map()) is None
+
+
+class _ReadLog:
+    """A raw record that logs the name of each attribute read from it."""
+
+    def __init__(self, record, names):
+        self._record, self._names = record, names
+
+    def __getattr__(self, name):
+        self._names.add(name)
+        return getattr(self._record, name)
+
+
+def test_every_raw_record_field_is_read():
+    """A RawRecord field that preparation never reads is a column loaded
+    for nothing."""
+    names = set()
+    raws = [_ReadLog(raw, names) for raw in load_raw(reference_corpus_path())[:20]]
+    prepare_corpus(raws)
+    for raw in raws:
+        clean_record(raw, default_label_map())
+    assert names == {f.name for f in fields(RawRecord)}
 
 
 class TestReferenceFixture:
