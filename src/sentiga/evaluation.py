@@ -10,7 +10,7 @@ harness survives degenerate models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -27,10 +27,10 @@ class SplitConfig:
     seed: int = 42
     test_fraction: float = 0.2
 
+    bounds: ClassVar = {"test_fraction": "in (0, 1)"}
+
     def __post_init__(self):
-        learners._check_finite(self)
-        if not 0 < self.test_fraction < 1:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        learners.check_config(self)
 
 
 def seeded_config(kind: str, split: SplitConfig, **values):

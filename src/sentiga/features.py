@@ -16,12 +16,13 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter, mul, truediv
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import CleanRecord
 from .errors import DataError
+from .learners import check_config
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -37,16 +38,11 @@ class TfidfConfig:
     ngram_range: tuple[int, int] = (1, 2)
     sublinear_tf: bool = True
 
+    bounds: ClassVar = {"max_features": "at least 1", "min_df": "a whole number at least 1",
+                        "max_df": "in (0, 1]", "ngram_range": "a pair lo,hi with 1 <= lo <= hi"}
+
     def __post_init__(self):
-        if self.max_features < 1:
-            raise ValueError(f"max_features must be at least 1, got {self.max_features}")
-        lo, hi = self.ngram_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad ngram_range: {self.ngram_range}")
-        if self.min_df < 1 or int(self.min_df) != self.min_df:
-            raise ValueError("min_df must be a positive integer document count")
-        if not 0 < self.max_df <= 1:
-            raise ValueError("max_df must be a fraction in (0, 1]")
+        check_config(self)
 
 
 def extract_terms(doc: str, ngram_range: tuple[int, int]) -> list[str]:
@@ -55,7 +51,7 @@ def extract_terms(doc: str, ngram_range: tuple[int, int]) -> list[str]:
     tokens = doc.split()
     lo, hi = ngram_range
     terms: list[str] = []
-    for n in range(lo, hi + 1):
+    for n in range(lo, min(hi, len(tokens)) + 1):  # no n-gram is longer than the document
         terms += tokens if n == 1 else map(" ".join, zip(*[tokens[i:] for i in range(n)]))
     return terms
 
@@ -191,6 +187,11 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
         yield entries
 
 
+def _term_frequency(count: int, sublinear: bool) -> float:
+    """The weight of a term seen `count` times in a document, before its idf."""
+    return 1.0 + math.log(count) if sublinear else float(count)
+
+
 def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
     """One document's TF-IDF row as (ascending column indices, weights):
     (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
@@ -199,11 +200,8 @@ def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
                                    extract_terms(doc, model.config.ngram_range))))
     row = dict(hits)  # column -> idf, ascending
     if len(row) < len(hits):  # a repeated term: weigh each column by its count
-        counts = Counter(map(itemgetter(0), hits))
-        if model.config.sublinear_tf:
-            row = {col: (1.0 + math.log(counts[col])) * idf for col, idf in row.items()}
-        else:
-            row = {col: float(counts[col]) * idf for col, idf in row.items()}
+        counts, sublinear = Counter(map(itemgetter(0), hits)), model.config.sublinear_tf
+        row = {col: _term_frequency(counts[col], sublinear) * idf for col, idf in row.items()}
     # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
     weights = list(row.values())
     norm = math.sqrt(_left_sum(map(mul, weights, weights)))
@@ -248,10 +246,8 @@ def transform_corpus(model: TfidfModel, docs: Sequence[str] | DocTerms) -> sp.cs
     n_docs, keys = _vocabulary_hits(model, docs)
     keys, counts = _count_distinct(keys)
     rows, cols = np.divmod(keys, model.n_features)
-    if model.config.sublinear_tf:
-        tf = [1.0 + math.log(count) for count in range(1, counts.max(initial=1) + 1)]
-    else:
-        tf = [float(count) for count in range(1, counts.max(initial=1) + 1)]
+    tf = [_term_frequency(count, model.config.sublinear_tf)
+          for count in range(1, counts.max(initial=1) + 1)]
     weights = np.array(tf)[counts - 1] * model.idf[cols]
     indptr = np.zeros(n_docs + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])

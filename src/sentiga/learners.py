@@ -21,7 +21,7 @@ import math
 import typing
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
@@ -48,16 +48,42 @@ def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
     return ClassWeights(w=n / (len(counts) * counts))
 
 
-def _check_finite(config) -> None:
-    """Raise ValueError unless every float field of `config`, read from its
-    type hints, is finite, and its seed non-negative as numpy requires."""
-    hints = typing.get_type_hints(type(config))
+# Each bound a config's `bounds` may name, other than a tuple of the
+# supported values: the name is how its error message reads.
+_BOUNDS = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "a whole number at least 1": lambda v: v >= 1 and v % 1 == 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "one or more positive widths": lambda v: len(v) > 0 and min(v) >= 1,
+    "a pair lo,hi with 1 <= lo <= hi": lambda v: len(v) == 2 and 1 <= v[0] <= v[1],
+}
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # of a config class
+
+
+def check_config(config) -> None:
+    """Raise ValueError unless every field of `config` is within bounds: a
+    float finite, a `seed` non-negative as numpy requires, and each field
+    that the class's `bounds` names within its bound there, a key of
+    `_BOUNDS` or a tuple of the supported values. None passes wherever the
+    field's type hint admits it."""
+    hints, bounds = _type_hints(type(config)), config.bounds
     for f in fields(config):
-        value = getattr(config, f.name)
-        if hints[f.name] is float and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {config.seed}")
+        name, value, hint = f.name, getattr(config, f.name), hints[f.name]
+        if value is None and type(None) in typing.get_args(hint):
+            continue
+        if hint is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        bound = bounds.get(name, "non-negative" if name == "seed" else None)
+        if isinstance(bound, tuple):
+            if value not in bound:
+                raise ValueError(f"unsupported {name}: {value!r}")
+        elif bound is not None and not _BOUNDS[bound](value):
+            raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,18 +95,11 @@ class LogRegConfig:
     tol: float = 1e-6
     seed: int = 42
 
+    bounds: ClassVar = {"C": "positive", "class_weight": ("balanced",), "solver": ("lbfgs",),
+                        "max_iter": "at least 1", "tol": "positive"}
+
     def __post_init__(self):
-        _check_finite(self)
-        if self.class_weight not in ("balanced", None):
-            raise ValueError(f"unsupported class_weight: {self.class_weight!r}")
-        if self.solver != "lbfgs":
-            raise ValueError(f"unsupported solver: {self.solver!r}")
-        if not self.C > 0:
-            raise ValueError(f"C must be positive, got {self.C}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        check_config(self)
 
 
 @dataclass(frozen=True)
@@ -98,35 +117,15 @@ class MlpConfig:
     batch_size: int | None = None  # None -> min(200, n)
     seed: int = 42
 
+    bounds: ClassVar = {
+        "hidden_layer_sizes": "one or more positive widths", "activation": ("relu",),
+        "solver": ("adam",), "alpha": "non-negative", "learning_rate_init": "non-negative",
+        "max_iter": "at least 1", "validation_fraction": "in (0, 1)",
+        "patience": "non-negative", "improvement_tol": "non-negative", "batch_size": "at least 1",
+    }
+
     def __post_init__(self):
-        _check_finite(self)
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
-        if self.solver != "adam":
-            raise ValueError(f"unsupported solver: {self.solver!r}")
-        if not self.hidden_layer_sizes or min(self.hidden_layer_sizes) < 1:
-            raise ValueError(
-                f"hidden_layer_sizes must be one or more positive widths, "
-                f"got {self.hidden_layer_sizes}"
-            )
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not self.learning_rate_init >= 0:
-            raise ValueError(
-                f"learning_rate_init must be non-negative, got {self.learning_rate_init}"
-            )
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 < self.validation_fraction < 1:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
-        if self.patience < 0:
-            raise ValueError(f"patience must be non-negative, got {self.patience}")
-        if not self.improvement_tol >= 0:
-            raise ValueError(f"improvement_tol must be non-negative, got {self.improvement_tol}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be None or at least 1, got {self.batch_size}")
+        check_config(self)
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,10 @@ class LinearSvmConfig:
     epochs: int = 200
     seed: int = 42
 
+    bounds: ClassVar = {"regularization": "positive", "epochs": "at least 1"}
+
     def __post_init__(self):
-        _check_finite(self)
-        if not self.regularization > 0:
-            raise ValueError(f"regularization must be positive, got {self.regularization}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        check_config(self)
 
 
 @dataclass

@@ -1,10 +1,23 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+# On a failing @given test, hypothesis imports its patching module, whose
+# libcst import raises a DeprecationWarning; under pyproject's
+# error::DeprecationWarning filter that would end the run in an
+# INTERNALERROR instead of printing the falsifying example. Import it here,
+# once, with that warning ignored. It is absent when libcst is.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 from sentiga.corpus import CleanRecord, SentimentClass
 from sentiga.textnorm import default_slang

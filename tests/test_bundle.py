@@ -617,14 +617,29 @@ class TestBundleStructure:
              "max_features must be at least 1"),
             ("mlp", lambda data: data["classifier"]["config"].update(improvement_tol=-1),
              "improvement_tol must be non-negative"),
+            ("logreg", lambda data: data["tfidf"]["config"].update(ngram_range=[1, 2, 3]),
+             r"ngram_range must be a pair lo,hi with 1 <= lo <= hi, got \(1, 2, 3\)"),
+            ("logreg", lambda data: data["tfidf"]["config"].update(min_df=0),
+             "min_df must be a whole number at least 1, got 0"),
         ],
         ids=["mlp-activation", "logreg-solver", "logreg-class-weight", "split-seed",
              "split-test-fraction-5", "split-test-fraction-0", "mlp-seed", "max-features",
-             "mlp-improvement-tol"],
+             "mlp-improvement-tol", "ngram-range-triple", "min-df-zero"],
     )
     def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit, message):
         with pytest.raises(BundleError, match=f"malformed payload: ValueError.*{message}"):
             load_bundle(self._edited(saved, kind, edit, tmp_path))
+
+    def test_a_huge_ngram_bound_loads_and_predicts_as_saved(self, saved, tmp_path):
+        def edit(data):
+            data["tfidf"]["config"]["ngram_range"] = [1, 100000]
+
+        huge = load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+        bundle = load_bundle(saved["logreg"])
+        for text in ("senang bagus keren sekali hari ini", "", "kecewa"):
+            served, expected = predict(huge, text, 1, 2), predict(bundle, text, 1, 2)
+            assert served.label is expected.label
+            assert np.array_equal(served.scores, expected.scores)
 
     def test_whole_number_float_field_loads_as_float(self, saved, tmp_path):
         def edit(data):

@@ -255,9 +255,16 @@ class TestExitCodes:
             (("--max_features", "0"), "max_features must be at least 1, got 0"),
             (("--model", "mlp", "--improvement_tol", "-1"),
              "improvement_tol must be non-negative, got -1.0"),
+            (("--ngram_range", "3"),
+             "usage error: ngram_range must be a pair lo,hi with 1 <= lo <= hi, got (3,)"),
+            (("--ngram_range", "2,1"),
+             "usage error: ngram_range must be a pair lo,hi with 1 <= lo <= hi, got (2, 1)"),
+            (("--min_df", "0"), "usage error: min_df must be a whole number at least 1, got 0"),
+            (("--max_df", "2"), "usage error: max_df must be in (0, 1], got 2.0"),
         ],
         ids=["activation", "solver", "class_weight", "random_state", "max_features-negative",
-             "max_features-zero", "improvement_tol"],
+             "max_features-zero", "improvement_tol", "ngram_range-single", "ngram_range-reversed",
+             "min_df-zero", "max_df-above-1"],
     )
     def test_unsupported_option_is_refused_before_the_data_is_read(
         self, tmp_path, capsys, flags, message
@@ -736,12 +743,24 @@ class TestOverrideFlags:
             assert action.default is argparse.SUPPRESS
             assert action.help.endswith(f"(default {f.default})")
 
-    def test_readme_table_lists_every_override_flag(self):
+    @staticmethod
+    def _readme_table() -> dict[str, list[str]]:
+        """The cells of each row of the README's override table, by flag."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Hyperparameter overrides", 1)[1].split("\n#", 1)[0]
-        rows = [line.split("|")[1].strip() for line in section.splitlines()
-                if line.startswith("| `--")]
-        assert sorted(rows) == sorted(f"`{flag}`" for flag in _override_flags("train"))
+        rows = [[cell.strip() for cell in line.split("|")[1:-1]]
+                for line in section.splitlines() if line.startswith("| `--")]
+        return {row[0].strip("`"): row for row in rows}
+
+    def test_readme_table_lists_every_override_flag(self):
+        assert sorted(self._readme_table()) == sorted(_override_flags("train"))
+
+    def test_readme_table_words_each_named_bound_as_its_config(self):
+        table = self._readme_table()
+        for cls in [TfidfConfig, *(learner.config for learner in LEARNERS.values())]:
+            for name, bound in cls.bounds.items():
+                if isinstance(bound, str):
+                    assert bound in table[f"--{export.public_name(name)}"][3], (cls, name)
 
 
 class TestReferenceBundleBytes:

@@ -38,14 +38,19 @@ from sentiga.features import (
 UNIGRAM = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 1))
 
 
+def reference_terms(doc, ngram_range):
+    """The n-gram strings of a document by definition: every run of n
+    consecutive whitespace tokens, joined by a space, for each n in range."""
+    tokens = doc.split()
+    lo, hi = ngram_range
+    return [" ".join(tokens[i : i + n])
+            for n in range(lo, hi + 1) for i in range(len(tokens) - n + 1)]
+
+
 def reference_tfidf_row(model, doc):
     """One TF-IDF row as a plain loop over n-gram strings, with numpy-scalar
     arithmetic; tfidf_row must match it bit for bit."""
-    tokens = doc.split()
-    lo, hi = model.config.ngram_range
-    terms = []
-    for n in range(lo, hi + 1):
-        terms.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    terms = reference_terms(doc, model.config.ngram_range)
     counts = Counter(term for term in terms if term in model.vocabulary)
     row = sorted((model.vocabulary[term], count) for term, count in counts.items())
     weights = []
@@ -116,6 +121,30 @@ _ORACLE_MODELS = {
     for ngram_range in [(1, 1), (1, 2), (2, 3)]
     for sublinear in (True, False)
 }
+
+
+class TestExtractTerms:
+    DOCS = ["", "aa", "aa bb cc dd", "aa bb aa bb aa bb cc"]
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_equals_reference(self, doc):
+        for lo in range(1, 6):
+            for hi in range(lo, 12):
+                assert extract_terms(doc, (lo, hi)) == reference_terms(doc, (lo, hi))
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_an_upper_bound_past_the_document_stops_at_its_length(self, doc):
+        n_tokens = len(doc.split())
+        for lo in (1, 2, 10**9):
+            assert extract_terms(doc, (lo, 10**9)) == reference_terms(doc, (lo, n_tokens))
+
+    def test_a_huge_upper_bound_fits_and_transforms_as_the_longest_document(self):
+        config = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 10**9))
+        longest = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 7))
+        huge, model = fit_tfidf(self.DOCS, config), fit_tfidf(self.DOCS, longest)
+        assert huge.vocabulary == model.vocabulary
+        assert np.array_equal(huge.idf, model.idf)
+        assert_csr_identical(transform_corpus(huge, self.DOCS), transform_corpus(model, self.DOCS))
 
 
 class TestFitTfidf:

@@ -111,6 +111,10 @@ def test_unknown_kind_is_rejected(records, tmp_path):
         (LinearSvmConfig, {"seed": -3}),
         (TfidfConfig, {"max_features": 0}),
         (TfidfConfig, {"max_features": -2}),
+        (TfidfConfig, {"min_df": 1.5}),
+        (TfidfConfig, {"min_df": float("inf")}),
+        (TfidfConfig, {"max_df": float("nan")}),
+        (TfidfConfig, {"ngram_range": (0, 1)}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
