@@ -27,30 +27,19 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import evaluation, learners
-from .corpus import (
-    N_CLASSES,
-    CleanRecord,
-    LabelMap,
-    SentimentClass,
-    _engagement,
-    default_label_map,
-    pairs_digest,
-)
 from .errors import BundleError, DataError, SentigaError, TrainingError
-from .features import (
-    NUMERIC_FEATURE_NAMES,
-    HybridFeatureSpace,
-    Scaler,
-    TfidfConfig,
-    TfidfModel,
-    tfidf_row,
-)
-from .textnorm import check_tables, default_leet, default_slang, post_cleaner
+from .model import (LEARNERS, N_CLASSES, NUMERIC_FEATURE_NAMES, EvalReport, Scaler, SentimentClass,
+                    SplitConfig, TfidfConfig, TfidfModel, _check_features, _engagement, forward,
+                    get_learner, tfidf_row)
+from .textnorm import check_tables, default_leet, default_slang, pairs_digest, post_cleaner
+
+if TYPE_CHECKING:
+    from .corpus import CleanRecord, LabelMap
+    from .features import HybridFeatureSpace
 
 FORMAT_VERSION = 1
 _MAGIC = "SENTIGA-BUNDLE"
@@ -174,7 +163,7 @@ class ModelBundle:
     """Everything needed to turn one raw post into a prediction. Bundles
     compare by identity: a bundle's value is its saved bytes."""
 
-    kind: str                       # a key of learners.LEARNERS
+    kind: str                       # a key of model.LEARNERS
     seed: int
     test_fraction: float
     slang: dict[str, str]
@@ -183,14 +172,14 @@ class ModelBundle:
     tfidf: TfidfModel
     scaler: Scaler
     classifier: object
-    metrics_snapshot: evaluation.EvalReport | None = None
+    metrics_snapshot: EvalReport | None = None
     # raw post -> (clean text, word count, hashtag count) for predict:
     # `textnorm.post_cleaner` of the tables, a token memo that fills as the
     # bundle serves; derived from the tables, so bundles do not store it
     clean_: Callable[[str], tuple[str, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        evaluation.SplitConfig(self.seed, self.test_fraction)  # the split's bounds
+        SplitConfig(self.seed, self.test_fraction)  # the split's bounds
         self.clean_ = post_cleaner(self.slang, self.leet)
 
     @property
@@ -261,7 +250,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
     try:
         data = json.loads(payload_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise BundleError(f"{path}: unparseable payload: {exc}") from None
 
     try:
@@ -281,7 +270,7 @@ def _bundle_from_payload(data: dict) -> ModelBundle:
     is the loaders' DataError rather than a decoding error."""
     check_tables(data["slang"], data["leet"])
     hints = typing.get_type_hints(ModelBundle)
-    hints["classifier"] = learners.LEARNERS[data["kind"]].model
+    hints["classifier"] = LEARNERS[data["kind"]].model
     snapshot = data["metrics_snapshot"]
     if snapshot is not None:
         counts = {"counts": snapshot["confusion"]}
@@ -358,14 +347,14 @@ def predict(
 
     n_terms = bundle.tfidf.n_features
     (W, b), *rest = bundle.classifier.layers
-    learners._check_features(W.shape[0], n_terms + len(counts))
+    _check_features(W.shape[0], n_terms + len(counts))
     cols += range(n_terms, n_terms + len(counts))
     # np.take first copies a matrix that is not C-contiguous; the logreg and
     # SVM layer is such a view (W.T), so its rows are taken as columns of W
     first = W.T.take(cols, 1).T if W.flags.f_contiguous else W.take(cols, 0)
-    scores = learners.forward([(first, b), *rest], x).tolist()
-    probabilistic = learners.LEARNERS[bundle.kind].probabilistic
-    if probabilistic:  # learners.softmax, one row
+    scores = forward([(first, b), *rest], x).tolist()
+    probabilistic = LEARNERS[bundle.kind].probabilistic
+    if probabilistic:  # model.softmax, one row
         top = max(scores)
         exps = [math.exp(s - top) for s in scores]
         total = sum(exps)
@@ -389,11 +378,13 @@ class TrainResult:
     test_indices: np.ndarray
 
     @property
-    def holdout_report(self) -> evaluation.EvalReport:
+    def holdout_report(self) -> EvalReport:
         return self.bundle.metrics_snapshot
 
     @property
     def space(self) -> HybridFeatureSpace:
+        from .features import HybridFeatureSpace
+
         return HybridFeatureSpace(self.bundle.tfidf, self.bundle.scaler)
 
 
@@ -405,13 +396,16 @@ def train_bundle(
     label_map: LabelMap | None = None,
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,
-    split: evaluation.SplitConfig = evaluation.SplitConfig(),
+    split: SplitConfig = SplitConfig(),
 ) -> TrainResult:
     """Stratified split, fit the feature space on the training part only,
     train one classifier (`model_config`, else `kind`'s default seeded by the
     split), evaluate on the held-out part, and bundle it with the snapshot.
     The kind and its config are checked before any data is touched."""
-    learner = learners.get_learner(kind)
+    from . import evaluation
+    from .corpus import default_label_map
+
+    learner = get_learner(kind)
     if model_config is not None and not isinstance(model_config, learner.config):
         raise SentigaError(
             f"model kind {kind!r} takes a {learner.config.__name__}, "

@@ -14,10 +14,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import bundle as bundle_mod
-from . import corpus, datasets, evaluation, export, learners, textnorm
 from .errors import BundleError, DataError, SentigaError, TrainingError
-from .evaluation import SplitConfig
-from .features import TfidfConfig
+from .model import LEARNERS, EvalReport, SentimentClass, SplitConfig, TfidfConfig, public_name
+
+if typing.TYPE_CHECKING:
+    from .corpus import LabelMap
+    from .evaluation import BenchmarkRow
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -25,7 +27,7 @@ EXIT_DATA = 3
 EXIT_TRAINING = 4
 EXIT_IO = 5
 
-_MODEL_CONFIGS = [learner.config for learner in learners.LEARNERS.values()]
+_MODEL_CONFIGS = [learner.config for learner in LEARNERS.values()]
 
 
 class _UsageError(SentigaError):
@@ -76,7 +78,7 @@ def _override_parser(title: str, configs) -> argparse.ArgumentParser:
     flags = {}
     for cls in configs:
         hints = typing.get_type_hints(cls)
-        flags |= {export.public_name(f.name): _flag_type(hints[f.name]) for f in fields(cls)}
+        flags |= {public_name(f.name): _flag_type(hints[f.name]) for f in fields(cls)}
     for name, parse in flags.items():
         group.add_argument(f"--{name}", type=parse, default=argparse.SUPPRESS)
     return parser
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[bundle, source, label_map, tables, split, tfidf, hyper],
                        help="train one model and save a bundle")
-    p.add_argument("--model", choices=learners.LEARNERS, default="logreg")
+    p.add_argument("--model", choices=LEARNERS, default="logreg")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[bundle, source, label_map, split],
@@ -163,12 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 def _resolve_data_path(args) -> Path:
+    from . import datasets
+
     return Path(args.data) if args.data else datasets.reference_corpus_path()
 
 
-def _label_map(args, policy: str = "error", loaded=None) -> corpus.LabelMap:
+def _label_map(args, policy: str = "error", loaded=None) -> LabelMap:
     """The --label-map map, or the bundled one; given a bundle, it must be the
     map the bundle was trained with."""
+    from . import corpus
+
     if args.label_map:
         label_map = corpus.LabelMap.from_file(args.label_map, policy)
     else:
@@ -185,6 +191,8 @@ def _load_records(args, loaded=None):
     """(records, label_map, slang, leet): the --data CSV, or the reference
     corpus, cleaned with the tables of the bundle `loaded` when one is given,
     else with --slang and --leet (default: the bundled tables)."""
+    from . import corpus, textnorm
+
     if loaded is not None:
         slang, leet = loaded.slang, loaded.leet
     else:
@@ -198,7 +206,7 @@ def _load_records(args, loaded=None):
 
 def _given(args, configs) -> dict:
     """Field name -> value of each override flag of `configs` that is given."""
-    flags = {export.public_name(f.name): f.name for cls in configs for f in fields(cls)}
+    flags = {public_name(f.name): f.name for cls in configs for f in fields(cls)}
     return {flags[flag]: value for flag, value in vars(args).items() if flag in flags}
 
 
@@ -221,16 +229,18 @@ def _split(args, base: SplitConfig) -> SplitConfig:
 
 
 def _model_config(args, split: SplitConfig):
-    cls = learners.LEARNERS[args.model].config
+    from . import evaluation
+
+    cls = LEARNERS[args.model].config
     values = _given(args, _MODEL_CONFIGS)
     unused = sorted(values.keys() - {f.name for f in fields(cls)})
     if unused:
-        flags = ", ".join(f"--{export.public_name(name)}" for name in unused)
+        flags = ", ".join(f"--{public_name(name)}" for name in unused)
         raise _UsageError(f"--model {args.model} does not take {flags}")
     return _config(lambda **given: evaluation.seeded_config(args.model, split, **given), values)
 
 
-def _print_report(rep: evaluation.EvalReport) -> None:
+def _print_report(rep: EvalReport) -> None:
     print("confusion matrix (rows true, columns predicted; negative/neutral/positive):")
     for row in rep.confusion.counts:
         print("  " + " ".join(f"{int(v):5d}" for v in row))
@@ -242,7 +252,9 @@ def _print_report(rep: evaluation.EvalReport) -> None:
     print(f"weighted F1 {rep.weighted_f1:.4f}")
 
 
-def _parse_extra_rows(raw_rows) -> list[evaluation.BenchmarkRow]:
+def _parse_extra_rows(raw_rows) -> list[BenchmarkRow]:
+    from . import evaluation
+
     rows = []
     for raw in raw_rows:
         parts = [p.strip() for p in raw.split(",")]
@@ -265,6 +277,8 @@ def _parse_extra_rows(raw_rows) -> list[evaluation.BenchmarkRow]:
 # --------------------------------------------------------------------------
 
 def cmd_preprocess(args) -> int:
+    from . import corpus, export
+
     records, _, _, _ = _load_records(args)
     counts = corpus.class_counts(records)
     out_path = Path(args.out_dir) / "clean_corpus.csv"
@@ -277,7 +291,7 @@ def cmd_preprocess(args) -> int:
         ),
     )
     print(f"prepared {len(records)} records -> {out_path}")
-    for cls in corpus.SentimentClass:
+    for cls in SentimentClass:
         print(f"  {cls.label}: {counts[int(cls)]}")
     return EXIT_OK
 
@@ -308,6 +322,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+    from .features import HybridFeatureSpace
+
     _split(args, SplitConfig())  # the flags given are checked before the bundle is read
     loaded = bundle_mod.load_bundle(args.bundle)
     split = _split(args, SplitConfig(loaded.seed, loaded.test_fraction))
@@ -315,7 +332,7 @@ def cmd_evaluate(args) -> int:
 
     labels = [r.label for r in records]
     test = evaluation.stratified_split(labels, split.test_fraction, split.seed).test_indices
-    space = bundle_mod.HybridFeatureSpace(tfidf=loaded.tfidf, scaler=loaded.scaler)
+    space = HybridFeatureSpace(tfidf=loaded.tfidf, scaler=loaded.scaler)
     X_test, y_test = evaluation.featurized(space, [records[i] for i in test])
     rep = evaluation.held_out_report(loaded.kind, loaded.classifier, X_test, y_test)
     print(f"evaluated {loaded.kind} bundle on {len(y_test)} held-out records")
@@ -327,7 +344,7 @@ def cmd_predict(args) -> int:
     loaded = bundle_mod.load_bundle(args.bundle)
     result = bundle_mod.predict(loaded, args.text, args.retweets, args.likes)
     scores = {
-        cls.label: float(result.scores[int(cls)]) for cls in corpus.SentimentClass
+        cls.label: float(result.scores[int(cls)]) for cls in SentimentClass
     }
     payload = {"class": result.label.label, "probabilistic": result.probabilistic}
     payload["probabilities" if result.probabilistic else "decision_scores"] = scores
@@ -336,6 +353,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from . import evaluation, export
+
     # usage errors before any data is read
     split = _split(args, SplitConfig())
     extra_rows, tfidf_config = _parse_extra_rows(args.extra_row), _tfidf_config(args)
@@ -362,6 +381,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import evaluation, export
+
     loaded = bundle_mod.load_bundle(args.bundle)
     if loaded.metrics_snapshot is None:
         raise DataError("bundle carries no metrics snapshot; retrain to export tables")

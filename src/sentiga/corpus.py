@@ -12,11 +12,8 @@ operational classes through an editable label map.
 from __future__ import annotations
 
 import csv
-import hashlib
 import re
-import sys
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -25,31 +22,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .textnorm import clean_text, count_hashtags, post_cleaner, read_pairs_file
-
-
-class SentimentClass(IntEnum):
-    """Operational sentiment classes; the ordinal order is used everywhere
-    class indices appear (rows of weight matrices, confusion axes, ...)."""
-
-    NEGATIVE = 0
-    NEUTRAL = 1
-    POSITIVE = 2
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def parse(cls, name: str) -> "SentimentClass":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise DataError(f"unknown sentiment class: {name!r}") from None
-
-
-CLASS_NAMES = tuple(c.label for c in SentimentClass)
-N_CLASSES = len(SentimentClass)
+from .model import N_CLASSES, SentimentClass, _engagement
+from .textnorm import clean_text, count_hashtags, pairs_digest, post_cleaner, read_pairs_file
 
 
 @dataclass(frozen=True)
@@ -109,13 +83,6 @@ class LabelMap:
     def digest(self) -> str:
         """Stable fingerprint of the mapping, independent of file layout."""
         return pairs_digest({key: cls.label for key, cls in self.entries.items()})
-
-
-def pairs_digest(pairs: Mapping[str, str]) -> str:
-    """SHA-256 of the pairs as sorted `key,value` lines: the fingerprint of a
-    label map, slang table or leet table."""
-    canon = "\n".join(f"{key},{value}" for key, value in sorted(pairs.items()))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def default_label_map_path() -> Path:
@@ -220,14 +187,6 @@ def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
     if found is None and label_map.unmapped_policy == "error":
         raise DataError(f"unmapped raw label: {raw_label!r}")
     return found
-
-
-def _engagement(retweets: int, likes: int) -> int:
-    """retweets + likes, the engagement feature of training and serving."""
-    engagement = retweets + likes
-    if engagement > sys.float_info.max:
-        raise DataError("retweets + likes is beyond the range of a float feature")
-    return engagement
 
 
 def _record(

@@ -10,32 +10,21 @@ harness survives degenerate models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import learners
-from .corpus import CLASS_NAMES, N_CLASSES, CleanRecord
+from .corpus import CleanRecord
 from .errors import DataError, StratificationError, TrainingError
-from .features import DocTerms, HybridFeatureSpace, TfidfConfig, fit_feature_space
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """The held-out split; its seed also seeds a model whose config is not given."""
-
-    seed: int = 42
-    test_fraction: float = 0.2
-
-    bounds: ClassVar = {"test_fraction": "in (0, 1)"}
-
-    def __post_init__(self):
-        learners.check_config(self)
+from .features import DocTerms, HybridFeatureSpace, fit_feature_space
+from .model import (CLASS_NAMES, LEARNERS, N_CLASSES, ClassMetrics, ConfusionMatrix, EvalReport,
+                    SplitConfig, TfidfConfig, get_learner)
 
 
 def seeded_config(kind: str, split: SplitConfig, **values):
     """Learner `kind`'s config with `values`, seeded by the split unless they give a seed."""
-    return learners.get_learner(kind).config(**{"seed": split.seed} | values)
+    return get_learner(kind).config(**{"seed": split.seed} | values)
 
 
 @dataclass
@@ -92,36 +81,6 @@ def stratified_split(
     )
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[i][j] = samples with true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        # a float count must be whole and castable: NaN, 2.5 or 1e19 are refused
-        if counts.dtype.kind == "f" and not np.all(
-            (counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63)
-        ):
-            raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
-        self.counts = counts.astype(int)
-        if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise DataError(
-                f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {self.counts.shape}"
-            )
-        if np.any(self.counts < 0):
-            raise DataError("confusion counts must be non-negative")
-
-    @property
-    def supports(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_true = np.asarray([int(v) for v in y_true])
     y_pred = np.asarray([int(v) for v in y_pred])
@@ -133,24 +92,6 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     for t, p in zip(y_true, y_pred):
         counts[t, p] += 1
     return ConfusionMatrix(counts=counts)
-
-
-@dataclass
-class ClassMetrics:
-    name: str
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass
-class EvalReport:
-    confusion: ConfusionMatrix
-    per_class: list[ClassMetrics]
-    accuracy: float
-    macro_f1: float
-    weighted_f1: float
 
 
 def report(cm: ConfusionMatrix) -> EvalReport:
@@ -198,7 +139,7 @@ def report(cm: ConfusionMatrix) -> EvalReport:
 # benchmark harness
 # --------------------------------------------------------------------------
 
-MODEL_DISPLAY = {kind: (l.display, l.family) for kind, l in learners.LEARNERS.items()}
+MODEL_DISPLAY = {kind: (l.display, l.family) for kind, l in LEARNERS.items()}
 
 
 @dataclass
@@ -215,13 +156,13 @@ class BenchmarkRow:
 
 def benchmark_row(kind: str, rep: EvalReport) -> BenchmarkRow:
     """The benchmark row of learner `kind`, with the metrics of `rep`."""
-    learner = learners.get_learner(kind)
+    learner = get_learner(kind)
     return BenchmarkRow(learner.display, learner.family, rep.accuracy, rep.macro_f1,
                         rep.weighted_f1, report=rep)
 
 
 def train_model(kind: str, X, y, config):
-    learner = learners.get_learner(kind)
+    learner = get_learner(kind)
     # an overflow or NaN on the way (say C = 1e300) is a fit that diverged
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -231,7 +172,7 @@ def train_model(kind: str, X, y, config):
 
 
 def predict_model(kind: str, model, X) -> np.ndarray:
-    return getattr(learners, learners.get_learner(kind).predict)(model, X)
+    return getattr(learners, get_learner(kind).predict)(model, X)
 
 
 def featurized(
@@ -271,14 +212,14 @@ def run_benchmark(
     split: SplitConfig = SplitConfig(),
     tfidf_config: TfidfConfig | None = None,
 ) -> list[BenchmarkRow]:
-    """Train every learner of `learners.LEARNERS` on one shared stratified
+    """Train every learner of `model.LEARNERS` on one shared stratified
     split and evaluate on the shared test part. A failing model yields a row
     flagged as failed; the remaining rows are still produced. Rows are sorted
     by accuracy descending, failed rows last."""
     _, _, X_train, y_train, X_test, y_test = featurized_split(records, split, tfidf_config)
 
     rows = []
-    for kind, learner in learners.LEARNERS.items():
+    for kind, learner in LEARNERS.items():
         try:
             model = train_model(kind, X_train, y_train, seeded_config(kind, split))
             rows.append(benchmark_row(kind, held_out_report(kind, model, X_test, y_test)))

@@ -16,9 +16,8 @@ from typing import Sequence
 
 from .bundle import write_text_atomic
 from .corpus import LabelMap
-from .evaluation import BenchmarkRow, EvalReport
-from .features import TfidfConfig
-from .learners import LEARNERS
+from .evaluation import BenchmarkRow
+from .model import LEARNERS, EvalReport, TfidfConfig, public_name
 
 BENCHMARK_FILE = "model_benchmark_table.csv"
 PER_CLASS_FILE = "per_class_metrics_table.csv"
@@ -39,11 +38,6 @@ MINI_LABELS = (
 
 def format_metric(value: float) -> str:
     return format(float(value), ".4f")
-
-
-def public_name(field: str) -> str:
-    """A config field's name in its override flag and the hyperparameter table."""
-    return "random_state" if field == "seed" else field
 
 
 def _format_value(value) -> str:

@@ -12,48 +12,20 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, mul, truediv
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .corpus import CleanRecord
 from .errors import DataError
-from .learners import check_config
+from .model import (NUMERIC_FEATURE_NAMES, Scaler, TfidfConfig, TfidfModel, _left_sum,
+                    _term_frequency, extract_terms)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-NUMERIC_FEATURE_NAMES = ("word_count", "engagement", "hashtag_count")
-
-
-@dataclass(frozen=True)
-class TfidfConfig:
-    max_features: int = 3000
-    min_df: int = 2          # absolute document count
-    max_df: float = 0.9      # fraction of documents
-    ngram_range: tuple[int, int] = (1, 2)
-    sublinear_tf: bool = True
-
-    bounds: ClassVar = {"max_features": "at least 1", "min_df": "a whole number at least 1",
-                        "max_df": "in (0, 1]", "ngram_range": "a pair lo,hi with 1 <= lo <= hi"}
-
-    def __post_init__(self):
-        check_config(self)
-
-
-def extract_terms(doc: str, ngram_range: tuple[int, int]) -> list[str]:
-    """Unigrams and n-grams of whitespace tokens; n-grams are the tokens
-    joined by a single space."""
-    tokens = doc.split()
-    lo, hi = ngram_range
-    terms: list[str] = []
-    for n in range(lo, min(hi, len(tokens)) + 1):  # no n-gram is longer than the document
-        terms += tokens if n == 1 else map(" ".join, zip(*[tokens[i:] for i in range(n)]))
-    return terms
 
 
 @dataclass(frozen=True)
@@ -91,30 +63,6 @@ def _as_doc_terms(docs: Sequence[str] | DocTerms, ngram_range: tuple[int, int]) 
     if docs.ngram_range != tuple(ngram_range):
         raise ValueError(f"terms of n-grams {docs.ngram_range}, expected {ngram_range}")
     return docs
-
-
-@dataclass
-class TfidfModel:
-    vocabulary: dict[str, int]   # term -> dense column index, lexicographic
-    idf: np.ndarray              # (V,), aligned with vocabulary indices
-    config: TfidfConfig
-    # term -> (column, idf as a Python float), what tfidf_row looks up; derived
-    # from `vocabulary` and `idf`, so bundles do not store it
-    columns_: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n_terms = len(self.vocabulary)
-        if self.idf.shape != (n_terms,) or sorted(self.vocabulary.values()) != list(range(n_terms)):
-            raise ValueError(
-                f"a vocabulary column is missing, repeated or outside 0..{n_terms - 1}, "
-                f"or the IDF shape {self.idf.shape} is not ({n_terms},)"
-            )
-        idf = self.idf.tolist()
-        self.columns_ = {term: (col, idf[col]) for term, col in self.vocabulary.items()}
-
-    @property
-    def n_features(self) -> int:
-        return len(self.vocabulary)
 
 
 def fit_tfidf(docs: Sequence[str] | DocTerms, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
@@ -167,15 +115,6 @@ def _count_distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.diff(starts, append=len(keys))
 
 
-def _left_sum(terms, total=0.0):
-    """`total` plus the terms, added left to right with one rounding per
-    addition: of floats, or elementwise of arrays. ``sum`` of floats is
-    compensated from CPython 3.12 on, so it would round differently there."""
-    for term in terms:
-        total = total + term
-    return total
-
-
 def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
     """The k-th entry of every CSR row for k = 0, 1, ..., as one vector per
     k, 0.0 for a row with k entries or fewer."""
@@ -185,29 +124,6 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
         live = lengths > k
         entries[live] = values[starts[live] + k]
         yield entries
-
-
-def _term_frequency(count: int, sublinear: bool) -> float:
-    """The weight of a term seen `count` times in a document, before its idf."""
-    return 1.0 + math.log(count) if sublinear else float(count)
-
-
-def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
-    """One document's TF-IDF row as (ascending column indices, weights):
-    (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
-    empty documents give two empty lists."""
-    hits = sorted(filter(None, map(model.columns_.get,
-                                   extract_terms(doc, model.config.ngram_range))))
-    row = dict(hits)  # column -> idf, ascending
-    if len(row) < len(hits):  # a repeated term: weigh each column by its count
-        counts, sublinear = Counter(map(itemgetter(0), hits)), model.config.sublinear_tf
-        row = {col: _term_frequency(counts[col], sublinear) * idf for col, idf in row.items()}
-    # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
-    weights = list(row.values())
-    norm = math.sqrt(_left_sum(map(mul, weights, weights)))
-    if norm > 0:
-        weights = list(map(truediv, weights, repeat(norm)))
-    return list(row), weights
 
 
 def _vocabulary_hits(model: TfidfModel, docs: Sequence[str] | DocTerms) -> tuple[int, np.ndarray]:
@@ -265,20 +181,6 @@ def numeric_matrix(records: Sequence[CleanRecord]) -> np.ndarray:
         [v for r in records for v in (r.word_count, r.engagement, r.hashtag_count)],
         dtype=float,
     ).reshape(-1, len(NUMERIC_FEATURE_NAMES))
-
-
-@dataclass
-class Scaler:
-    """Per-column standardizer with population statistics (divisor n)."""
-
-    means: np.ndarray
-    stds: np.ndarray
-    # the divisors: a zero std marks a constant column, which maps to 0 at
-    # transform; derived from `stds`, so bundles do not store it
-    safe_stds_: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.safe_stds_ = np.where(self.stds == 0, 1.0, self.stds)
 
 
 def fit_scaler(rows: np.ndarray | Sequence[Sequence[float]]) -> Scaler:

@@ -10,23 +10,21 @@
 
 All training runs in float64 and is bit-deterministic for a fixed seed.
 Class ordinals follow SentimentClass (negative=0, neutral=1, positive=2).
-`LEARNERS`, at the end, is the one table the rest of the package reads
-for what differs between the three.
+Their configs, fitted models and `LEARNERS`, the one table the rest of the
+package reads for what differs between the three, live in `model`.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import typing
 from collections import deque
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .corpus import N_CLASSES
-from .errors import DataError, SentigaError, StratificationError, TrainingError
+from .errors import DataError, StratificationError, TrainingError
+from .model import (N_CLASSES, LinearSvmConfig, LinearSvmModel, LogRegConfig, LogRegModel,
+                    MlpConfig, MlpModel, _check_features, _row_max, _row_sum, forward, softmax)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -46,137 +44,6 @@ def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
         raise TrainingError(f"every class needs samples, got counts {counts}")
     n = counts.sum()
     return ClassWeights(w=n / (len(counts) * counts))
-
-
-# Each bound a config's `bounds` may name, other than a tuple of the
-# supported values: the name is how its error message reads.
-_BOUNDS = {
-    "positive": lambda v: v > 0,
-    "non-negative": lambda v: v >= 0,
-    "at least 1": lambda v: v >= 1,
-    "a whole number at least 1": lambda v: v >= 1 and v % 1 == 0,
-    "in (0, 1)": lambda v: 0 < v < 1,
-    "in (0, 1]": lambda v: 0 < v <= 1,
-    "one or more positive widths": lambda v: len(v) > 0 and min(v) >= 1,
-    "a pair lo,hi with 1 <= lo <= hi": lambda v: len(v) == 2 and 1 <= v[0] <= v[1],
-}
-
-
-_type_hints = functools.cache(typing.get_type_hints)  # of a config class
-
-
-def check_config(config) -> None:
-    """Raise ValueError unless every field of `config` is within bounds: a
-    float finite, a `seed` non-negative as numpy requires, and each field
-    that the class's `bounds` names within its bound there, a key of
-    `_BOUNDS` or a tuple of the supported values. None passes wherever the
-    field's type hint admits it."""
-    hints, bounds = _type_hints(type(config)), config.bounds
-    for f in fields(config):
-        name, value, hint = f.name, getattr(config, f.name), hints[f.name]
-        if value is None and type(None) in typing.get_args(hint):
-            continue
-        if hint is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        bound = bounds.get(name, "non-negative" if name == "seed" else None)
-        if isinstance(bound, tuple):
-            if value not in bound:
-                raise ValueError(f"unsupported {name}: {value!r}")
-        elif bound is not None and not _BOUNDS[bound](value):
-            raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-@dataclass(frozen=True)
-class LogRegConfig:
-    C: float = 2.0
-    class_weight: str | None = "balanced"
-    solver: str = "lbfgs"
-    max_iter: int = 2000
-    tol: float = 1e-6
-    seed: int = 42
-
-    bounds: ClassVar = {"C": "positive", "class_weight": ("balanced",), "solver": ("lbfgs",),
-                        "max_iter": "at least 1", "tol": "positive"}
-
-    def __post_init__(self):
-        check_config(self)
-
-
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden_layer_sizes: tuple[int, ...] = (256, 64)
-    activation: str = "relu"
-    solver: str = "adam"
-    alpha: float = 1e-4
-    learning_rate_init: float = 1e-3
-    max_iter: int = 60
-    early_stopping: bool = True
-    validation_fraction: float = 0.1
-    patience: int = 10
-    improvement_tol: float = 1e-4
-    batch_size: int | None = None  # None -> min(200, n)
-    seed: int = 42
-
-    bounds: ClassVar = {
-        "hidden_layer_sizes": "one or more positive widths", "activation": ("relu",),
-        "solver": ("adam",), "alpha": "non-negative", "learning_rate_init": "non-negative",
-        "max_iter": "at least 1", "validation_fraction": "in (0, 1)",
-        "patience": "non-negative", "improvement_tol": "non-negative", "batch_size": "at least 1",
-    }
-
-    def __post_init__(self):
-        check_config(self)
-
-
-@dataclass(frozen=True)
-class LinearSvmConfig:
-    regularization: float = 1.0
-    epochs: int = 200
-    seed: int = 42
-
-    bounds: ClassVar = {"regularization": "positive", "epochs": "at least 1"}
-
-    def __post_init__(self):
-        check_config(self)
-
-
-@dataclass
-class LogRegModel:
-    W: np.ndarray            # (3, D)
-    b: np.ndarray            # (3,)
-    config: LogRegConfig
-    n_iter_: int = 0
-    objective_history_: list[float] = field(default_factory=list)
-
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.W.T, self.b)]
-
-
-@dataclass
-class MlpModel:
-    weights: list[np.ndarray]   # [(D,H1), (H1,H2), (H2,3)]
-    biases: list[np.ndarray]
-    config: MlpConfig
-    n_epochs_: int = 0
-    best_epoch_: int = 0
-    validation_scores_: list[float] = field(default_factory=list)
-    loss_curve_: list[float] = field(default_factory=list)
-
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(zip(self.weights, self.biases, strict=True))
-
-
-@dataclass
-class LinearSvmModel:
-    W: np.ndarray            # (3, D)
-    b: np.ndarray            # (3,)
-    config: LinearSvmConfig
-
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.W.T, self.b)]
 
 
 def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
@@ -210,13 +77,6 @@ def _check_labels(X, y) -> np.ndarray:
     return y
 
 
-def _check_features(model_dim: int, n_features: int) -> None:
-    if n_features != model_dim:
-        raise DataError(
-            f"model expects {model_dim} features, got {n_features}"
-        )
-
-
 def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
     if class_weight is None:
         return np.ones(len(y))
@@ -224,41 +84,10 @@ def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
     return balanced_weights(counts).w[y]
 
 
-# Row max and row sum over the N_CLASSES columns of a score matrix, folded
-# one column at a time: the same bits as `max(axis=1)` and `sum(axis=1)`,
-# which also go left to right over so few columns, at a fraction of the cost
-# of numpy's strided row reduction.
-
-def _row_max(scores: np.ndarray) -> np.ndarray:
-    return functools.reduce(np.maximum, scores.T)
-
-
-def _row_sum(scores: np.ndarray) -> np.ndarray:
-    # numpy's sum starts from +0.0, so a row of -0.0 sums to 0.0
-    return functools.reduce(np.add, scores.T, 0.0)
-
-
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - _row_max(scores)[:, None]
-    exp = np.exp(shifted)
-    return exp / _row_sum(exp)[:, None]
-
-
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - _row_max(scores)[:, None]
     log_norm = np.log(_row_sum(np.exp(shifted)))
     return shifted - log_norm[:, None]
-
-
-def forward(layers, X) -> np.ndarray:
-    """Scores before any softmax: x @ W + b for each (W, b) of `layers`,
-    ReLU between layers. X is one row (1-d) or a batch of rows."""
-    (W, b), *rest = layers
-    scores = np.asarray(X @ W) + b
-    for W, b in rest:
-        np.maximum(scores, 0.0, out=scores)
-        scores = np.asarray(scores @ W) + b
-    return scores
 
 
 def _scores(model, X) -> np.ndarray:
@@ -636,42 +465,3 @@ def decision_scores_svm(model: LinearSvmModel, X) -> np.ndarray:
 
 def predict_svm(model: LinearSvmModel, X) -> np.ndarray:
     return np.argmax(decision_scores_svm(model, X), axis=1)
-
-
-# --------------------------------------------------------------------------
-# the learner table
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Learner:
-    """What the rest of the package knows about one kind of classifier.
-
-    Training and batch prediction are held by name and looked up on this
-    module at call time, so a replaced module attribute is the one called.
-    """
-
-    config: type                # its config dataclass
-    model: type                 # its fitted-model dataclass; `forward` applies
-                                # the (W, b) pairs of `model.layers`
-    train: str                  # train(X, y, config) -> model
-    predict: str                # predict(model, X) -> class ordinals
-    probabilistic: bool         # scores are softmax probabilities
-    display: str
-    family: str
-
-
-LEARNERS = {
-    "logreg": Learner(LogRegConfig, LogRegModel, "train_logreg", "predict_logreg",
-                      True, "Logistic Regression", "Classical ML"),
-    "mlp": Learner(MlpConfig, MlpModel, "train_mlp", "predict_mlp",
-                   True, "MLPClassifier", "Neural baseline"),
-    "svm": Learner(LinearSvmConfig, LinearSvmModel, "train_linear_svm", "predict_svm",
-                   False, "Linear SVM", "Classical ML"),
-}
-
-
-def get_learner(kind: str) -> Learner:
-    try:
-        return LEARNERS[kind]
-    except KeyError:
-        raise SentigaError(f"unknown model kind: {kind!r}") from None

@@ -8,11 +8,12 @@ plain dicts loaded from ``key,value`` asset files and are user-extensible.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .errors import DataError
 
@@ -40,6 +41,13 @@ def read_pairs_file(path: str | Path) -> dict[str, str]:
             raise DataError(f"{path}: line {lineno}: empty key or value")
         entries[key] = value
     return entries
+
+
+def pairs_digest(pairs: Mapping[str, str]) -> str:
+    """SHA-256 of the pairs as sorted `key,value` lines: the fingerprint of a
+    label map, slang table or leet table."""
+    canon = "\n".join(f"{key},{value}" for key, value in sorted(pairs.items()))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _asset_path(name: str) -> Path:

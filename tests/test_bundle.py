@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SOCIAL_POSTS, edit_bundle_payload, make_clean_records, write_raw_csv
-from sentiga import evaluation, learners, textnorm
+from sentiga import evaluation, textnorm
 from sentiga.bundle import (
     FORMAT_VERSION,
     ModelBundle,
@@ -40,6 +40,7 @@ from sentiga.learners import (
     predict_proba_logreg,
     predict_proba_mlp,
 )
+from sentiga.model import LEARNERS, forward, softmax
 from sentiga.textnorm import clean_text, count_hashtags
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
@@ -338,7 +339,7 @@ def reference_results(reference_raw):
 
 
 def _layer_loop(layers, X):
-    """Reference for `learners.forward`: x @ W + b per layer, ReLU after
+    """Reference for `model.forward`: x @ W + b per layer, ReLU after
     every layer but the last."""
     activation = X
     last = len(layers) - 1
@@ -446,10 +447,10 @@ class TestMatrixPathParity:
         result = reference_results[kind]
         model = result.bundle.classifier
         X = result.space.featurize(prepare_corpus(reference_raw)).to_csr()
-        scores = learners.forward(model.layers, X)
+        scores = forward(model.layers, X)
         assert np.array_equal(scores, _layer_loop(model.layers, X))
-        if learners.LEARNERS[kind].probabilistic:
-            scores = learners.softmax(scores)
+        if LEARNERS[kind].probabilistic:
+            scores = softmax(scores)
         assert np.array_equal(scores, self.SCORERS[kind](model, X))
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -23,7 +24,7 @@ from sentiga.corpus import SentimentClass, default_label_map, default_label_map_
 from sentiga.datasets import reference_corpus_path
 from sentiga.evaluation import SplitConfig
 from sentiga.features import TfidfConfig
-from sentiga.learners import LEARNERS
+from sentiga.model import LEARNERS
 
 
 def run(*argv):
@@ -141,23 +142,30 @@ class TestTrainEvaluatePredict:
         assert "decision_scores" in payload
 
     def test_predict_does_not_import_scipy(self, trained_bundle):
+        """`sentiga predict`, run the way `python -m sentiga` runs it, imports
+        only the serving modules."""
         script = (
-            "import sys\n"
-            "import sentiga\n"
-            "from sentiga import cli\n"
-            "code = cli.main(['predict', '--bundle', sys.argv[1], '--text', 'aku senang'])\n"
-            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('sentiga', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] in ('sentiga', 'scipy')),\n"
+            "          file=sys.stderr)\n"
         )
         src = str(Path(sentiga.__file__).parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]
         )}
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(trained_bundle)],
+            [sys.executable, "-c", script, "predict", "--bundle", str(trained_bundle),
+             "--text", "aku senang"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert json.loads(proc.stdout)["class"] in ("negative", "neutral", "positive")
+        loaded = set(ast.literal_eval(proc.stderr.splitlines()[-1])) - {"sentiga.__main__"}
+        assert loaded == {"sentiga", "sentiga.cli", "sentiga.bundle", "sentiga.model",
+                          "sentiga.textnorm", "sentiga.errors"}
 
 
 class TestBenchmarkExport:
@@ -517,17 +525,23 @@ class TestExitCodes:
 
 def write_unreadable_files(root, bundle):
     """Inputs that no reader can decode: a Latin-1 CSV, a Latin-1 pairs
-    file, `bundle` with one Latin-1 byte in its payload, and a CSV whose
-    unclosed quote runs past the csv module's 128 KiB field limit."""
+    file, `bundle` with one Latin-1 byte in its payload, a CSV whose
+    unclosed quote runs past the csv module's 128 KiB field limit, and a
+    bundle whose checksummed payload nests 100,000 arrays deep."""
     paths = {key: root / name for key, name in [
         ("latin1_csv", "latin1.csv"), ("latin1_pairs", "latin1.txt"),
         ("latin1_bundle", "latin1.bundle"), ("unclosed", "unclosed.csv"),
+        ("nested_bundle", "nested.bundle"),
     ]}
     header = "Text,Sentiment,Retweets,Likes\n"
     paths["latin1_csv"].write_bytes(f"{header}café,Joy,1,1\n".encode("latin-1"))
     paths["latin1_pairs"].write_bytes("café,joy\n".encode("latin-1"))
     paths["latin1_bundle"].write_bytes(bundle.read_bytes().replace(b"{", b"\xe9{", 1))
     paths["unclosed"].write_text(f'{header}"' + "a" * 140_000, encoding="utf-8")
+    nested = "[" * 100_000 + "]" * 100_000  # deeper than the JSON decoder recurses
+    digest = hashlib.sha256(nested.encode("utf-8")).hexdigest()
+    paths["nested_bundle"].write_text(f"SENTIGA-BUNDLE v1\nsha256:{digest}\n{nested}\n",
+                                      encoding="utf-8")
     return paths
 
 
@@ -565,6 +579,12 @@ class TestUnreadableFiles:
                               "--text", "halo")
         assert code == 5
         assert "latin1.bundle: not UTF-8 text" in err
+
+    def test_bundle_nested_too_deep_is_io_error(self, files, capsys):
+        code, err = self._run(capsys, "predict", "--bundle", str(files["nested_bundle"]),
+                              "--text", "halo")
+        assert code == 5
+        assert "nested.bundle: unparseable payload" in err
 
 
 class TestCsvHeader:
@@ -943,7 +963,7 @@ class TestArgvProperty:
             "--data": path("csv", "garbage", "empty", "dir", "missing", "bundle", "latin1_csv",
                            "unclosed"),
             "--bundle": path("bundle", "garbage", "empty", "dir", "missing", "csv",
-                             "latin1_bundle"),
+                             "latin1_bundle", "nested_bundle"),
             "--out-dir": path("out", "csv", "missing"),
             "--label-map": path("garbage", "empty", "dir", "missing", "latin1_pairs"),
             "--slang": path("garbage", "empty", "dir", "missing", "csv", "latin1_pairs"),

@@ -30,10 +30,10 @@ from sentiga.features import (
     fit_scaler,
     fit_tfidf,
     numeric_matrix,
-    tfidf_row,
     transform_corpus,
     transform_scaler,
 )
+from sentiga.model import tfidf_row
 
 UNIGRAM = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 1))
 

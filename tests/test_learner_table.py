@@ -12,7 +12,8 @@ from sentiga.bundle import load_bundle, save_bundle, train_bundle
 from sentiga.errors import BundleError, SentigaError
 from sentiga.evaluation import predict_model, run_benchmark, train_model
 from sentiga.features import TfidfConfig
-from sentiga.learners import LEARNERS, LinearSvmConfig, LogRegConfig, MlpConfig
+from sentiga.learners import LinearSvmConfig, LogRegConfig, MlpConfig
+from sentiga.model import LEARNERS
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 
