@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -33,8 +32,8 @@ import numpy as np
 
 from .errors import BundleError, DataError, SentigaError, TrainingError
 from .model import (LEARNERS, N_CLASSES, NUMERIC_FEATURE_NAMES, EvalReport, Scaler, SentimentClass,
-                    SplitConfig, TfidfConfig, TfidfModel, _check_features, _engagement, forward,
-                    get_learner, tfidf_row)
+                    SplitConfig, TfidfConfig, TfidfModel, _check_features, _engagement, _left_sum,
+                    forward, get_learner, tfidf_row)
 from .textnorm import check_tables, default_leet, default_slang, pairs_digest, post_cleaner
 
 if TYPE_CHECKING:
@@ -207,15 +206,20 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write `text` as UTF-8 through a temp file in the same directory and an
-    atomic rename, so a failed write never leaves a partial file behind."""
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    atomic rename, so a failed write never leaves a partial file behind. The
+    file gets the mode `open()` gives: 0o666 less the umask."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        # O_EXCL: never another's file; the kernel applies the umask to 0o666
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -357,7 +361,7 @@ def predict(
     if probabilistic:  # model.softmax, one row
         top = max(scores)
         exps = [math.exp(s - top) for s in scores]
-        total = sum(exps)
+        total = _left_sum(exps)
         scores = [e / total for e in exps]
     return Prediction(
         # the first maximum, as np.argmax breaks ties

@@ -169,6 +169,8 @@ def train_model(kind: str, X, y, config):
             return getattr(learners, learner.train)(X, y, config)
         except FloatingPointError as exc:
             raise TrainingError(f"{kind} training diverged: {exc}") from None
+        except MemoryError as exc:  # say, hidden layers too wide for any address space
+            raise TrainingError(f"{kind} model is too large to allocate: {exc}") from None
 
 
 def predict_model(kind: str, model, X) -> np.ndarray:

@@ -17,7 +17,6 @@ package reads for what differs between the three, live in `model`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -30,20 +29,14 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Per-class loss multipliers; balanced weights satisfy sum(w_c * n_c) = n."""
-
-    w: np.ndarray
-
-
-def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> ClassWeights:
-    """w_c = n / (K * n_c): equalizes the aggregate influence of each class."""
+def balanced_weights(class_counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The per-class loss multipliers w_c = n / (K * n_c), which equalize the
+    aggregate influence of each class: sum(w_c * n_c) = n."""
     counts = np.asarray(class_counts, dtype=float)
     if np.any(counts <= 0):
         raise TrainingError(f"every class needs samples, got counts {counts}")
     n = counts.sum()
-    return ClassWeights(w=n / (len(counts) * counts))
+    return n / (len(counts) * counts)
 
 
 def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
@@ -81,7 +74,7 @@ def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
     if class_weight is None:
         return np.ones(len(y))
     counts = np.bincount(y, minlength=N_CLASSES)
-    return balanced_weights(counts).w[y]
+    return balanced_weights(counts)[y]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -132,7 +125,7 @@ def _logreg_value_grad(
     return value, np.concatenate([np.asarray(grad_W).ravel(), grad_b])
 
 
-def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
+def _lbfgs_minimize(value_grad, theta0, max_iter, tol):
     """Two-loop L-BFGS with Armijo backtracking.
 
     Stops when the gradient sup-norm drops below tol, the iteration budget
@@ -144,7 +137,7 @@ def _lbfgs_minimize(value_grad, theta0, max_iter, tol, history=10):
     theta = np.array(theta0, dtype=float)
     value, grad = value_grad(theta)
     path = [value]
-    memory = deque(maxlen=history)  # (s, y, 1 / (s @ y)) of the latest steps
+    memory = deque(maxlen=10)  # (s, y, 1 / (s @ y)) of the latest steps
 
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
@@ -273,14 +266,16 @@ def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
     return loss, w_grads, b_grads
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class _Adam:
     """Adam that updates its parameters in place. Beside the moments `m`
     and `v`, each parameter has one `scratch` array; `update` also spends
     the gradients it is given as working space."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -290,22 +285,22 @@ class _Adam:
         self.t += 1
         rate = (
             self.lr
-            * np.sqrt(1 - self.beta2**self.t)
-            / (1 - self.beta1**self.t)
+            * np.sqrt(1 - _ADAM_BETA2**self.t)
+            / (1 - _ADAM_BETA1**self.t)
         )
         # the operations, in order, of
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
         #   p -= rate * m / (sqrt(v) + eps)
         for p, g, m, v, buf in zip(params, grads, self.m, self.v, self.scratch):
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=buf)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=buf)
+            m *= _ADAM_BETA1
+            m += np.multiply(g, 1 - _ADAM_BETA1, out=buf)
+            v *= _ADAM_BETA2
+            np.multiply(g, 1 - _ADAM_BETA2, out=buf)
             buf *= g
             v += buf
             step = np.multiply(m, rate, out=g)
-            step /= np.add(np.sqrt(v, out=buf), self.eps, out=buf)
+            step /= np.add(np.sqrt(v, out=buf), _ADAM_EPS, out=buf)
             p -= step
 
 

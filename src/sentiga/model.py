@@ -97,8 +97,19 @@ def check_config(config) -> None:
             raise ValueError(f"{name} must be {bound}, got {value}")
 
 
-@dataclass(frozen=True)
-class SplitConfig:
+class _Config:
+    """The base of the five configs: each subclass is a frozen dataclass, and
+    `check_config` checks each one built against the `bounds` beside its
+    fields."""
+
+    def __init_subclass__(cls):
+        dataclass(frozen=True)(cls)
+
+    def __post_init__(self):
+        check_config(self)
+
+
+class SplitConfig(_Config):
     """The held-out split; its seed also seeds a model whose config is not given."""
 
     seed: int = 42
@@ -106,12 +117,8 @@ class SplitConfig:
 
     bounds: ClassVar = {"test_fraction": "in (0, 1)"}
 
-    def __post_init__(self):
-        check_config(self)
 
-
-@dataclass(frozen=True)
-class TfidfConfig:
+class TfidfConfig(_Config):
     max_features: int = 3000
     min_df: int = 2          # absolute document count
     max_df: float = 0.9      # fraction of documents
@@ -121,12 +128,8 @@ class TfidfConfig:
     bounds: ClassVar = {"max_features": "at least 1", "min_df": "a whole number at least 1",
                         "max_df": "in (0, 1]", "ngram_range": "a pair lo,hi with 1 <= lo <= hi"}
 
-    def __post_init__(self):
-        check_config(self)
 
-
-@dataclass(frozen=True)
-class LogRegConfig:
+class LogRegConfig(_Config):
     C: float = 2.0
     class_weight: str | None = "balanced"
     solver: str = "lbfgs"
@@ -137,12 +140,8 @@ class LogRegConfig:
     bounds: ClassVar = {"C": "positive", "class_weight": ("balanced",), "solver": ("lbfgs",),
                         "max_iter": "at least 1", "tol": "positive"}
 
-    def __post_init__(self):
-        check_config(self)
 
-
-@dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(_Config):
     hidden_layer_sizes: tuple[int, ...] = (256, 64)
     activation: str = "relu"
     solver: str = "adam"
@@ -163,33 +162,32 @@ class MlpConfig:
         "patience": "non-negative", "improvement_tol": "non-negative", "batch_size": "at least 1",
     }
 
-    def __post_init__(self):
-        check_config(self)
 
-
-@dataclass(frozen=True)
-class LinearSvmConfig:
+class LinearSvmConfig(_Config):
     regularization: float = 1.0
     epochs: int = 200
     seed: int = 42
 
     bounds: ClassVar = {"regularization": "positive", "epochs": "at least 1"}
 
-    def __post_init__(self):
-        check_config(self)
-
 
 @dataclass
-class LogRegModel:
+class _LinearModel:
+    """A classifier of one (W, b) layer: a row of W and a bias per class."""
+
     W: np.ndarray            # (3, D)
     b: np.ndarray            # (3,)
-    config: LogRegConfig
-    n_iter_: int = 0
-    objective_history_: list[float] = field(default_factory=list)
 
     @property
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(self.W.T, self.b)]
+
+
+@dataclass
+class LogRegModel(_LinearModel):
+    config: LogRegConfig
+    n_iter_: int = 0
+    objective_history_: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -208,14 +206,8 @@ class MlpModel:
 
 
 @dataclass
-class LinearSvmModel:
-    W: np.ndarray            # (3, D)
-    b: np.ndarray            # (3,)
+class LinearSvmModel(_LinearModel):
     config: LinearSvmConfig
-
-    @property
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.W.T, self.b)]
 
 
 def _check_features(model_dim: int, n_features: int) -> None:

@@ -85,7 +85,7 @@ def test_criterion_02_split_reproduction():
 def test_criterion_03_balanced_weights():
     with criterion(3, "balanced weights match the n/(K*n_c) oracle within 1e-4"):
         counts = np.array([459, 188, 60])
-        w = balanced_weights(counts).w
+        w = balanced_weights(counts)
         oracle = counts.sum() / (3 * counts)
         assert np.allclose(w, oracle, atol=1e-12)
         assert np.allclose(w, [0.51343, 1.25355, 3.92778], atol=1e-4)

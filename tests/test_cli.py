@@ -439,6 +439,29 @@ class TestExitCodes:
         assert "diverged" in capsys.readouterr().err
         assert not bundle_path.exists()
 
+    def test_model_too_large_to_allocate_is_training_error(self, small_raw_csv, tmp_path,
+                                                           capsys):
+        # a first layer of 8 PiB or more, beyond any address space, so numpy
+        # refuses it at once; a width that could be allocated is never tried
+        bundle_path = tmp_path / "m.bundle"
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--min_df", "1", "--model", "mlp", "--hidden_layer_sizes", "1000000000000")
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "mlp model is too large to allocate" in err
+        assert "Traceback" not in err
+        assert not bundle_path.exists()
+
+    def test_bundle_in_a_missing_directory_is_io_error_naming_the_bundle(
+        self, small_raw_csv, tmp_path, capsys
+    ):
+        bundle_path = tmp_path / "nodir" / "m.bundle"
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--min_df", "1")
+        assert code == 5
+        assert f"No such file or directory: '{bundle_path}'" in capsys.readouterr().err
+        assert not bundle_path.parent.exists()
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "model, flag",

@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -149,6 +151,15 @@ class TestWriteCsvAtomic:
     def test_no_temp_file_left_behind(self, tmp_path):
         write_csv_atomic(tmp_path / "t.csv", ("A",), [("1",)])
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_file_mode_is_what_open_gives_under_the_umask(self, tmp_path):
+        for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+            previous = os.umask(umask)
+            try:
+                path = write_csv_atomic(tmp_path / f"{umask:o}.csv", ("A",), [("1",)])
+            finally:
+                os.umask(previous)
+            assert stat.S_IMODE(path.stat().st_mode) == mode, f"umask {umask:o}"
 
     def test_unwritable_destination_raises_oserror(self, tmp_path):
         # the parent "directory" is a regular file, so the write must fail

@@ -1,8 +1,9 @@
 """The learner table: every kind round-trips through a bundle unchanged,
-dispatch goes through the `learners` module attributes, and each config
-rejects values outside its bounds."""
+dispatch goes through the `learners` module attributes, and each config is
+frozen and rejects values outside its bounds."""
 
-from dataclasses import fields
+import typing
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -13,7 +14,7 @@ from sentiga.errors import BundleError, SentigaError
 from sentiga.evaluation import predict_model, run_benchmark, train_model
 from sentiga.features import TfidfConfig
 from sentiga.learners import LinearSvmConfig, LogRegConfig, MlpConfig
-from sentiga.model import LEARNERS
+from sentiga.model import LEARNERS, SplitConfig, _Config
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
 
@@ -129,3 +130,22 @@ def test_config_accepts_boundary_values():
     MlpConfig(alpha=0.0, learning_rate_init=0.0, max_iter=1, patience=0, batch_size=1,
               improvement_tol=0.0)
     LinearSvmConfig(epochs=1)
+
+
+def test_the_checked_configs_are_the_five():
+    assert set(_Config.__subclasses__()) == {SplitConfig, TfidfConfig, LogRegConfig, MlpConfig,
+                                             LinearSvmConfig}
+
+
+@pytest.mark.parametrize("cls", _Config.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_every_config_is_frozen_and_checked(cls):
+    config = cls()
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+    floats = [name for name, hint in typing.get_type_hints(cls).items() if hint is float]
+    assert floats
+    for name in floats:
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cls(**{name: value})

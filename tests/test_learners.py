@@ -43,21 +43,21 @@ def relative_error(analytic, numeric):
 
 class TestBalancedWeights:
     def test_reference_counts(self):
-        w = balanced_weights([188, 60, 459]).w
+        w = balanced_weights([188, 60, 459])
         assert w[0] == pytest.approx(1.25355, abs=1e-4)
         assert w[1] == pytest.approx(3.92778, abs=1e-4)
         assert w[2] == pytest.approx(0.51343, abs=1e-4)
 
     def test_uniform_counts(self):
-        assert np.allclose(balanced_weights([10, 10, 10]).w, 1.0)
+        assert np.allclose(balanced_weights([10, 10, 10]), 1.0)
 
     def test_small_ratio(self):
-        w = balanced_weights([2, 1, 1]).w
+        w = balanced_weights([2, 1, 1])
         assert np.allclose(w, [0.6667, 1.3333, 1.3333], atol=1e-4)
 
     def test_weighted_counts_sum_to_n(self):
         counts = np.array([7, 13, 29])
-        w = balanced_weights(counts).w
+        w = balanced_weights(counts)
         assert np.isclose((w * counts).sum(), counts.sum())
 
     def test_zero_count_raises(self):
@@ -386,7 +386,7 @@ class TestSvm:
         while trials < 20:
             n, D = 6, 4
             y = np.array([0, 1, 2, 0, 1, 2])
-            sample_w = balanced_weights(np.bincount(y, minlength=3)).w[y]
+            sample_w = balanced_weights(np.bincount(y, minlength=3))[y]
             signs = np.full((n, 3), -1.0)
             signs[np.arange(n), y] = 1.0
             X = rng.normal(size=(n, D))

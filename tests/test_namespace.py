@@ -21,8 +21,8 @@ PUBLIC = {
     "evaluation": ["SplitIndex", "confusion", "report", "run_benchmark", "stratified_split"],
     "features": ["HybridFeatureSpace", "HybridMatrix", "fit_feature_space", "fit_scaler",
                  "fit_tfidf", "transform_scaler"],
-    "learners": ["ClassWeights", "balanced_weights", "predict_proba_logreg",
-                 "predict_proba_mlp", "train_linear_svm", "train_logreg", "train_mlp"],
+    "learners": ["balanced_weights", "predict_proba_logreg", "predict_proba_mlp",
+                 "train_linear_svm", "train_logreg", "train_mlp"],
     "model": ["ConfusionMatrix", "EvalReport", "LinearSvmConfig", "LinearSvmModel",
               "LogRegConfig", "LogRegModel", "MlpConfig", "MlpModel", "Scaler",
               "SentimentClass", "SplitConfig", "TfidfConfig", "TfidfModel"],
