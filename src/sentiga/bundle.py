@@ -212,15 +212,15 @@ def write_text_atomic(path: Path, text: str) -> None:
     try:
         # O_EXCL: never another's file; the kernel applies the umask to 0o666
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:  # name the file asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

@@ -16,6 +16,7 @@ package reads for what differs between the three, live in `model`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Sequence
 
@@ -224,18 +225,70 @@ def predict_logreg(model: LogRegModel, X) -> np.ndarray:
 # multilayer perceptron
 # --------------------------------------------------------------------------
 
-def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
+# About how many entries of a parameter one step of training handles at a time
+# (64 rows of a 256-wide layer), so that a block and its buffer stay in cache
+_BLOCK = 2**14
+
+
+def _row_blocks(param) -> list[slice]:
+    """Slices of `param`'s rows, each about `_BLOCK` entries and at least one row."""
+    step = max(1, _BLOCK // math.prod(param.shape[1:]))
+    return [slice(start, start + step) for start in range(0, len(param), step)]
+
+
+def _sum_of_squares(W, buf) -> float:
+    """`float(np.sum(W * W))` bit for bit, with `W * W` made in `buf` one
+    piece at a time. numpy sums a contiguous run of n > 128 values as the sum
+    of its two halves, split at n // 2 rounded down to a multiple of 8; this
+    halves the same way until a piece fits in `buf` (at least 128 entries),
+    so it adds the same values in the same order."""
+    flat = W.reshape(-1)
+
+    def total(start, stop):
+        if stop - start <= buf.size:
+            piece = flat[start:stop]
+            return float(np.sum(np.multiply(piece, piece, out=buf[: stop - start])))
+        half = (stop - start) // 2
+        half -= half % 8
+        return total(start, start + half) + total(start + half, stop)
+
+    return total(0, flat.size)
+
+
+class _WeightGrad:
+    """The gradient (A.T @ delta + alpha * W) / n of one weight, made one row
+    block at a time: `grad[rows]` is a new array holding those rows, from the
+    same operations in the same order as the whole-array expression. A block
+    reads the weight's rows when it is made, so the optimizer takes each block
+    before it changes those rows."""
+
+    def __init__(self, A, delta, W, alpha, n):
+        # a sparse A.T as CSR, so that a row block is a slice; CSR row i adds
+        # its samples in ascending order, as the CSC product A.T @ delta does
+        AT = A.T
+        self.AT = AT if isinstance(AT, np.ndarray) else AT.tocsr()
+        self.delta, self.W, self.alpha, self.n = delta, W, alpha, n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        grad = self.AT[rows] @ self.delta
+        grad += self.alpha * self.W[rows]
+        grad /= self.n
+        return grad
+
+
+def _mlp_value_grads(weights, biases, X, Y, alpha, buf=None):
     """Mean cross-entropy + (alpha / 2n) * sum ||W_l||^2, with gradients.
 
     Hidden activations are ReLU, the output is softmax; the penalty covers
-    weights only, not biases. `scratch` holds one array shaped like each
-    weight; training passes the optimizer's, so that no weight-sized
-    temporary is made here beyond the gradient itself.
+    weights only, not biases. The first layer's gradient is a `_WeightGrad`,
+    read one row block at a time, and the penalty's `W * W` is made in `buf`,
+    a block buffer of at least `_BLOCK` entries (training passes the
+    optimizer's), so no array the size of the first layer is made here.
     """
     n = X.shape[0]
     last = len(weights) - 1
-    if scratch is None:
-        scratch = [np.empty_like(W) for W in weights]
+    if buf is None:
+        buf = np.empty(_BLOCK)
 
     activations = [X]
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -247,18 +300,16 @@ def _mlp_value_grads(weights, biases, X, Y, alpha, scratch=None):
     proba = np.exp(log_proba)
 
     loss = -float((Y * log_proba).sum()) / n
-    loss += (0.5 * alpha / n) * sum(
-        float(np.sum(np.multiply(W, W, out=buf))) for W, buf in zip(weights, scratch)
-    )
+    loss += (0.5 * alpha / n) * sum(_sum_of_squares(W, buf) for W in weights)
 
     w_grads = [None] * len(weights)
     b_grads = [None] * len(weights)
     delta = proba - Y
     for i in range(last, -1, -1):
-        # (A.T @ delta + alpha * W) / n, with the sum and quotient in place
-        grad = w_grads[i] = np.asarray(activations[i].T @ delta)
-        grad += np.multiply(weights[i], alpha, out=scratch[i])
-        grad /= n
+        grad = _WeightGrad(activations[i], delta, weights[i], alpha, n)
+        # a hidden layer's gradient is smaller than the activations it reads,
+        # so it is made whole here and they are let go
+        w_grads[i] = grad if i == 0 else grad[:]
         b_grads[i] = delta.mean(axis=0)
         if i > 0:
             delta = delta @ weights[i].T
@@ -270,16 +321,17 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class _Adam:
-    """Adam that updates its parameters in place. Beside the moments `m`
-    and `v`, each parameter has one `scratch` array; `update` also spends
-    the gradients it is given as working space."""
+    """Adam that updates its parameters in place, one row block
+    (`_row_blocks`) at a time. Beside the moments `m` and `v` it keeps one
+    block buffer, `buf`. `update` reads each gradient a block at a time,
+    `grad[rows]`, and spends that block as working space."""
 
     def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.scratch = [np.empty_like(p) for p in params]
+        self.buf = np.empty(max(_BLOCK, *(math.prod(p.shape[1:]) for p in params)))
 
     def update(self, params, grads):
         self.t += 1
@@ -288,20 +340,24 @@ class _Adam:
             * np.sqrt(1 - _ADAM_BETA2**self.t)
             / (1 - _ADAM_BETA1**self.t)
         )
-        # the operations, in order, of
+        # per block, the operations, in order, of
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
         #   p -= rate * m / (sqrt(v) + eps)
-        for p, g, m, v, buf in zip(params, grads, self.m, self.v, self.scratch):
-            m *= _ADAM_BETA1
-            m += np.multiply(g, 1 - _ADAM_BETA1, out=buf)
-            v *= _ADAM_BETA2
-            np.multiply(g, 1 - _ADAM_BETA2, out=buf)
-            buf *= g
-            v += buf
-            step = np.multiply(m, rate, out=g)
-            step /= np.add(np.sqrt(v, out=buf), _ADAM_EPS, out=buf)
-            p -= step
+        for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
+            for rows in _row_blocks(p_all):
+                g = g_all[rows]  # made before the rows of p_all change
+                p, m, v = p_all[rows], m_all[rows], v_all[rows]
+                buf = self.buf[: g.size].reshape(g.shape)
+                m *= _ADAM_BETA1
+                m += np.multiply(g, 1 - _ADAM_BETA1, out=buf)
+                v *= _ADAM_BETA2
+                np.multiply(g, 1 - _ADAM_BETA2, out=buf)
+                buf *= g
+                v += buf
+                step = np.multiply(m, rate, out=g)
+                step /= np.add(np.sqrt(v, out=buf), _ADAM_EPS, out=buf)
+                p -= step
 
 
 def _validation_split(y, fraction, rng):
@@ -365,17 +421,19 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
     model = MlpModel(weights=weights, biases=biases, config=config)
 
     for epoch in range(1, config.max_iter + 1):
+        # one permuted copy per epoch, so each minibatch is a contiguous slice
         order = rng.permutation(n)
+        X_epoch, Y_epoch = X_train[order], Y_train[order]
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+            Y_batch = Y_epoch[start : start + batch_size]
             loss, w_grads, b_grads = _mlp_value_grads(
-                weights, biases, X_train[batch], Y_train[batch], config.alpha,
-                optimizer.scratch[: len(weights)],
+                weights, biases, X_epoch[start : start + batch_size], Y_batch, config.alpha,
+                optimizer.buf,
             )
             optimizer.update(params, [*w_grads, *b_grads])
             del w_grads, b_grads  # spent; free them before the next step's
-            epoch_loss += loss * len(batch)
+            epoch_loss += loss * len(Y_batch)
         model.loss_curve_.append(epoch_loss / n)
         model.n_epochs_ = epoch
 

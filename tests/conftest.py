@@ -20,6 +20,7 @@ except ImportError:
     pass
 
 from sentiga.corpus import CleanRecord, SentimentClass
+from sentiga.learners import _row_blocks
 from sentiga.textnorm import default_slang
 
 
@@ -54,6 +55,13 @@ def make_separable_xy(seed=1, per_class=10, scale=3.0, noise=0.1):
     )
     y = np.repeat([0, 1, 2], per_class)
     return X, y
+
+
+def whole_weight_grads(w_grads, weights):
+    """Each weight's gradient from `_mlp_value_grads`, assembled from the row
+    blocks that training reads one at a time."""
+    return [np.concatenate([grad[rows] for rows in _row_blocks(W)])
+            for grad, W in zip(w_grads, weights)]
 
 
 def spell_index(i):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import whole_weight_grads
 from sentiga import export as export_mod
 from sentiga.bundle import load_bundle, predict
 from sentiga.cli import main as cli_main
@@ -163,6 +164,7 @@ def test_criterion_05_gradient_fidelity():
                 continue
             instances += 1
             _, w_grads, b_grads = _mlp_value_grads(weights, biases, X, Y, 1e-4)
+            w_grads = whole_weight_grads(w_grads, weights)  # before any weight is nudged
             for params, grads in ((weights, w_grads), (biases, b_grads)):
                 for layer, grad in zip(params, grads):
                     it = np.nditer(layer, flags=["multi_index"])

@@ -462,6 +462,23 @@ class TestExitCodes:
         assert f"No such file or directory: '{bundle_path}'" in capsys.readouterr().err
         assert not bundle_path.parent.exists()
 
+    def test_bundle_path_that_is_a_directory_is_io_error_naming_the_bundle(
+        self, small_raw_csv, tmp_path, capsys
+    ):
+        # the temp file is written, then the rename onto the directory fails
+        bundle_path = tmp_path / "m.bundle"
+        bundle_path.mkdir()
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--min_df", "1")
+        err = capsys.readouterr().err
+        assert code == 5
+        assert f"Is a directory: '{bundle_path}'" in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [bundle_path.name, small_raw_csv.name]
+        )
+        assert not any(bundle_path.iterdir())
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize(
         "model, flag",

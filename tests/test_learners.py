@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_separable_xy
+from conftest import make_separable_xy, whole_weight_grads
 from sentiga import learners
 from sentiga.corpus import load_raw, prepare_corpus
 from sentiga.datasets import reference_corpus_path
@@ -190,6 +191,7 @@ class TestMlpGradients:
                 continue
             trials += 1
             _, w_grads, b_grads = _mlp_value_grads(weights, biases, X, Y, 1e-4)
+            w_grads = whole_weight_grads(w_grads, weights)  # before any weight is nudged
             for params, grads in ((weights, w_grads), (biases, b_grads)):
                 for layer, grad in zip(params, grads):
                     it = np.nditer(layer, flags=["multi_index"])
@@ -207,12 +209,18 @@ class TestMlpGradients:
 
 
 class TestMlpInPlaceStep:
-    """The training step writes into preallocated arrays; its results must be
-    those of the plain expressions it replaces, bit for bit."""
+    """The training step works one row block at a time in preallocated
+    arrays; its results must be those of the plain whole-array expressions
+    it replaces, bit for bit."""
 
-    def test_adam_update_matches_the_allocating_expressions(self):
+    # (rows, columns): inside one block; 16,384 // 40 = 409 rows a block, so
+    # 1,000 rows end in a short block; one 20,000-wide row is a block alone
+    ADAM_SHAPES = [(40, 25), (1000, 40), (3, 20000)]
+
+    @pytest.mark.parametrize("shape", ADAM_SHAPES)
+    def test_adam_update_matches_the_allocating_expressions(self, shape):
         rng = np.random.default_rng(5)
-        params = [rng.normal(size=(40, 25)), rng.normal(size=25)]
+        params = [rng.normal(size=shape), rng.normal(size=shape[1])]
         expected = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
@@ -251,12 +259,71 @@ class TestMlpInPlaceStep:
             (hidden.T @ delta + alpha * W1) / n,
         ]
 
-        scratch = [np.full_like(W0, np.nan), np.full_like(W1, np.nan)]
-        for given in (None, scratch):
-            loss, w_grads, _ = _mlp_value_grads([W0, W1], [b0, b1], X, Y, alpha, given)
+        for buf in (None, np.full(learners._BLOCK, np.nan)):
+            loss, w_grads, _ = _mlp_value_grads([W0, W1], [b0, b1], X, Y, alpha, buf)
             assert loss == expected_loss
-            for got, want in zip(w_grads, expected_grads):
+            for got, want in zip(whole_weight_grads(w_grads, [W0, W1]), expected_grads):
                 assert np.array_equal(got, want)
+
+    # (features, first hidden width, sparse input, row blocks): 1,130 rows of
+    # 256 are 17 blocks of 64 and one of 42; 3,003 rows of 100 are 18 of 163
+    # and one of 69; 6 x 4 is inside one block; a dense input takes BLAS
+    # products, which blocking must not round differently
+    FIRST_LAYERS = [(1130, 256, True, 18), (1130, 256, False, 18), (3003, 100, True, 19),
+                    (6, 4, True, 1), (6, 4, False, 1)]
+
+    @pytest.mark.parametrize("D, H, sparse, n_blocks", FIRST_LAYERS)
+    def test_first_layer_gradient_blocks_match_the_whole_array_product(self, D, H, sparse,
+                                                                       n_blocks):
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(D + H)
+        n = 37
+        X = sp.random(n, D, density=0.05, format="csr", random_state=rng)
+        X.data = rng.normal(size=X.nnz) * 10.0 ** rng.integers(-6, 6, size=X.nnz)
+        if not sparse:
+            X = X.toarray() + rng.normal(size=(n, D))
+        Y = _one_hot(rng.integers(0, 3, size=n))
+        weights = [rng.normal(size=(D, H)), rng.normal(size=(H, 3))]
+        biases = [rng.normal(size=H), rng.normal(size=3)]
+        alpha = 0.01
+        hidden = np.maximum(np.asarray(X @ weights[0]) + biases[0], 0.0)
+        log_proba = learners._log_softmax(hidden @ weights[1] + biases[1])
+        hidden_delta = (np.exp(log_proba) - Y) @ weights[1].T
+        hidden_delta[hidden <= 0] = 0.0
+        # the whole-array sequence: one product over all rows, then in place
+        expected = np.asarray(X.T @ hidden_delta)
+        expected += alpha * weights[0]
+        expected /= n
+
+        _, w_grads, _ = _mlp_value_grads(weights, biases, X, Y, alpha)
+        assert len(learners._row_blocks(weights[0])) == n_blocks
+        assert np.array_equal(whole_weight_grads(w_grads, weights)[0], expected)
+
+
+class TestBlockedPenalty:
+    """The loss penalty sums W * W one piece at a time along numpy's own
+    pairwise split; it must give `np.sum`'s bits."""
+
+    LENGTHS = st.one_of(
+        st.integers(1, 7),                      # below numpy's unrolled sum
+        st.integers(8, learners._BLOCK),        # within one block
+        st.integers(learners._BLOCK + 1, 5 * learners._BLOCK),
+        st.integers(2990, 3010).map(lambda rows: rows * 256),  # around the x4 first layer
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(length=LENGTHS, seed=st.integers(0, 2**32 - 1), decades=st.integers(0, 90))
+    def test_equals_numpys_sum_bit_for_bit(self, length, seed, decades):
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=length) * 10.0 ** rng.integers(-decades, decades + 1, size=length)
+        W = W.reshape(-1, 256) if length % 256 == 0 else W
+        got = learners._sum_of_squares(W, np.empty(learners._BLOCK))
+        want = float(np.sum(W * W))
+        assert got == want, (
+            f"blocked {got!r} != np.sum {want!r} for {W.shape}: numpy {np.__version__} "
+            "no longer sums a contiguous array along the split _sum_of_squares follows"
+        )
 
 
 MLP_REFERENCE_CONFIGS = {
@@ -327,11 +394,31 @@ class TestMlpReferenceTraining:
         )
 
     def test_training_peak_memory(self, traced_default_mlp):
-        # six arrays of the first layer's size (2.2 MiB each) are alive at
-        # the peak: weights, Adam's m and v, the best-epoch copy, the scratch
-        # buffer and the gradient; allocating per step held eight or more
+        # four arrays of the first layer's size (2.2 MiB each) are alive at
+        # the peak: weights, Adam's m and v and the best-epoch copy. The
+        # gradient and Adam's working space are row blocks; a whole gradient
+        # and scratch array made six (15.25 MiB), allocating per step eight
         _, peak = traced_default_mlp
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak <= 12 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_wide_first_layer_peak_is_four_layer_arrays(self):
+        # 3,003 features, as at x4: a first-layer array is 5.9 MiB, so the
+        # bound holds four of them and less than a fifth beside the rest
+        import scipy.sparse as sp
+
+        rng = np.random.default_rng(24)
+        X = sp.random(600, 3003, density=0.005, format="csr", random_state=rng)
+        y = np.arange(600) % 3
+        layer = 3003 * 256 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_mlp(X, y, MlpConfig(max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * layer + 4 * 2**20, f"peak {peak / layer:.2f} first-layer arrays"
 
 
 class TestTrainMlp:
