@@ -11,11 +11,11 @@ then concatenated after the text block.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from itertools import compress, islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,33 +28,84 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
+# the tokens in one chunk of whole documents that `_term_values` splits and
+# joins at a time: a few hundred posts, so a chunk's token and n-gram strings
+# stay small next to the matrix however long the corpus is. On the reference
+# serving stream, chunks of 2**12 to 2**15 tokens run equally fast; from 2**14
+# on, the chunk's strings and not the matrix set `transform_corpus`'s peak
+_CHUNK_TOKENS = 1 << 12
+
+# what `_term_values` passes each chunk's terms through: the terms of one
+# n-gram length, in order, to the integer of each
+_Lookup = Callable[[Iterator[str]], Iterator[int]]
+
+_NO_ENTRIES = np.zeros(0, dtype=np.int64)
+
+
+def _term_values(docs: Iterable[str], ngram_range: tuple[int, int],
+                 lookup: _Lookup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every term of every document, as `extract_terms` gives them, passed
+    through `lookup`, in (document index of each term, its value) pieces:
+    one piece per n-gram length of each chunk of whole documents that holds
+    `_CHUNK_TOKENS` tokens or just over. Only the pieces' integers outlive
+    a chunk."""
+    tokens, lengths, first = [], [], 0
+    for doc_tokens in map(str.split, docs):
+        tokens += doc_tokens
+        lengths.append(len(doc_tokens))
+        if len(tokens) >= _CHUNK_TOKENS:
+            yield from _chunk_values(tokens, lengths, first, ngram_range, lookup)
+            first += len(lengths)
+            tokens, lengths = [], []
+    yield from _chunk_values(tokens, lengths, first, ngram_range, lookup)
+
+
+def _chunk_values(tokens: list[str], lengths: list[int], first: int,
+                  ngram_range: tuple[int, int], lookup: _Lookup):
+    """`_term_values` of one chunk: the tokens of its documents laid end to
+    end, each document's token count, the index of its first document. Each
+    n-gram length joins its n-grams once across all the tokens; a mask then
+    drops those that run past the end of their document. A function of its
+    own, so that none of its locals keeps a chunk's strings alive while
+    `_term_values` gathers the next chunk."""
+    lo, hi = ngram_range
+    lengths = np.array(lengths, dtype=np.int64)
+    rows = np.repeat(np.arange(first, first + len(lengths)), lengths)
+    # how many tokens its document has from each token on, itself included
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+    for n in range(lo, min(hi, int(lengths.max(initial=0))) + 1):
+        grams = tokens if n == 1 else map(
+            " ".join, zip(*(islice(tokens, i, None) for i in range(n))))
+        whole = left[: len(tokens) - n + 1] >= n
+        gram_rows = rows[: len(whole)][whole]
+        yield gram_rows, np.fromiter(lookup(compress(grams, whole.tolist())),
+                                     dtype=np.int64, count=len(gram_rows))
+
+
 @dataclass(frozen=True)
 class DocTerms:
-    """Documents split into their terms once (`extract_terms`), each term
+    """Documents split into their terms once (`_term_values`), each term
     held as an id: fitting a vocabulary on them and transforming them then
-    share that one pass."""
+    share that one pass. Each document's terms are those of
+    `extract_terms`, but the entries are not in document order."""
 
     ngram_range: tuple[int, int]
     terms: dict[str, int]   # distinct term -> id, ids 0, 1, ... in first-seen order
-    ids: np.ndarray         # the term ids of every document, documents in order
-    lengths: np.ndarray     # the number of terms of each document
+    ids: np.ndarray         # the term id of every term occurrence
+    rows: np.ndarray        # the document index of each entry of `ids`
+    n_docs: int
 
     @classmethod
     def of(cls, docs: Sequence[str], ngram_range: tuple[int, int]) -> "DocTerms":
         terms: defaultdict[str, int] = defaultdict()
         terms.default_factory = terms.__len__   # an unseen term gets the next id
-        ids = array("q")
-        lengths = []
-        for doc in docs:
-            doc_terms = extract_terms(doc, ngram_range)
-            ids.extend(map(terms.__getitem__, doc_terms))
-            lengths.append(len(doc_terms))
-        return cls(tuple(ngram_range), dict(terms), np.frombuffer(ids, dtype=np.int64),
-                   np.array(lengths, dtype=np.int64))
-
-    def rows(self) -> np.ndarray:
-        """The document index of each entry of `ids`."""
-        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+        rows, ids = [_NO_ENTRIES], [_NO_ENTRIES]
+        for piece_rows, piece_ids in _term_values(docs, ngram_range,
+                                                  partial(map, terms.__getitem__)):
+            rows.append(piece_rows)
+            ids.append(piece_ids)
+        return cls(tuple(ngram_range), dict(terms), np.concatenate(ids), np.concatenate(rows),
+                   len(docs))
 
 
 def _as_doc_terms(docs: Sequence[str] | DocTerms, ngram_range: tuple[int, int]) -> DocTerms:
@@ -75,12 +126,12 @@ def fit_tfidf(docs: Sequence[str] | DocTerms, config: TfidfConfig = TfidfConfig(
     invariant under permutations of the input documents.
     """
     docs = _as_doc_terms(docs, config.ngram_range)
-    n_docs, n_ids = len(docs.lengths), len(docs.terms)
+    n_docs, n_ids = docs.n_docs, len(docs.terms)
     if n_docs == 0:
         raise DataError("cannot fit TF-IDF on an empty corpus")
 
     # a term's document frequency: the distinct (document, term) pairs it has
-    pairs, _ = _count_distinct(docs.rows() * n_ids + docs.ids)
+    pairs, _ = _count_distinct(docs.rows * n_ids + docs.ids)
     doc_freq = np.bincount(pairs % n_ids, minlength=n_ids).tolist()
     total_count = np.bincount(docs.ids, minlength=n_ids).tolist()
     names = list(docs.terms)
@@ -128,8 +179,9 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
 
 def _vocabulary_hits(model: TfidfModel, docs: Sequence[str] | DocTerms) -> tuple[int, np.ndarray]:
     """(number of documents, one key per in-vocabulary term occurrence):
-    the key of column c in document i is ``i * V + c``, keys in document
-    order. Each document's terms become columns as they are read."""
+    the key of column c in document i is ``i * V + c``, in no set order.
+    Strings are read through `_term_values`, each term looked up as it
+    is joined, so only integers are kept."""
     n_terms, column = model.n_features, model.vocabulary.get
     if isinstance(docs, DocTerms):
         docs = _as_doc_terms(docs, model.config.ngram_range)
@@ -137,16 +189,14 @@ def _vocabulary_hits(model: TfidfModel, docs: Sequence[str] | DocTerms) -> tuple
                                    dtype=np.int64, count=len(docs.terms))
         cols = column_of_id[docs.ids]
         known = cols >= 0
-        return len(docs.lengths), docs.rows()[known] * n_terms + cols[known]
-    hits = array("q")   # the in-vocabulary columns of every document, in order
-    ends = [0]
-    for doc in docs:
-        terms = extract_terms(doc, model.config.ngram_range)
-        # -1 marks a term outside the vocabulary; the filter drops it
-        hits.extend(filter((-1).__ne__, map(column, terms, repeat(-1))))
-        ends.append(len(hits))
-    rows = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-    return len(ends) - 1, rows * n_terms + np.frombuffer(hits, dtype=np.int64)
+        return docs.n_docs, docs.rows[known] * n_terms + cols[known]
+    keys = [_NO_ENTRIES]
+    # -1 marks a term outside the vocabulary
+    for rows, cols in _term_values(docs, model.config.ngram_range,
+                                   lambda grams: map(column, grams, repeat(-1))):
+        known = cols >= 0
+        keys.append(rows[known] * n_terms + cols[known])
+    return len(docs), np.concatenate(keys)
 
 
 def transform_corpus(model: TfidfModel, docs: Sequence[str] | DocTerms) -> sp.csr_matrix:

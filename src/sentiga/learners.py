@@ -44,7 +44,8 @@ def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
     import scipy.sparse as sp
 
     if sp.issparse(X):
-        X = X.tocsr().astype(np.float64)
+        # a float64 CSR input is used as it is: no learner writes into X
+        X = X.tocsr().astype(np.float64, copy=False)
         if not np.all(np.isfinite(X.data)):
             raise TrainingError("feature matrix contains non-finite values")
         return X

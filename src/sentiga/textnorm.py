@@ -163,6 +163,8 @@ def count_hashtags(raw: str) -> int:
     """Count whitespace tokens that start with ``#`` and carry an
     alphanumeric character. Counted on the raw text: cleaning destroys
     the ``#`` marker."""
+    if "#" not in raw:   # most posts: no token can start with one
+        return 0
     return sum(map(_is_hashtag, raw.split()))
 
 

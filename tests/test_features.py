@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from conftest import write_raw_csv
+from sentiga import features
 from sentiga.corpus import (
     CleanRecord,
     SentimentClass,
@@ -369,6 +372,68 @@ class TestOnePassMatrix:
                              expected)
         numeric = transform_scaler(space.scaler, numeric_matrix(train))
         assert_csr_identical(X_train, HybridMatrix(expected, numeric).to_csr())
+
+
+# documents for the chunked term pass: empty, one token, a few words, or
+# one word repeated, so n-grams of every length meet a document's end
+_PASS_DOCS = st.lists(
+    st.one_of(
+        st.sampled_from(["", "aa", "zz"]),
+        st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=9).map(" ".join),
+        st.tuples(st.sampled_from(_WORDS), st.integers(1, 12)).map(
+            lambda word_times: " ".join([word_times[0]] * word_times[1])
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestChunkedTermPass:
+    """`DocTerms.of` and `transform_corpus` of strings find every term of a
+    chunk of documents in one pass over all its tokens; each document's
+    terms must still be exactly `extract_terms` of it, wherever the chunks
+    end."""
+
+    @given(docs=_PASS_DOCS, chunk_tokens=st.sampled_from([1, 2, 3, 7, 4096]),
+           ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 5),
+                                        (1, 10**9), (2, 10**9)]))
+    def test_each_document_has_the_terms_of_extract_terms(self, docs, chunk_tokens,
+                                                          ngram_range):
+        with mock.patch.object(features, "_CHUNK_TOKENS", chunk_tokens):
+            terms = DocTerms.of(docs, ngram_range)
+            model = fit_tfidf(docs + ["aa bb cc"], TfidfConfig(min_df=1, max_df=1.0,
+                                                              ngram_range=ngram_range))
+            X = transform_corpus(model, docs)
+        expected = [Counter(extract_terms(doc, ngram_range)) for doc in docs]
+        assert terms.n_docs == len(docs)
+        assert sorted(terms.terms.values()) == list(range(len(terms.terms)))
+        assert set(terms.terms) == set().union(*expected)
+        names = np.array(list(terms.terms), dtype=object)
+        for i in range(len(docs)):
+            assert Counter(names[terms.ids[terms.rows == i]].tolist()) == expected[i]
+        assert_csr_identical(X, stacked_reference_rows(model, docs))
+
+    def test_transform_memory_is_the_matrix_and_one_chunk(self):
+        # eight chunks of tokens, nearly all outside the vocabulary: a pass
+        # that held every token string at once would peak near 3.8 MiB; a
+        # chunk holds its token strings and a few int64 arrays per token
+        model = fit_tfidf(["aa bb", "bb cc", "cc aa"],
+                          TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 2)))
+        docs = [" ".join(["aa", "bb", *(f"w{i}x{k}" for k in range(18))])
+                for i in range(8 * features._CHUNK_TOKENS // 20)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            X = transform_corpus(model, docs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        matrix = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+        chunk = features._CHUNK_TOKENS * 192
+        assert peak <= 4 * matrix + chunk, (
+            f"peak {peak / 2**20:.2f} MiB, matrix {matrix / 2**20:.2f} MiB, "
+            f"chunk {chunk / 2**20:.2f} MiB")
 
 
 class TestNumericFeatures:

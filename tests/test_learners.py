@@ -612,3 +612,49 @@ class TestMlpValidationSplit:
         model = train_mlp(X, y, config)
         assert model.loss_curve_ and np.all(np.isfinite(model.loss_curve_))
         assert model.validation_scores_ and np.all(np.isfinite(model.validation_scores_))
+
+
+def _csr_bytes(X):
+    return [getattr(X, part).tobytes() for part in ("data", "indices", "indptr")]
+
+
+class TestSparseInput:
+    """`_as_matrix` uses a float64 CSR matrix as it is, so no learner may
+    write into the caller's matrix."""
+
+    @pytest.mark.parametrize("train, predict, config", [
+        (train_logreg, predict_logreg, LogRegConfig(max_iter=20)),
+        (train_mlp, learners.predict_mlp, MlpConfig(hidden_layer_sizes=(16,), max_iter=3)),
+        (train_linear_svm, predict_svm, LinearSvmConfig(epochs=20)),
+    ], ids=["logreg", "mlp", "svm"])
+    @pytest.mark.parametrize("sorted_indices", [True, False], ids=["sorted", "unsorted"])
+    def test_training_and_predicting_leave_the_callers_matrix_unchanged(
+        self, reference_train_split, train, predict, config, sorted_indices
+    ):
+        X, y = reference_train_split
+        X = X.copy()
+        if not sorted_indices:   # each row's entries in descending column order
+            for i in range(X.shape[0]):
+                row = slice(X.indptr[i], X.indptr[i + 1])
+                X.indices[row], X.data[row] = X.indices[row][::-1], X.data[row][::-1]
+            X.has_sorted_indices = False
+        before = _csr_bytes(X)
+        predict(train(X, y, config), X)
+        assert _csr_bytes(X) == before
+
+    def test_a_float64_csr_matrix_is_used_as_it_is(self, reference_train_split):
+        X, _ = reference_train_split
+        used = learners._as_matrix(X)
+        assert used.dtype == np.float64
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(used, part), getattr(X, part)), part
+
+    def test_an_integer_csr_matrix_is_converted(self):
+        import scipy.sparse as sp
+
+        X = sp.csr_matrix(np.array([[0, 2, 0], [3, 0, 4]], dtype=np.int64))
+        used = learners._as_matrix(X)
+        assert used.dtype == np.float64
+        assert not np.shares_memory(used.data, X.data)
+        assert X.data.dtype == np.int64
+        assert np.array_equal(used.toarray(), [[0.0, 2.0, 0.0], [3.0, 0.0, 4.0]])

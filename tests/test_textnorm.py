@@ -139,6 +139,18 @@ class TestCountHashtags:
     def test_mid_word_hash_not_counted(self):
         assert count_hashtags("a#b") == 0
 
+    @given(st.one_of(SOCIAL_POSTS, st.text(alphabet="#!ab1 \t\n", max_size=30)))
+    @example("a#b")
+    @example("#")
+    @example("#!!")
+    @example("no hash in this post")
+    @example("")
+    def test_equals_the_token_by_token_count(self, raw):
+        # the post with no "#" returns at once; the count must not change
+        assert count_hashtags(raw) == sum(
+            token.startswith("#") and any(ch.isalnum() for ch in token) for token in raw.split()
+        )
+
 
 class TestPostCleaner:
     """The token memo behind prepare_corpus and bundle.predict starts over
