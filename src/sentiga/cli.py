@@ -1,7 +1,7 @@
 """Command-line interface: preprocess, train, evaluate, predict, benchmark, export.
 
-Exit codes: 0 success, 2 usage error, 3 data/schema error, 4 training
-error, 5 I/O or bundle error.
+A command returns 0; each failure exits with the code its error class in
+`sentiga.errors` names.
 """
 
 from __future__ import annotations
@@ -14,24 +14,14 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import bundle as bundle_mod
-from .errors import BundleError, DataError, SentigaError, TrainingError
+from .errors import BundleError, DataError, SentigaError
 from .model import LEARNERS, EvalReport, SentimentClass, SplitConfig, TfidfConfig, public_name
 
 if typing.TYPE_CHECKING:
     from .corpus import LabelMap
     from .evaluation import BenchmarkRow
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_TRAINING = 4
-EXIT_IO = 5
-
 _MODEL_CONFIGS = [learner.config for learner in LEARNERS.values()]
-
-
-class _UsageError(SentigaError):
-    pass
 
 
 def _bool_flag(value: str) -> bool:
@@ -47,6 +37,21 @@ def _path(value: str) -> str:
     if not value:
         raise argparse.ArgumentTypeError("expected a path, got an empty string")
     return value
+
+
+def _extra_row(raw: str) -> BenchmarkRow:
+    from . import evaluation
+
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 5:
+        raise argparse.ArgumentTypeError(f"expects MODEL,FAMILY,ACC,MACRO,WEIGHTED, got {raw!r}")
+    try:
+        metrics = [float(part) for part in parts[2:]]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"metrics must be numbers, got {raw!r}") from None
+    if not all(0.0 <= m <= 1.0 for m in metrics):  # false for NaN too
+        raise argparse.ArgumentTypeError(f"metrics must be in [0, 1], got {raw!r}")
+    return evaluation.BenchmarkRow(parts[0], parts[1], *metrics)
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
@@ -115,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     bundle = _parent(("--bundle", {"required": True, "type": _path, "help": "model bundle path"}))
     out_dir = _parent(("--out-dir", {"default": ".", "help": "directory for exported files"}))
     extra_row = _parent(("--extra-row", {
-        "action": "append", "default": [], "metavar": "MODEL,FAMILY,ACC,MACRO,WEIGHTED",
+        "action": "append", "type": _extra_row, "default": [],
+        "metavar": "MODEL,FAMILY,ACC,MACRO,WEIGHTED",
         "help": "externally supplied benchmark row (repeatable)",
     }))
 
@@ -215,7 +221,7 @@ def _config(cls, values: dict):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        raise SentigaError(str(exc)) from None
 
 
 def _tfidf_config(args) -> TfidfConfig:
@@ -236,7 +242,7 @@ def _model_config(args, split: SplitConfig):
     unused = sorted(values.keys() - {f.name for f in fields(cls)})
     if unused:
         flags = ", ".join(f"--{public_name(name)}" for name in unused)
-        raise _UsageError(f"--model {args.model} does not take {flags}")
+        raise SentigaError(f"--model {args.model} does not take {flags}")
     return _config(lambda **given: evaluation.seeded_config(args.model, split, **given), values)
 
 
@@ -250,26 +256,6 @@ def _print_report(rep: EvalReport) -> None:
     print(f"accuracy    {rep.accuracy:.4f}")
     print(f"macro F1    {rep.macro_f1:.4f}")
     print(f"weighted F1 {rep.weighted_f1:.4f}")
-
-
-def _parse_extra_rows(raw_rows) -> list[BenchmarkRow]:
-    from . import evaluation
-
-    rows = []
-    for raw in raw_rows:
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != 5:
-            raise _UsageError(
-                f"--extra-row expects MODEL,FAMILY,ACC,MACRO,WEIGHTED, got {raw!r}"
-            )
-        try:
-            metrics = [float(part) for part in parts[2:]]
-        except ValueError:
-            raise _UsageError(f"--extra-row has non-numeric metrics: {raw!r}") from None
-        if not all(0.0 <= m <= 1.0 for m in metrics):  # false for NaN too
-            raise _UsageError(f"--extra-row metrics must be in [0, 1], got {raw!r}")
-        rows.append(evaluation.BenchmarkRow(parts[0], parts[1], *metrics))
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +279,7 @@ def cmd_preprocess(args) -> int:
     print(f"prepared {len(records)} records -> {out_path}")
     for cls in SentimentClass:
         print(f"  {cls.label}: {counts[int(cls)]}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_train(args) -> int:
@@ -318,7 +304,7 @@ def cmd_train(args) -> int:
         f"evaluated on {len(result.test_indices)} -> {bundle_path}"
     )
     _print_report(result.holdout_report)
-    return EXIT_OK
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -337,7 +323,7 @@ def cmd_evaluate(args) -> int:
     rep = evaluation.held_out_report(loaded.kind, loaded.classifier, X_test, y_test)
     print(f"evaluated {loaded.kind} bundle on {len(y_test)} held-out records")
     _print_report(rep)
-    return EXIT_OK
+    return 0
 
 
 def cmd_predict(args) -> int:
@@ -349,18 +335,17 @@ def cmd_predict(args) -> int:
     payload = {"class": result.label.label, "probabilistic": result.probabilistic}
     payload["probabilities" if result.probabilistic else "decision_scores"] = scores
     print(json.dumps(payload))
-    return EXIT_OK
+    return 0
 
 
 def cmd_benchmark(args) -> int:
     from . import evaluation, export
 
     # usage errors before any data is read
-    split = _split(args, SplitConfig())
-    extra_rows, tfidf_config = _parse_extra_rows(args.extra_row), _tfidf_config(args)
+    split, tfidf_config = _split(args, SplitConfig()), _tfidf_config(args)
     records, _, _, _ = _load_records(args)
     rows = evaluation.run_benchmark(records, split, tfidf_config)
-    rows = evaluation.rank_rows(rows + extra_rows)
+    rows = evaluation.rank_rows(rows + args.extra_row)
 
     print(f"{'Model':<22} {'Family':<16} {'Accuracy':>9} {'MacroF1':>9} {'WeightedF1':>11}")
     for row in rows:
@@ -377,7 +362,7 @@ def cmd_benchmark(args) -> int:
         export.benchmark_table_rows(rows),
     )
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_export(args) -> int:
@@ -390,14 +375,14 @@ def cmd_export(args) -> int:
     written = export.export_tables(
         args.out_dir,
         report=loaded.metrics_snapshot,
-        benchmark=evaluation.rank_rows([own_row, *_parse_extra_rows(args.extra_row)]),
+        benchmark=evaluation.rank_rows([own_row, *args.extra_row]),
         tfidf_config=loaded.tfidf.config,
         model_configs={loaded.kind: loaded.classifier.config},
         label_map=_label_map(args, loaded=loaded),  # checked before any table is written
     )
     for path in written.values():
         print(f"wrote {path}")
-    return EXIT_OK
+    return 0
 
 
 # --------------------------------------------------------------------------
@@ -412,18 +397,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except (BundleError, OSError) as exc:
+    except SentigaError as exc:
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return BundleError.exit_code
 
 
 def entrypoint() -> None:

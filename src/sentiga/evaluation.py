@@ -82,16 +82,17 @@ def stratified_split(
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    y_true = np.asarray([int(v) for v in y_true])
-    y_pred = np.asarray([int(v) for v in y_pred])
+    y_true = np.asarray([int(v) for v in y_true], dtype=int)
+    y_pred = np.asarray([int(v) for v in y_pred], dtype=int)
     if y_true.shape != y_pred.shape:
         raise DataError(
             f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted"
         )
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        counts[t, p] += 1
-    return ConfusionMatrix(counts=counts)
+    outside = np.setdiff1d(np.concatenate([y_true, y_pred]), np.arange(N_CLASSES))
+    if outside.size:
+        raise DataError(f"class ordinals must be in 0..{N_CLASSES - 1}, got {outside.tolist()}")
+    counts = np.bincount(y_true * N_CLASSES + y_pred, minlength=N_CLASSES * N_CLASSES)
+    return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
 
 
 def report(cm: ConfusionMatrix) -> EvalReport:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, StratificationError, TrainingError
 from .model import (N_CLASSES, LinearSvmConfig, LinearSvmModel, LogRegConfig, LogRegModel,
-                    MlpConfig, MlpModel, _check_features, _row_max, _row_sum, forward, softmax)
+                    MlpConfig, MlpModel, _check_features, _left_sum, _row_max, forward, softmax)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -81,7 +81,7 @@ def _sample_weights(y: np.ndarray, class_weight: str | None) -> np.ndarray:
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - _row_max(scores)[:, None]
-    log_norm = np.log(_row_sum(np.exp(shifted)))
+    log_norm = np.log(_left_sum(np.exp(shifted).T))
     return shifted - log_norm[:, None]
 
 
@@ -118,7 +118,7 @@ def _logreg_value_grad(
     b = theta[N_CLASSES * D :]
 
     log_proba = _log_softmax(X @ W.T + b)
-    ce = -_row_sum(Y * log_proba)
+    ce = -_left_sum((Y * log_proba).T)
     value = C * float(sample_w @ ce) + 0.5 * float(np.sum(W * W))
 
     grad_scores = C * sample_w[:, None] * (np.exp(log_proba) - Y)

@@ -220,21 +220,17 @@ def _check_features(model_dim: int, n_features: int) -> None:
 # Row max and row sum over the N_CLASSES columns of a score matrix, folded
 # one column at a time: the same bits as `max(axis=1)` and `sum(axis=1)`,
 # which also go left to right over so few columns, at a fraction of the cost
-# of numpy's strided row reduction.
+# of numpy's strided row reduction. The row sum is `_left_sum(scores.T)`:
+# like numpy's sum it starts from +0.0, so a row of -0.0 sums to 0.0.
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, scores.T)
 
 
-def _row_sum(scores: np.ndarray) -> np.ndarray:
-    # numpy's sum starts from +0.0, so a row of -0.0 sums to 0.0
-    return functools.reduce(np.add, scores.T, 0.0)
-
-
 def softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - _row_max(scores)[:, None]
     exp = np.exp(shifted)
-    return exp / _row_sum(exp)[:, None]
+    return exp / _left_sum(exp.T)[:, None]
 
 
 def forward(layers, X) -> np.ndarray:

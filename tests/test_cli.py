@@ -16,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import edit_bundle_payload, spell_index, write_raw_csv
 import sentiga
+import sentiga.bundle
+import sentiga.cli
 import sentiga.evaluation
 import sentiga.learners
 from sentiga import export
 from sentiga.cli import build_parser, main
 from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
 from sentiga.datasets import reference_corpus_path
+from sentiga.errors import BundleError, DataError, SentigaError, StratificationError, TrainingError
 from sentiga.evaluation import SplitConfig
 from sentiga.features import TfidfConfig
 from sentiga.model import LEARNERS
@@ -561,6 +564,68 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
+
+
+class TestErrorReporting:
+    """`main` reports every failure by its error class's `kind` and
+    `exit_code`, whichever command raises it."""
+
+    PREDICT = ("predict", "--bundle", "m.bundle", "--text", "halo")
+
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        def install(exc):
+            def command(args):
+                raise exc
+
+            monkeypatch.setattr(sentiga.cli, "cmd_predict", command)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "cls, prefix, code",
+        [
+            (SentigaError, "usage", 2),
+            (DataError, "data", 3),
+            (StratificationError, "data", 3),
+            (TrainingError, "training", 4),
+            (BundleError, "i/o", 5),
+            (OSError, "i/o", 5),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_each_error_class_exits_with_its_code_and_prefix(self, raising, capsys, cls,
+                                                             prefix, code):
+        raising(cls("x"))
+        assert run(*self.PREDICT) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"{prefix} error: x\n"
+
+    def test_plain_sentiga_error_is_usage_error_without_traceback(self):
+        script = (
+            "import sys, sentiga.cli as cli\n"
+            "from sentiga.errors import SentigaError\n"
+            "def command(args): raise SentigaError('x')\n"
+            "cli.cmd_predict = command\n"
+            f"sys.exit(cli.main({list(self.PREDICT)!r}))\n"
+        )
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "usage error: x\n")
+
+    def test_bad_extra_row_is_refused_before_the_bundle_is_read(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_bundle called before --extra-row was parsed")
+
+        monkeypatch.setattr(sentiga.bundle, "load_bundle", no_load)
+        code = run("export", "--bundle", str(tmp_path / "missing.bundle"),
+                   "--out-dir", str(tmp_path / "out"), "--extra-row", "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sentiga export: error: argument --extra-row: expects MODEL,FAMILY" in err
+        assert not (tmp_path / "out").exists()
 
 
 def write_unreadable_files(root, bundle):

@@ -120,6 +120,28 @@ class TestConfusion:
         with pytest.raises(DataError, match="length mismatch"):
             confusion([0, 1], [0])
 
+    @pytest.mark.parametrize(
+        "y_true, y_pred",
+        [([0, 1, 2], [0, 1, -1]), ([0], [3]), ([-1], [0]), ([5, 0], [0, 0])],
+        ids=["predicted-minus-one", "predicted-three", "true-minus-one", "true-five"],
+    )
+    def test_ordinal_outside_the_classes_raises(self, y_true, y_pred):
+        # as an index, -1 would be the last column: a wrong prediction counted as right
+        with pytest.raises(DataError, match=r"class ordinals must be in 0\.\.2"):
+            confusion(y_true, y_pred)
+
+    def test_empty_input_is_all_zero(self):
+        assert confusion([], []).counts.tolist() == [[0] * 3] * 3
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
+    def test_counts_equal_a_per_sample_count(self, pairs):
+        expected = np.zeros((3, 3), dtype=int)
+        for t, p in pairs:
+            expected[t, p] += 1
+        cm = confusion([t for t, _ in pairs], [p for _, p in pairs])
+        assert cm.counts.dtype == expected.dtype
+        assert np.array_equal(cm.counts, expected)
+
     def test_whole_float_counts_are_accepted(self):
         cm = ConfusionMatrix(counts=np.array(REFERENCE_CM, dtype=float))
         assert cm.counts.dtype.kind == "i"

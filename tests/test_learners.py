@@ -19,11 +19,11 @@ from sentiga.learners import (
     MlpConfig,
     MlpModel,
     _Adam,
+    _left_sum,
     _logreg_value_grad,
     _mlp_value_grads,
     _one_hot,
     _row_max,
-    _row_sum,
     _svm_value_grads,
     balanced_weights,
     decision_scores_svm,
@@ -525,8 +525,8 @@ class TestSvm:
 
 
 class TestClassAxisReductions:
-    """`_row_max` and `_row_sum` fold the class columns with one ufunc call
-    per column; their bits must equal numpy's row reductions."""
+    """`_row_max` and `_left_sum(scores.T)` fold the class columns with one
+    ufunc call per column; their bits must equal numpy's row reductions."""
 
     def test_equal_axis_one_reductions_bit_for_bit(self):
         rng = np.random.default_rng(0)
@@ -539,7 +539,7 @@ class TestClassAxisReductions:
             scores[rng.random(n) < 0.1] = rng.choice(specials)  # whole rows of one value
             scores[0] = -0.0
             assert _row_max(scores).tobytes() == scores.max(axis=1).tobytes(), trial
-            assert _row_sum(scores).tobytes() == scores.sum(axis=1).tobytes(), trial
+            assert _left_sum(scores.T).tobytes() == scores.sum(axis=1).tobytes(), trial
 
     def test_softmax_and_objective_use_it_with_unchanged_bits(self):
         X, y = make_separable_xy(seed=4, per_class=7)
