@@ -16,9 +16,8 @@ _HOMES = {
                 "transform_scaler",
     "learners": "balanced_weights predict_proba_logreg predict_proba_mlp "
                 "train_linear_svm train_logreg train_mlp",
-    "model": "ConfusionMatrix EvalReport LinearSvmConfig LinearSvmModel LogRegConfig "
-             "LogRegModel MlpConfig MlpModel Scaler SentimentClass SplitConfig TfidfConfig "
-             "TfidfModel",
+    "model": "EvalReport LinearSvmConfig LinearSvmModel LogRegConfig LogRegModel MlpConfig "
+             "MlpModel Scaler SentimentClass SplitConfig TfidfConfig TfidfModel",
     "textnorm": "clean_text count_hashtags",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -195,9 +195,6 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     payload = {f.name: getattr(bundle, f.name) for f in _persisted(bundle)} | {
         "slang_digest": bundle.slang_digest, "leet_digest": bundle.leet_digest
     }
-    snapshot = bundle.metrics_snapshot
-    if snapshot is not None:  # the confusion matrix as bare counts
-        payload["metrics_snapshot"] = vars(snapshot) | {"confusion": snapshot.confusion.counts}
     encoded = _encode(payload)
     checksum = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
     content = f"{_MAGIC} v{FORMAT_VERSION}\nsha256:{checksum}\n{encoded}\n"
@@ -275,10 +272,6 @@ def _bundle_from_payload(data: dict) -> ModelBundle:
     check_tables(data["slang"], data["leet"])
     hints = typing.get_type_hints(ModelBundle)
     hints["classifier"] = LEARNERS[data["kind"]].model
-    snapshot = data["metrics_snapshot"]
-    if snapshot is not None:
-        counts = {"counts": snapshot["confusion"]}
-        data = data | {"metrics_snapshot": snapshot | {"confusion": counts}}
     return ModelBundle(
         **{f.name: _decode(hints[f.name], data[f.name]) for f in _persisted(ModelBundle)}
     )

@@ -45,6 +45,8 @@ def _extra_row(raw: str) -> BenchmarkRow:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 5:
         raise argparse.ArgumentTypeError(f"expects MODEL,FAMILY,ACC,MACRO,WEIGHTED, got {raw!r}")
+    if not (parts[0] and parts[1]):
+        raise argparse.ArgumentTypeError(f"MODEL and FAMILY must be non-empty, got {raw!r}")
     try:
         metrics = [float(part) for part in parts[2:]]
     except ValueError:
@@ -248,7 +250,7 @@ def _model_config(args, split: SplitConfig):
 
 def _print_report(rep: EvalReport) -> None:
     print("confusion matrix (rows true, columns predicted; negative/neutral/positive):")
-    for row in rep.confusion.counts:
+    for row in rep.confusion:
         print("  " + " ".join(f"{int(v):5d}" for v in row))
     print(f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9} {'support':>8}")
     for m in rep.per_class:

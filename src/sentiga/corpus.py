@@ -15,7 +15,6 @@ import csv
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -23,7 +22,8 @@ import numpy as np
 
 from .errors import DataError
 from .model import N_CLASSES, SentimentClass, _engagement
-from .textnorm import clean_text, count_hashtags, pairs_digest, post_cleaner, read_pairs_file
+from .textnorm import (_asset_path, clean_text, count_hashtags, pairs_digest, post_cleaner,
+                       read_pairs_file)
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class LabelMap:
 
 
 def default_label_map_path() -> Path:
-    return Path(str(resources.files("sentiga").joinpath("assets", "label_map.txt")))
+    return _asset_path("label_map.txt")
 
 
 @lru_cache(maxsize=2)

@@ -12,12 +12,12 @@ asset was produced with the default seed.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import SentimentClass, default_label_map
+from .textnorm import _asset_path
 
 POSITIVE_WORDS = (
     "senang bahagia bagus keren mantap hebat suka cinta indah puas sukses "
@@ -182,4 +182,4 @@ def write_reference_corpus(path: str | Path, seed: int = 42) -> Path:
 
 def reference_corpus_path() -> Path:
     """Path of the checked-in reference corpus asset."""
-    return Path(str(resources.files("sentiga").joinpath("assets", "reference_corpus.csv")))
+    return _asset_path("reference_corpus.csv")

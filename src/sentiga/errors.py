@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Each base carries how the CLI reports it: `kind` prefixes the message and
+Each class carries how the CLI reports it: `kind` prefixes the message and
 `exit_code` is the process's exit status; README's exit-code table lists
 them. The CLI reports a plain OSError as a BundleError. The message says
-which check failed; a class exists only where some caller tells it apart.
+which check failed; no narrower class exists, as no caller tells one apart.
 """
 
 
@@ -15,10 +15,6 @@ class SentigaError(Exception):
 class DataError(SentigaError):
     """Problem with input data, schema, or configuration of a fit."""
     kind, exit_code = "data", 3
-
-
-class StratificationError(DataError):
-    """A class is too small to stratify."""
 
 
 class TrainingError(SentigaError):

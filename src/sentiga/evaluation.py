@@ -16,10 +16,10 @@ import numpy as np
 
 from . import learners
 from .corpus import CleanRecord
-from .errors import DataError, StratificationError, TrainingError
+from .errors import DataError, SentigaError, TrainingError
 from .features import DocTerms, HybridFeatureSpace, fit_feature_space
-from .model import (CLASS_NAMES, LEARNERS, N_CLASSES, ClassMetrics, ConfusionMatrix, EvalReport,
-                    SplitConfig, TfidfConfig, get_learner)
+from .model import (CLASS_NAMES, LEARNERS, N_CLASSES, ClassMetrics, EvalReport, SplitConfig,
+                    TfidfConfig, _check_counts, get_learner)
 
 
 def seeded_config(kind: str, split: SplitConfig, **values):
@@ -57,7 +57,7 @@ def stratified_split(
     per-class counts but generally different memberships.
     """
     if not 0 < test_fraction < 1:
-        raise StratificationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
     y = np.asarray([int(v) for v in labels])
     classes = np.unique(y)
     counts = np.array([int(np.sum(y == c)) for c in classes])
@@ -65,7 +65,7 @@ def stratified_split(
         raise DataError("no records to split")
     if np.any(counts < 2):
         small = classes[counts < 2]
-        raise StratificationError(f"classes with fewer than 2 members: {small.tolist()}")
+        raise DataError(f"classes with fewer than 2 members: {small.tolist()}")
 
     rng = np.random.default_rng(seed)
     test_counts = _per_class_test_counts(counts, test_fraction)
@@ -81,7 +81,8 @@ def stratified_split(
     )
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
+def confusion(y_true, y_pred) -> np.ndarray:
+    """The 3x3 count array: [i][j] = samples with true class i predicted as class j."""
     y_true = np.asarray([int(v) for v in y_true], dtype=int)
     y_pred = np.asarray([int(v) for v in y_pred], dtype=int)
     if y_true.shape != y_pred.shape:
@@ -92,17 +93,18 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     if outside.size:
         raise DataError(f"class ordinals must be in 0..{N_CLASSES - 1}, got {outside.tolist()}")
     counts = np.bincount(y_true * N_CLASSES + y_pred, minlength=N_CLASSES * N_CLASSES)
-    return ConfusionMatrix(counts=counts.reshape(N_CLASSES, N_CLASSES))
+    return counts.reshape(N_CLASSES, N_CLASSES)
 
 
-def report(cm: ConfusionMatrix) -> EvalReport:
-    """Per-class precision/recall/F1 plus accuracy, macro F1 and weighted F1.
+def report(counts) -> EvalReport:
+    """Per-class precision/recall/F1 plus accuracy, macro F1 and weighted F1
+    of a 3x3 confusion matrix, any array-like of counts.
 
     Zero denominators (a class absent from predictions or from the test
     set) contribute 0, never an exception.
     """
-    counts = cm.counts
-    total = cm.total
+    counts = _check_counts(counts)
+    total = int(counts.sum())
     if total == 0:
         raise DataError("confusion matrix is all zero")
 
@@ -128,7 +130,7 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     f1s = np.array([m.f1 for m in per_class])
     supports = np.array([m.support for m in per_class], dtype=float)
     return EvalReport(
-        confusion=cm,
+        confusion=counts,
         per_class=per_class,
         accuracy=float(diag.sum() / total),
         macro_f1=float(f1s.mean()),
@@ -233,6 +235,11 @@ def run_benchmark(
 
 
 def rank_rows(rows: Sequence[BenchmarkRow]) -> list[BenchmarkRow]:
-    """The rows by accuracy descending, failed rows last; ties keep their order."""
+    """The rows by accuracy descending, failed rows last; ties keep their
+    order. A table names each model once, so a repeated name is refused."""
+    names = [r.model for r in rows]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise SentigaError(f"benchmark rows repeat the model names {repeated}")
     return sorted(rows, key=lambda r: (r.failed, -(r.accuracy if r.accuracy is not None else 0.0)))
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DataError, StratificationError, TrainingError
+from .errors import DataError, TrainingError
 from .model import (N_CLASSES, LinearSvmConfig, LinearSvmModel, LogRegConfig, LogRegModel,
                     MlpConfig, MlpModel, _check_features, _left_sum, _row_max, forward, softmax)
 
@@ -367,12 +367,10 @@ def _validation_split(y, fraction, rng):
     the model would keep no trained parameters; without training rows, no batch."""
     from .evaluation import stratified_split
 
-    try:
+    if np.bincount(y).min() >= 2:  # every class can give a member to each part
         split = stratified_split(y, fraction, rng)
         if len(split.test_indices) and len(split.train_indices):
             return split.train_indices, split.test_indices
-    except StratificationError:
-        pass
     order = rng.permutation(len(y))
     n_val = min(len(y) - 1, max(1, int(np.floor(len(y) * fraction + 0.5))))
     return np.sort(order[n_val:]), np.sort(order[:n_val])

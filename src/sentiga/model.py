@@ -328,34 +328,21 @@ class Scaler:
         self.safe_stds_ = np.where(self.stds == 0, 1.0, self.stds)
 
 
-@dataclass
-class ConfusionMatrix:
-    """counts[i][j] = samples with true class i predicted as class j."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        # a float count must be whole and castable: NaN, 2.5 or 1e19 are refused
-        if counts.dtype.kind == "f" and not np.all(
-            (counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63)
-        ):
-            raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
-        self.counts = counts.astype(int)
-        if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise DataError(
-                f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {self.counts.shape}"
-            )
-        if np.any(self.counts < 0):
-            raise DataError("confusion counts must be non-negative")
-
-    @property
-    def supports(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+def _check_counts(counts) -> np.ndarray:
+    """`counts` as a 3x3 int array, counts[i][j] = samples with true class i
+    predicted as class j; DataError unless whole, 3x3 and non-negative."""
+    counts = np.asarray(counts)
+    # a float count must be whole and castable: NaN, 2.5 or 1e19 are refused
+    if counts.dtype.kind == "f" and not np.all(
+        (counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63)
+    ):
+        raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
+    counts = counts.astype(int)
+    if counts.shape != (N_CLASSES, N_CLASSES):
+        raise DataError(f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {counts.shape}")
+    if np.any(counts < 0):
+        raise DataError("confusion counts must be non-negative")
+    return counts
 
 
 @dataclass
@@ -369,11 +356,14 @@ class ClassMetrics:
 
 @dataclass
 class EvalReport:
-    confusion: ConfusionMatrix
+    confusion: np.ndarray        # (3, 3) ints, as `_check_counts` returns them
     per_class: list[ClassMetrics]
     accuracy: float
     macro_f1: float
     weighted_f1: float
+
+    def __post_init__(self):
+        self.confusion = _check_counts(self.confusion)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from sentiga import export as export_mod
 from sentiga.bundle import load_bundle, predict
 from sentiga.cli import main as cli_main
 from sentiga.corpus import SentimentClass
-from sentiga.evaluation import ConfusionMatrix, SplitConfig, report, stratified_split
+from sentiga.evaluation import SplitConfig, report, stratified_split
 from sentiga.features import TfidfConfig, fit_tfidf, transform_corpus
 from sentiga.learners import (
     LogRegConfig,
@@ -50,8 +50,7 @@ def relative_error(analytic, numeric):
 
 def test_criterion_01_metric_reconstruction():
     with criterion(1, "reference confusion matrix reproduces the frozen metrics"):
-        cm = ConfusionMatrix(counts=np.array([[26, 0, 12], [2, 7, 3], [7, 4, 81]]))
-        rep = report(cm)
+        rep = report(np.array([[26, 0, 12], [2, 7, 3], [7, 4, 81]]))
         assert rep.accuracy == pytest.approx(0.8028, abs=1e-4)
         assert rep.macro_f1 == pytest.approx(0.7276, abs=1e-4)
         assert rep.weighted_f1 == pytest.approx(0.8003, abs=1e-4)

@@ -190,8 +190,8 @@ class TestPersistence:
         loaded = load_bundle(path)
         assert loaded.metrics_snapshot.accuracy == result.holdout_report.accuracy
         assert np.array_equal(
-            loaded.metrics_snapshot.confusion.counts,
-            result.holdout_report.confusion.counts,
+            loaded.metrics_snapshot.confusion,
+            result.holdout_report.confusion,
         )
 
     def test_bundle_without_snapshot_round_trips(self, trained, tmp_path):

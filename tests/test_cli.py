@@ -24,7 +24,7 @@ from sentiga import export
 from sentiga.cli import build_parser, main
 from sentiga.corpus import SentimentClass, default_label_map, default_label_map_path
 from sentiga.datasets import reference_corpus_path
-from sentiga.errors import BundleError, DataError, SentigaError, StratificationError, TrainingError
+from sentiga.errors import BundleError, DataError, SentigaError, TrainingError
 from sentiga.evaluation import SplitConfig
 from sentiga.features import TfidfConfig
 from sentiga.model import LEARNERS
@@ -537,6 +537,49 @@ class TestExitCodes:
         models = [row[0] for row in csv.reader(text.splitlines()[1:])]
         assert models.index("Top") < models.index("Bottom") == len(models) - 1
 
+    @pytest.mark.parametrize("extra_rows", [
+        [",,0.5,0.5,0.5", "Logistic Regression,X,1,1,1"],  # refused before the repeated name
+        [" ,X,0.5,0.5,0.5"],
+        ["M,,1,1,1"],
+    ], ids=["unnamed-then-repeated", "blank-model", "no-family"])
+    def test_extra_row_without_model_or_family_is_usage_error(
+        self, trained_bundle, small_raw_csv, tmp_path, capsys, monkeypatch, extra_rows
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_benchmark called before --extra-row was parsed")
+
+        monkeypatch.setattr(sentiga.evaluation, "run_benchmark", no_training)
+        out_dir = tmp_path / "tables"
+        flags = [arg for row in extra_rows for arg in ("--extra-row", row)]
+        for argv in (
+            ["export", "--bundle", str(trained_bundle)],
+            ["benchmark", "--data", str(small_raw_csv)],
+        ):
+            code = run(*argv, "--out-dir", str(out_dir), *flags)
+            assert code == 2
+            assert "argument --extra-row: MODEL and FAMILY must be non-empty" in (
+                capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("extra_rows", [
+        ["Logistic Regression,X,1,1,1"],  # the name of a trained model
+        ["Twice,X,0.5,0.5,0.5", "Twice,Y,0.6,0.6,0.6"],
+    ], ids=["trained-name", "two-extra-rows"])
+    def test_extra_row_repeating_a_model_name_is_usage_error(
+        self, trained_bundle, small_raw_csv, tmp_path, capsys, extra_rows
+    ):
+        out_dir = tmp_path / "tables"
+        flags = [arg for row in extra_rows for arg in ("--extra-row", row)]
+        for argv in (
+            ["export", "--bundle", str(trained_bundle)],
+            ["benchmark", "--data", str(small_raw_csv), "--min_df", "1"],
+        ):
+            code = run(*argv, "--out-dir", str(out_dir), *flags)
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == "" and err.startswith("usage error: benchmark rows repeat the model ")
+        assert not out_dir.exists()
+
     def test_evaluate_with_every_record_dropped_is_data_error(self, trained_bundle,
                                                               tmp_path, capsys):
         # the bundle's own label map, which maps none of these labels
@@ -587,7 +630,6 @@ class TestErrorReporting:
         [
             (SentigaError, "usage", 2),
             (DataError, "data", 3),
-            (StratificationError, "data", 3),
             (TrainingError, "training", 4),
             (BundleError, "i/o", 5),
             (OSError, "i/o", 5),

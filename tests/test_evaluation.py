@@ -4,10 +4,10 @@ from hypothesis import given, strategies as st
 
 from conftest import make_clean_records
 import sentiga.evaluation
-from sentiga.errors import DataError, StratificationError, TrainingError
+from sentiga.errors import DataError, SentigaError, TrainingError
 from sentiga.features import TfidfConfig
 from sentiga.evaluation import (
-    ConfusionMatrix,
+    BenchmarkRow,
     SplitConfig,
     confusion,
     report,
@@ -57,11 +57,11 @@ class TestStratifiedSplit:
         assert np.array_equal(a.train_indices, b.train_indices)
 
     def test_small_class_raises(self):
-        with pytest.raises(StratificationError, match="fewer than 2 members"):
+        with pytest.raises(DataError, match="fewer than 2 members"):
             stratified_split([0, 0, 1, 2, 2], 0.5, seed=0)
 
     def test_bad_fraction_raises(self):
-        with pytest.raises(StratificationError, match="test_fraction must be in"):
+        with pytest.raises(DataError, match="test_fraction must be in"):
             stratified_split([0, 0, 1, 1, 2, 2], 1.5, seed=0)
 
     @given(
@@ -103,18 +103,13 @@ class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         y = labels_from_counts([38, 12, 92])
         cm = confusion(y, y)
-        assert np.array_equal(np.diag(cm.counts), [38, 12, 92])
-        assert cm.counts.sum() == cm.total == 142
+        assert np.array_equal(np.diag(cm), [38, 12, 92])
+        assert cm.sum() == 142
 
     def test_single_off_diagonal_entry(self):
         cm = confusion([0], [2])
-        assert cm.counts[0, 2] == 1
-        assert cm.counts.sum() == 1
-
-    def test_reference_matrix_is_consistent(self):
-        cm = ConfusionMatrix(counts=np.array(REFERENCE_CM))
-        assert cm.supports.tolist() == [38, 12, 92]
-        assert cm.total == 142
+        assert cm[0, 2] == 1
+        assert cm.sum() == 1
 
     def test_length_mismatch_raises(self):
         with pytest.raises(DataError, match="length mismatch"):
@@ -131,7 +126,7 @@ class TestConfusion:
             confusion(y_true, y_pred)
 
     def test_empty_input_is_all_zero(self):
-        assert confusion([], []).counts.tolist() == [[0] * 3] * 3
+        assert confusion([], []).tolist() == [[0] * 3] * 3
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=60))
     def test_counts_equal_a_per_sample_count(self, pairs):
@@ -139,25 +134,34 @@ class TestConfusion:
         for t, p in pairs:
             expected[t, p] += 1
         cm = confusion([t for t, _ in pairs], [p for _, p in pairs])
-        assert cm.counts.dtype == expected.dtype
-        assert np.array_equal(cm.counts, expected)
+        assert cm.dtype == expected.dtype
+        assert np.array_equal(cm, expected)
 
+
+class TestReport:
     def test_whole_float_counts_are_accepted(self):
-        cm = ConfusionMatrix(counts=np.array(REFERENCE_CM, dtype=float))
-        assert cm.counts.dtype.kind == "i"
-        assert cm.counts.tolist() == REFERENCE_CM
+        rep = report(np.array(REFERENCE_CM, dtype=float))
+        assert rep.confusion.dtype.kind == "i"
+        assert rep.confusion.tolist() == REFERENCE_CM
+        assert rep.confusion.sum(axis=1).tolist() == [38, 12, 92]
 
     @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 1e19], ids=str)
     def test_count_that_is_not_a_whole_number_raises(self, bad):
         counts = np.array(REFERENCE_CM, dtype=float)
         counts[1, 2] = bad
         with pytest.raises(DataError, match="whole numbers"):
-            ConfusionMatrix(counts=counts)
+            report(counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 2], [3, 4]], r"expected a 3x3 matrix, got \(2, 2\)"),
+        ([[26, 0, 12], [2, 7, -3], [7, 4, 81]], "confusion counts must be non-negative"),
+    ], ids=["two-by-two", "negative"])
+    def test_counts_not_3x3_or_negative_raise(self, counts, message):
+        with pytest.raises(DataError, match=message):
+            report(counts)
 
-class TestReport:
     def test_reference_per_class_metrics(self):
-        rep = report(ConfusionMatrix(counts=np.array(REFERENCE_CM)))
+        rep = report(REFERENCE_CM)
         expected = {
             "negative": (0.7429, 0.6842, 0.7123, 38),
             "neutral": (0.6364, 0.5833, 0.6087, 12),
@@ -171,13 +175,13 @@ class TestReport:
             assert metrics.support == support
 
     def test_reference_aggregates(self):
-        rep = report(ConfusionMatrix(counts=np.array(REFERENCE_CM)))
+        rep = report(REFERENCE_CM)
         assert rep.accuracy == pytest.approx(0.8028, abs=1e-4)
         assert rep.macro_f1 == pytest.approx(0.7276, abs=1e-4)
         assert rep.weighted_f1 == pytest.approx(0.8003, abs=1e-4)
 
     def test_diagonal_matrix_is_perfect(self):
-        rep = report(ConfusionMatrix(counts=np.diag([5, 7, 9])))
+        rep = report(np.diag([5, 7, 9]))
         assert rep.accuracy == 1.0 and rep.macro_f1 == 1.0 and rep.weighted_f1 == 1.0
         assert all(m.precision == m.recall == m.f1 == 1.0 for m in rep.per_class)
 
@@ -185,7 +189,7 @@ class TestReport:
         counts = np.zeros((3, 3), dtype=int)
         counts[0, 0] = 4
         counts[1, 0] = 2  # neutral never predicted, positive absent entirely
-        rep = report(ConfusionMatrix(counts=counts))
+        rep = report(counts)
         by_name = {m.name: m for m in rep.per_class}
         assert by_name["neutral"].precision == 0.0
         assert by_name["neutral"].recall == 0.0
@@ -194,7 +198,7 @@ class TestReport:
 
     def test_all_zero_matrix_raises(self):
         with pytest.raises(DataError, match="all zero"):
-            report(ConfusionMatrix(counts=np.zeros((3, 3), dtype=int)))
+            report(np.zeros((3, 3), dtype=int))
 
     def test_macro_equals_weighted_for_equal_supports(self):
         rng = np.random.default_rng(0)
@@ -204,7 +208,7 @@ class TestReport:
             target = counts.sum(axis=1).max()
             for c in range(3):
                 counts[c, c] += target - counts[c].sum()
-            rep = report(ConfusionMatrix(counts=counts))
+            rep = report(counts)
             assert rep.macro_f1 == pytest.approx(rep.weighted_f1, abs=1e-12)
 
     def test_weighted_f1_reconstruction(self):
@@ -213,7 +217,7 @@ class TestReport:
             counts = rng.integers(0, 30, size=(3, 3))
             if counts.sum() == 0:
                 counts[0, 0] = 1
-            rep = report(ConfusionMatrix(counts=counts))
+            rep = report(counts)
             total = counts.sum()
             recon = sum(m.support * m.f1 for m in rep.per_class) / total
             assert rep.weighted_f1 == pytest.approx(recon, abs=1e-12)
@@ -224,10 +228,23 @@ class TestReport:
             counts = rng.integers(0, 30, size=(3, 3))
             if counts.sum() == 0:
                 counts[1, 1] = 2
-            rep = report(ConfusionMatrix(counts=counts))
+            rep = report(counts)
             col_sums = counts.sum(axis=0)
             lhs = sum(m.precision * col_sums[i] for i, m in enumerate(rep.per_class))
             assert lhs == pytest.approx(rep.accuracy * counts.sum(), abs=1e-9)
+
+
+class TestRankRows:
+    def test_rows_rank_by_accuracy_failed_last_ties_in_order(self):
+        rows = [BenchmarkRow("F", "X", None, None, None, failed=True),
+                BenchmarkRow("A", "X", 0.5, 0.5, 0.5), BenchmarkRow("B", "X", 0.9, 0.9, 0.9),
+                BenchmarkRow("C", "X", 0.5, 0.5, 0.5)]
+        assert [r.model for r in sentiga.evaluation.rank_rows(rows)] == ["B", "A", "C", "F"]
+
+    def test_a_repeated_model_name_is_refused(self):
+        rows = [BenchmarkRow(name, "X", 0.5, 0.5, 0.5) for name in ("A", "B", "A", "B", "C")]
+        with pytest.raises(SentigaError, match=r"repeat the model names \['A', 'B'\]"):
+            sentiga.evaluation.rank_rows(rows)
 
 
 class TestBenchmark:
@@ -285,4 +302,4 @@ class TestBenchmark:
         rows = run_benchmark(records, SplitConfig(seed=42))
         assert len(rows) == 3
         assert not any(row.failed for row in rows)
-        assert all(row.report.confusion.total == 142 for row in rows)
+        assert all(row.report.confusion.sum() == 142 for row in rows)

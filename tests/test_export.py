@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sentiga.corpus import LabelMap, SentimentClass, default_label_map
-from sentiga.evaluation import BenchmarkRow, ConfusionMatrix, report
+from sentiga.evaluation import BenchmarkRow, report
 from sentiga.export import (
     BENCHMARK_FILE,
     BENCHMARK_HEADER,
@@ -33,7 +33,7 @@ def read_csv(path):
 
 @pytest.fixture
 def reference_report():
-    return report(ConfusionMatrix(counts=REFERENCE_CM))
+    return report(REFERENCE_CM)
 
 
 @pytest.fixture

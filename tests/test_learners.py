@@ -613,6 +613,20 @@ class TestMlpValidationSplit:
         assert model.loss_curve_ and np.all(np.isfinite(model.loss_curve_))
         assert model.validation_scores_ and np.all(np.isfinite(model.validation_scores_))
 
+    @pytest.mark.parametrize("counts, train, val, next_draw", [
+        # a class of one member: no stratified split, a plain shuffle
+        ((8, 1, 1), [0, 1, 2, 3, 4, 5, 6, 7, 9], [8], 873),
+        # stratified at 10 %, the validation part rounds to empty: a plain shuffle after it
+        ((4, 3, 3), [0, 1, 2, 4, 5, 6, 7, 8, 9], [3], 341),
+    ])
+    def test_fallback_split_indices_and_generator_draws(self, counts, train, val, next_draw):
+        y = np.repeat(np.arange(N_CLASSES), counts)
+        rng = np.random.default_rng(7)
+        train_indices, val_indices = learners._validation_split(y, 0.1, rng)
+        assert train_indices.tolist() == train
+        assert val_indices.tolist() == val
+        assert rng.integers(1000) == next_draw  # the split drew as many numbers as before
+
 
 def _csr_bytes(X):
     return [getattr(X, part).tobytes() for part in ("data", "indices", "indptr")]

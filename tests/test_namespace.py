@@ -3,6 +3,7 @@ each public name or submodule is imported on first use."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,12 +24,13 @@ PUBLIC = {
                  "fit_tfidf", "transform_scaler"],
     "learners": ["balanced_weights", "predict_proba_logreg", "predict_proba_mlp",
                  "train_linear_svm", "train_logreg", "train_mlp"],
-    "model": ["ConfusionMatrix", "EvalReport", "LinearSvmConfig", "LinearSvmModel",
-              "LogRegConfig", "LogRegModel", "MlpConfig", "MlpModel", "Scaler",
-              "SentimentClass", "SplitConfig", "TfidfConfig", "TfidfModel"],
+    "model": ["EvalReport", "LinearSvmConfig", "LinearSvmModel", "LogRegConfig",
+              "LogRegModel", "MlpConfig", "MlpModel", "Scaler", "SentimentClass",
+              "SplitConfig", "TfidfConfig", "TfidfModel"],
     "textnorm": ["clean_text", "count_hashtags"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _fresh(script: str) -> list[str]:
@@ -82,3 +84,31 @@ def test_star_import_binds_every_public_name():
     exec("from sentiga import *", namespace)
     assert set(sentiga.__all__) <= namespace.keys()
     assert namespace["load_bundle"] is sentiga.bundle.load_bundle
+
+
+def _readme_lines() -> list[str]:
+    return README.read_text(encoding="utf-8").splitlines()
+
+
+def test_readme_public_names_table_is_the_namespace():
+    lines = _readme_lines()
+    start = lines.index("| module | public names |") + 2  # past the header and rule
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        module, names = (cell.strip() for cell in line.split("|")[1:-1])
+        table[module.strip("`")] = re.findall(r"`(\w+)`", names)
+    assert table == {module: names.split() for module, names in sentiga._HOMES.items()}
+
+
+def test_readme_removed_names_are_attribute_errors():
+    lines = _readme_lines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Removed names: "))
+    paragraph = " ".join(lines[start:lines.index("", start)])
+    removed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))
+    assert removed
+    for name in removed:
+        assert name not in sentiga.__all__
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            getattr(sentiga, name)
