@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import BundleError, DataError, SentigaError, TrainingError
 from .model import (LEARNERS, N_CLASSES, NUMERIC_FEATURE_NAMES, EvalReport, Scaler, SentimentClass,
-                    SplitConfig, TfidfConfig, TfidfModel, _check_features, _engagement, _left_sum,
-                    forward, get_learner, tfidf_row)
+                    SplitConfig, TfidfConfig, TfidfModel, _admits, _check_features, _engagement,
+                    _left_sum, forward, get_learner, tfidf_row)
 from .textnorm import check_tables, default_leet, default_slang, pairs_digest, post_cleaner
 
 if TYPE_CHECKING:
@@ -141,15 +141,15 @@ _SCALARS = (int, bool, str, float)
 
 
 def _scalars(hint, values) -> list:
-    """`values` decoded as `hint`, one of _SCALARS: a float takes any finite
-    JSON number, an int, bool or str only a JSON value of exactly that type."""
+    """`values` decoded as `hint`, one of _SCALARS, by the rule a config's
+    fields obey (`model._admits`); a float must also be finite."""
     values = list(values)
+    if not _admits(hint, values):
+        raise TypeError(f"expected {hint.__name__} values, got {values!r:.80}")
     if hint is float:
-        if not set(map(type, values)) <= {int, float} or not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"expected finite numbers, got {values!r:.80}")
         return [float(v) for v in values]
-    if not set(map(type, values)) <= {hint}:
-        raise TypeError(f"expected {hint.__name__} values, got {values!r:.80}")
     return values
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import learners
 from .corpus import CleanRecord
 from .errors import DataError, SentigaError, TrainingError
-from .features import DocTerms, HybridFeatureSpace, fit_feature_space
+from .features import HybridFeatureSpace, fit_feature_space
 from .model import (CLASS_NAMES, LEARNERS, N_CLASSES, ClassMetrics, EvalReport, SplitConfig,
                     TfidfConfig, _check_counts, get_learner)
 
@@ -180,12 +180,9 @@ def predict_model(kind: str, model, X) -> np.ndarray:
     return getattr(learners, get_learner(kind).predict)(model, X)
 
 
-def featurized(
-    space: HybridFeatureSpace, records: Sequence[CleanRecord], terms: DocTerms | None = None
-):
-    """(X, y): the feature matrix of `records` in `space`, and their labels;
-    `terms`, when given, are the `DocTerms` of their cleaned texts."""
-    return space.featurize(records, terms).to_csr(), np.array([int(r.label) for r in records])
+def featurized(space: HybridFeatureSpace, records: Sequence[CleanRecord]):
+    """(X, y): the feature matrix of `records` in `space`, and their labels."""
+    return space.featurize(records).to_csr(), np.array([int(r.label) for r in records])
 
 
 def held_out_report(kind: str, model, X, y) -> EvalReport:
@@ -199,17 +196,13 @@ def featurized_split(
     tfidf_config: TfidfConfig | None = None,
 ) -> tuple[SplitIndex, HybridFeatureSpace, object, np.ndarray, object, np.ndarray]:
     """Stratified split, then the feature space fitted on the training part
-    only; the vocabulary and the training matrix come from one split of each
-    training text into terms. Returns (indices, space, X_train, y_train,
-    X_test, y_test)."""
-    tfidf_config = tfidf_config or TfidfConfig()
+    only. `fit_tfidf` and `transform_corpus` each split the training texts
+    into terms. Returns (indices, space, X_train, y_train, X_test, y_test)."""
     indices = stratified_split([r.label for r in records], split.test_fraction, split.seed)
     train_records = [records[i] for i in indices.train_indices]
     test_records = [records[i] for i in indices.test_indices]
-    terms = DocTerms.of([r.clean_text for r in train_records], tfidf_config.ngram_range)
-    space = fit_feature_space(train_records, tfidf_config, terms)
-    return (indices, space, *featurized(space, train_records, terms),
-            *featurized(space, test_records))
+    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
+    return (indices, space, *featurized(space, train_records), *featurized(space, test_records))
 
 
 def run_benchmark(

@@ -82,59 +82,33 @@ def _chunk_values(tokens: list[str], lengths: list[int], first: int,
                                      dtype=np.int64, count=len(gram_rows))
 
 
-@dataclass(frozen=True)
-class DocTerms:
-    """Documents split into their terms once (`_term_values`), each term
-    held as an id: fitting a vocabulary on them and transforming them then
-    share that one pass. Each document's terms are those of
-    `extract_terms`, but the entries are not in document order."""
+def fit_tfidf(docs: Sequence[str], config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+    """Build vocabulary and IDF weights from cleaned documents.
 
-    ngram_range: tuple[int, int]
-    terms: dict[str, int]   # distinct term -> id, ids 0, 1, ... in first-seen order
-    ids: np.ndarray         # the term id of every term occurrence
-    rows: np.ndarray        # the document index of each entry of `ids`
-    n_docs: int
-
-    @classmethod
-    def of(cls, docs: Sequence[str], ngram_range: tuple[int, int]) -> "DocTerms":
-        terms: defaultdict[str, int] = defaultdict()
-        terms.default_factory = terms.__len__   # an unseen term gets the next id
-        rows, ids = [_NO_ENTRIES], [_NO_ENTRIES]
-        for piece_rows, piece_ids in _term_values(docs, ngram_range,
-                                                  partial(map, terms.__getitem__)):
-            rows.append(piece_rows)
-            ids.append(piece_ids)
-        return cls(tuple(ngram_range), dict(terms), np.concatenate(ids), np.concatenate(rows),
-                   len(docs))
-
-
-def _as_doc_terms(docs: Sequence[str] | DocTerms, ngram_range: tuple[int, int]) -> DocTerms:
-    if not isinstance(docs, DocTerms):
-        return DocTerms.of(docs, ngram_range)
-    if docs.ngram_range != tuple(ngram_range):
-        raise ValueError(f"terms of n-grams {docs.ngram_range}, expected {ngram_range}")
-    return docs
-
-
-def fit_tfidf(docs: Sequence[str] | DocTerms, config: TfidfConfig = TfidfConfig()) -> TfidfModel:
-    """Build vocabulary and IDF weights from cleaned documents, given as
-    strings or as their `DocTerms`.
-
-    Terms are pruned to document frequency >= min_df and <= max_df * n.
+    One `_term_values` pass finds each document's terms, those of
+    `extract_terms`, and holds each distinct term as an id in first-seen
+    order. Terms are pruned to document frequency >= min_df and <= max_df * n.
     If more than max_features survive, the terms with the highest total
     corpus count are kept, ties broken lexicographically. The result is
     invariant under permutations of the input documents.
     """
-    docs = _as_doc_terms(docs, config.ngram_range)
-    n_docs, n_ids = docs.n_docs, len(docs.terms)
+    n_docs = len(docs)
     if n_docs == 0:
         raise DataError("cannot fit TF-IDF on an empty corpus")
+    terms: defaultdict[str, int] = defaultdict()
+    terms.default_factory = terms.__len__   # an unseen term gets the next id
+    rows, ids = [_NO_ENTRIES], [_NO_ENTRIES]
+    for piece_rows, piece_ids in _term_values(docs, config.ngram_range,
+                                              partial(map, terms.__getitem__)):
+        rows.append(piece_rows)
+        ids.append(piece_ids)
+    rows, ids, n_ids = np.concatenate(rows), np.concatenate(ids), len(terms)
 
     # a term's document frequency: the distinct (document, term) pairs it has
-    pairs, _ = _count_distinct(docs.rows * n_ids + docs.ids)
+    pairs, _ = _count_distinct(rows * n_ids + ids)
     doc_freq = np.bincount(pairs % n_ids, minlength=n_ids).tolist()
-    total_count = np.bincount(docs.ids, minlength=n_ids).tolist()
-    names = list(docs.terms)
+    total_count = np.bincount(ids, minlength=n_ids).tolist()
+    names = list(terms)
 
     max_count = config.max_df * n_docs
     surviving = [
@@ -177,41 +151,27 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
         yield entries
 
 
-def _vocabulary_hits(model: TfidfModel, docs: Sequence[str] | DocTerms) -> tuple[int, np.ndarray]:
-    """(number of documents, one key per in-vocabulary term occurrence):
-    the key of column c in document i is ``i * V + c``, in no set order.
-    Strings are read through `_term_values`, each term looked up as it
-    is joined, so only integers are kept."""
-    n_terms, column = model.n_features, model.vocabulary.get
-    if isinstance(docs, DocTerms):
-        docs = _as_doc_terms(docs, model.config.ngram_range)
-        column_of_id = np.fromiter((column(term, -1) for term in docs.terms),
-                                   dtype=np.int64, count=len(docs.terms))
-        cols = column_of_id[docs.ids]
-        known = cols >= 0
-        return docs.n_docs, docs.rows[known] * n_terms + cols[known]
-    keys = [_NO_ENTRIES]
+def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
+    """The n x V CSR matrix of the documents; row i equals
+    ``tfidf_row(model, docs[i])`` bit for bit.
+
+    One `_term_values` pass turns each term into its column as it is joined,
+    so only integers are kept; the matrix is built from the flat (row,
+    column) hits: the counts from one sort, each row's norm from the same
+    left fold of its squared weights in ascending-column order that
+    `tfidf_row` uses.
+    """
+    import scipy.sparse as sp
+
+    n_docs, n_terms, column = len(docs), model.n_features, model.vocabulary.get
+    keys = [_NO_ENTRIES]  # i * V + c for column c in document i, in no set order
     # -1 marks a term outside the vocabulary
     for rows, cols in _term_values(docs, model.config.ngram_range,
                                    lambda grams: map(column, grams, repeat(-1))):
         known = cols >= 0
         keys.append(rows[known] * n_terms + cols[known])
-    return len(docs), np.concatenate(keys)
-
-
-def transform_corpus(model: TfidfModel, docs: Sequence[str] | DocTerms) -> sp.csr_matrix:
-    """The n x V CSR matrix of the documents, given as strings or as their
-    `DocTerms`; row i equals ``tfidf_row(model, docs[i])`` bit for bit.
-
-    The matrix is built from the flat (row, column) hits in one pass: the
-    counts from one sort, each row's norm from the same left fold of its
-    squared weights in ascending-column order that `tfidf_row` uses.
-    """
-    import scipy.sparse as sp
-
-    n_docs, keys = _vocabulary_hits(model, docs)
-    keys, counts = _count_distinct(keys)
-    rows, cols = np.divmod(keys, model.n_features)
+    keys, counts = _count_distinct(np.concatenate(keys))
+    rows, cols = np.divmod(keys, n_terms)
     tf = [_term_frequency(count, model.config.sublinear_tf)
           for count in range(1, counts.max(initial=1) + 1)]
     weights = np.array(tf)[counts - 1] * model.idf[cols]
@@ -219,9 +179,7 @@ def transform_corpus(model: TfidfModel, docs: Sequence[str] | DocTerms) -> sp.cs
     np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
     norms = np.sqrt(_left_sum(_entries_by_position(weights * weights, indptr), np.zeros(n_docs)))
     weights /= np.where(norms > 0, norms, 1.0)[rows]
-    return sp.csr_matrix(
-        (weights, cols.astype(np.int32), indptr), shape=(n_docs, model.n_features)
-    )
+    return sp.csr_matrix((weights, cols.astype(np.int32), indptr), shape=(n_docs, n_terms))
 
 
 def numeric_matrix(records: Sequence[CleanRecord]) -> np.ndarray:
@@ -274,26 +232,18 @@ class HybridFeatureSpace:
     tfidf: TfidfModel
     scaler: Scaler
 
-    def featurize(
-        self, records: Sequence[CleanRecord], terms: DocTerms | None = None
-    ) -> HybridMatrix:
-        """The records' features; `terms`, when given, are the `DocTerms` of
-        their cleaned texts."""
+    def featurize(self, records: Sequence[CleanRecord]) -> HybridMatrix:
+        """The records' features."""
         return HybridMatrix(
-            tfidf_block=transform_corpus(
-                self.tfidf, [r.clean_text for r in records] if terms is None else terms
-            ),
+            tfidf_block=transform_corpus(self.tfidf, [r.clean_text for r in records]),
             numeric_block=transform_scaler(self.scaler, numeric_matrix(records)),
         )
 
 
 def fit_feature_space(
-    records: Sequence[CleanRecord],
-    config: TfidfConfig = TfidfConfig(),
-    terms: DocTerms | None = None,
+    records: Sequence[CleanRecord], config: TfidfConfig = TfidfConfig()
 ) -> HybridFeatureSpace:
-    """Fit vectorizer and scaler on training records only (no leakage);
-    `terms`, when given, are the `DocTerms` of their cleaned texts."""
-    tfidf = fit_tfidf([r.clean_text for r in records] if terms is None else terms, config)
+    """Fit vectorizer and scaler on training records only (no leakage)."""
+    tfidf = fit_tfidf([r.clean_text for r in records], config)
     scaler = fit_scaler(numeric_matrix(records))
     return HybridFeatureSpace(tfidf=tfidf, scaler=scaler)

@@ -65,7 +65,6 @@ _BOUNDS = {
     "positive": lambda v: v > 0,
     "non-negative": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
-    "a whole number at least 1": lambda v: v >= 1 and v % 1 == 0,
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
     "one or more positive widths": lambda v: len(v) > 0 and min(v) >= 1,
@@ -76,17 +75,30 @@ _BOUNDS = {
 _type_hints = functools.cache(typing.get_type_hints)  # of a config class
 
 
+def _admits(hint, values) -> bool:
+    """Whether the scalar type `hint` admits each of `values`, by the rule
+    that configs and bundle payloads share: a float may be an int or a float;
+    an int, bool or str must be exactly that type, so a bool is no int."""
+    return set(map(type, values)) <= ({int, float} if hint is float else {hint})
+
+
 def check_config(config) -> None:
-    """Raise ValueError unless every field of `config` is within bounds: a
-    float finite, a `seed` non-negative as numpy requires, and each field
-    that the class's `bounds` names within its bound there, a key of
-    `_BOUNDS` or a tuple of the supported values. None passes wherever the
-    field's type hint admits it."""
+    """Raise ValueError unless every field of `config` is of its type and
+    within bounds. A field's type hint must admit its value (`_admits`; a
+    tuple hint, a tuple of such entries; None wherever the hint allows it);
+    a float must be finite, a `seed` non-negative as numpy requires, and each
+    field that the class's `bounds` names within its bound there, a key of
+    `_BOUNDS` or a tuple of the supported values."""
     hints, bounds = _type_hints(type(config)), config.bounds
     for f in fields(config):
         name, value, hint = f.name, getattr(config, f.name), hints[f.name]
-        if value is None and type(None) in typing.get_args(hint):
+        args = typing.get_args(hint)  # (X, None) of X | None; (X, ...) or (X, X) of a tuple
+        if value is None and type(None) in args:
             continue
+        tupled = typing.get_origin(hint) is tuple and type(value) is tuple
+        if not _admits(args[0] if args else hint, value if tupled else [value]):
+            hint = hint.__name__ if isinstance(hint, type) else hint  # int, not <class 'int'>
+            raise ValueError(f"{name} must be of type {hint}, got {value!r}")
         if hint is float and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         bound = bounds.get(name, "non-negative" if name == "seed" else None)
@@ -125,7 +137,7 @@ class TfidfConfig(_Config):
     ngram_range: tuple[int, int] = (1, 2)
     sublinear_tf: bool = True
 
-    bounds: ClassVar = {"max_features": "at least 1", "min_df": "a whole number at least 1",
+    bounds: ClassVar = {"max_features": "at least 1", "min_df": "at least 1",
                         "max_df": "in (0, 1]", "ngram_range": "a pair lo,hi with 1 <= lo <= hi"}
 
 

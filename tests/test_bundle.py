@@ -621,7 +621,7 @@ class TestBundleStructure:
             ("logreg", lambda data: data["tfidf"]["config"].update(ngram_range=[1, 2, 3]),
              r"ngram_range must be a pair lo,hi with 1 <= lo <= hi, got \(1, 2, 3\)"),
             ("logreg", lambda data: data["tfidf"]["config"].update(min_df=0),
-             "min_df must be a whole number at least 1, got 0"),
+             "min_df must be at least 1, got 0"),
         ],
         ids=["mlp-activation", "logreg-solver", "logreg-class-weight", "split-seed",
              "split-test-fraction-5", "split-test-fraction-0", "mlp-seed", "max-features",

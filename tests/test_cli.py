@@ -270,7 +270,7 @@ class TestExitCodes:
              "usage error: ngram_range must be a pair lo,hi with 1 <= lo <= hi, got (3,)"),
             (("--ngram_range", "2,1"),
              "usage error: ngram_range must be a pair lo,hi with 1 <= lo <= hi, got (2, 1)"),
-            (("--min_df", "0"), "usage error: min_df must be a whole number at least 1, got 0"),
+            (("--min_df", "0"), "usage error: min_df must be at least 1, got 0"),
             (("--max_df", "2"), "usage error: max_df must be in (0, 1], got 2.0"),
         ],
         ids=["activation", "solver", "class_weight", "random_state", "max_features-negative",

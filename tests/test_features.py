@@ -23,7 +23,6 @@ from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import DataError
 from sentiga.evaluation import SplitConfig, featurized_split
 from sentiga.features import (
-    DocTerms,
     HybridFeatureSpace,
     HybridMatrix,
     TfidfConfig,
@@ -185,8 +184,9 @@ class TestFitTfidf:
         assert "x y" in model.vocabulary
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(DataError, match="empty corpus"):
-            fit_tfidf([], UNIGRAM)
+        for config in (UNIGRAM, TfidfConfig()):
+            with pytest.raises(DataError, match="empty corpus"):
+                fit_tfidf([], config)
 
     def test_min_df_above_corpus_size_raises(self):
         with pytest.raises(DataError, match="no term survived pruning"):
@@ -316,15 +316,7 @@ class TestOnePassMatrix:
             assert [w.hex() for w in X.data[entries].tolist()] == [
                 float(w).hex() for w in ref_weights
             ]
-
-    @pytest.mark.parametrize("key", list(_ORACLE_MODELS), ids=str)
-    @given(docs=_ORACLE_DOCS)
-    def test_doc_terms_give_the_same_matrix(self, key, docs):
-        model = _ORACLE_MODELS[key]
-        expected = stacked_reference_rows(model, docs)
-        assert_csr_identical(transform_corpus(model, docs), expected)
-        terms = DocTerms.of(docs, model.config.ngram_range)
-        assert_csr_identical(transform_corpus(model, terms), expected)
+        assert_csr_identical(X, stacked_reference_rows(model, docs))
 
     @given(
         docs=st.lists(st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join),
@@ -340,21 +332,9 @@ class TestOnePassMatrix:
             with pytest.raises(DataError, match="no term survived"):
                 fit_tfidf(docs, config)
             return
-        for fitted in (fit_tfidf(docs, config),
-                       fit_tfidf(DocTerms.of(docs, ngram_range), config)):
-            assert fitted.vocabulary == vocabulary
-            assert [w.hex() for w in fitted.idf.tolist()] == [w.hex() for w in idf]
-
-    def test_terms_of_other_ngrams_are_refused(self):
-        terms = DocTerms.of(["aa bb", "bb cc"], (1, 1))
-        with pytest.raises(ValueError, match="n-grams"):
-            fit_tfidf(terms, TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 2)))
-        with pytest.raises(ValueError, match="n-grams"):
-            transform_corpus(_ORACLE_MODELS[(1, 2), True], terms)
-
-    def test_empty_doc_terms_are_an_empty_corpus(self):
-        with pytest.raises(DataError, match="empty corpus"):
-            fit_tfidf(DocTerms.of([], (1, 2)))
+        fitted = fit_tfidf(docs, config)
+        assert fitted.vocabulary == vocabulary
+        assert [w.hex() for w in fitted.idf.tolist()] == [w.hex() for w in idf]
 
     def test_x4_corpus_matches_the_per_record_path(self, tmp_path):
         rows = [row for seed in range(4) for row in generate_reference_rows(seed)]
@@ -389,28 +369,25 @@ _PASS_DOCS = st.lists(
 
 
 class TestChunkedTermPass:
-    """`DocTerms.of` and `transform_corpus` of strings find every term of a
-    chunk of documents in one pass over all its tokens; each document's
-    terms must still be exactly `extract_terms` of it, wherever the chunks
-    end."""
+    """`fit_tfidf` and `transform_corpus` find every term of a chunk of
+    documents in one pass over all its tokens; each document's terms must
+    still be exactly `extract_terms` of it, wherever the chunks end."""
 
     @given(docs=_PASS_DOCS, chunk_tokens=st.sampled_from([1, 2, 3, 7, 4096]),
            ngram_range=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 5),
                                         (1, 10**9), (2, 10**9)]))
     def test_each_document_has_the_terms_of_extract_terms(self, docs, chunk_tokens,
                                                           ngram_range):
+        # every term is kept, so the vocabulary is each term of the corpus and
+        # its IDF the term's document frequency; the matrix, each term's count
+        config = TfidfConfig(max_features=10**6, min_df=1, max_df=1.0, ngram_range=ngram_range)
+        corpus = docs + ["aa bb cc"]  # a term for every n-gram range above
         with mock.patch.object(features, "_CHUNK_TOKENS", chunk_tokens):
-            terms = DocTerms.of(docs, ngram_range)
-            model = fit_tfidf(docs + ["aa bb cc"], TfidfConfig(min_df=1, max_df=1.0,
-                                                              ngram_range=ngram_range))
+            model = fit_tfidf(corpus, config)
             X = transform_corpus(model, docs)
-        expected = [Counter(extract_terms(doc, ngram_range)) for doc in docs]
-        assert terms.n_docs == len(docs)
-        assert sorted(terms.terms.values()) == list(range(len(terms.terms)))
-        assert set(terms.terms) == set().union(*expected)
-        names = np.array(list(terms.terms), dtype=object)
-        for i in range(len(docs)):
-            assert Counter(names[terms.ids[terms.rows == i]].tolist()) == expected[i]
+        vocabulary, idf = reference_fit_tfidf(corpus, config)
+        assert model.vocabulary == vocabulary
+        assert [w.hex() for w in model.idf.tolist()] == [w.hex() for w in idf]
         assert_csr_identical(X, stacked_reference_rows(model, docs))
 
     def test_transform_memory_is_the_matrix_and_one_chunk(self):

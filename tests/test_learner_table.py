@@ -117,6 +117,19 @@ def test_unknown_kind_is_rejected(records, tmp_path):
         (TfidfConfig, {"min_df": float("inf")}),
         (TfidfConfig, {"max_df": float("nan")}),
         (TfidfConfig, {"ngram_range": (0, 1)}),
+        # a value of a type its field's hint does not admit
+        (LogRegConfig, {"max_iter": 2.5}),
+        (TfidfConfig, {"max_features": 100.5}),
+        (LinearSvmConfig, {"epochs": 3.5}),
+        (SplitConfig, {"seed": 1.5}),
+        (LogRegConfig, {"C": True}),
+        (TfidfConfig, {"sublinear_tf": "no"}),
+        (TfidfConfig, {"max_features": True}),
+        (TfidfConfig, {"ngram_range": (1, 2.0)}),
+        (TfidfConfig, {"ngram_range": [1, 2]}),
+        (MlpConfig, {"hidden_layer_sizes": (64, True)}),
+        (MlpConfig, {"batch_size": 2.5}),
+        (MlpConfig, {"early_stopping": 1}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
@@ -130,6 +143,28 @@ def test_config_accepts_boundary_values():
     MlpConfig(alpha=0.0, learning_rate_init=0.0, max_iter=1, patience=0, batch_size=1,
               improvement_tol=0.0)
     LinearSvmConfig(epochs=1)
+    # a float field takes an int; None passes where the hint allows it
+    LogRegConfig(C=2, class_weight=None)
+    TfidfConfig(max_df=1)
+    MlpConfig(batch_size=None)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LogRegConfig(max_iter=2.5), "max_iter must be of type int, got 2.5"),
+        (lambda: LogRegConfig(C=True), "C must be of type float, got True"),
+        (lambda: TfidfConfig(sublinear_tf="no"), "sublinear_tf must be of type bool, got 'no'"),
+        (lambda: TfidfConfig(ngram_range=(1, 2.0)),
+         "ngram_range must be of type tuple[int, int], got (1, 2.0)"),
+        (lambda: MlpConfig(batch_size=2.5), "batch_size must be of type int | None, got 2.5"),
+    ],
+    ids=["max_iter", "C", "sublinear_tf", "ngram_range", "batch_size"],
+)
+def test_config_type_error_names_the_field_and_its_hint(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_the_checked_configs_are_the_five():
