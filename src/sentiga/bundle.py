@@ -280,9 +280,15 @@ def _bundle_from_payload(data: dict) -> ModelBundle:
 def _check_arrays(bundle: ModelBundle) -> None:
     """Raise ValueError unless the scaler has one entry per numeric feature,
     the classifier's layers chain from V + 3 inputs (V vocabulary terms, whose
-    columns and IDF `TfidfModel` checks) to one score per class, and every
-    entry of those arrays is finite (JSON parses NaN and Infinity, which a
-    saved bundle never holds)."""
+    columns and IDF `TfidfModel` checks) to one score per class through the
+    config's hidden widths, every vocabulary term has as many words as the
+    config's `ngram_range` allows, and every entry of those arrays is finite
+    (JSON parses NaN and Infinity, which a saved bundle never holds)."""
+    lo, hi = bundle.tfidf.config.ngram_range
+    words = {term.count(" ") + 1 for term in bundle.tfidf.vocabulary}
+    outside = sorted(n for n in words if not lo <= n <= hi)
+    if outside:
+        raise ValueError(f"vocabulary has terms of {outside} words, outside ngram_range {lo},{hi}")
     n_terms = bundle.tfidf.n_features
     n_numeric = len(NUMERIC_FEATURE_NAMES)
     for stats in (bundle.scaler.means, bundle.scaler.stds):
@@ -297,6 +303,10 @@ def _check_arrays(bundle: ModelBundle) -> None:
         width = W.shape[1]
     if width != N_CLASSES:
         raise ValueError(f"classifier emits {width} scores, expected {N_CLASSES}")
+    hidden = tuple(W.shape[1] for W, _ in bundle.classifier.layers[:-1])
+    declared = getattr(bundle.classifier.config, "hidden_layer_sizes", ())
+    if hidden != declared:
+        raise ValueError(f"classifier has hidden widths {hidden}, its config declares {declared}")
     arrays = [bundle.tfidf.idf, bundle.scaler.means, bundle.scaler.stds]
     arrays += [a for layer in bundle.classifier.layers for a in layer]
     if not all(np.isfinite(a).all() for a in arrays):
@@ -389,7 +399,7 @@ def train_bundle(
     records: Sequence[CleanRecord],
     kind: str = "logreg",
     model_config=None,
-    tfidf_config: TfidfConfig | None = None,
+    tfidf_config: TfidfConfig = TfidfConfig(),
     label_map: LabelMap | None = None,
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,

@@ -57,8 +57,13 @@ def _extra_row(raw: str) -> BenchmarkRow:
 
 
 def _int_tuple(value: str) -> tuple[int, ...]:
+    """Comma-separated integers; "" and "," are the empty tuple, which the
+    field's bound refuses, and an empty part beside a number is refused here."""
+    parts = [part.strip() for part in value.split(",")]
+    if not any(parts):
+        return ()
     try:
-        return tuple(int(part) for part in value.split(",") if part.strip())
+        return tuple(int(part) for part in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
 

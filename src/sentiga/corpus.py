@@ -75,8 +75,8 @@ class LabelMap:
     @classmethod
     def from_file(cls, path: str | Path, unmapped_policy: str = "error") -> "LabelMap":
         entries = {
-            cls.normalize_key(key): SentimentClass.parse(value)
-            for key, value in read_pairs_file(path).items()
+            key: SentimentClass.parse(value)
+            for key, value in read_pairs_file(path, cls.normalize_key).items()
         }
         return cls(entries=entries, unmapped_policy=unmapped_policy)
 

@@ -193,7 +193,7 @@ def held_out_report(kind: str, model, X, y) -> EvalReport:
 def featurized_split(
     records: Sequence[CleanRecord],
     split: SplitConfig,
-    tfidf_config: TfidfConfig | None = None,
+    tfidf_config: TfidfConfig = TfidfConfig(),
 ) -> tuple[SplitIndex, HybridFeatureSpace, object, np.ndarray, object, np.ndarray]:
     """Stratified split, then the feature space fitted on the training part
     only. `fit_tfidf` and `transform_corpus` each split the training texts
@@ -201,14 +201,14 @@ def featurized_split(
     indices = stratified_split([r.label for r in records], split.test_fraction, split.seed)
     train_records = [records[i] for i in indices.train_indices]
     test_records = [records[i] for i in indices.test_indices]
-    space = fit_feature_space(train_records, tfidf_config or TfidfConfig())
+    space = fit_feature_space(train_records, tfidf_config)
     return (indices, space, *featurized(space, train_records), *featurized(space, test_records))
 
 
 def run_benchmark(
     records: Sequence[CleanRecord],
     split: SplitConfig = SplitConfig(),
-    tfidf_config: TfidfConfig | None = None,
+    tfidf_config: TfidfConfig = TfidfConfig(),
 ) -> list[BenchmarkRow]:
     """Train every learner of `model.LEARNERS` on one shared stratified
     split and evaluate on the shared test part. A failing model yields a row

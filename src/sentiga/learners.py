@@ -227,7 +227,7 @@ def predict_logreg(model: LogRegModel, X) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # About how many entries of a parameter one step of training handles at a time
-# (64 rows of a 256-wide layer), so that a block and its buffer stay in cache
+# (64 rows of a 256-wide layer), so that a block and its temporaries stay in cache
 _BLOCK = 2**14
 
 
@@ -237,18 +237,18 @@ def _row_blocks(param) -> list[slice]:
     return [slice(start, start + step) for start in range(0, len(param), step)]
 
 
-def _sum_of_squares(W, buf) -> float:
-    """`float(np.sum(W * W))` bit for bit, with `W * W` made in `buf` one
-    piece at a time. numpy sums a contiguous run of n > 128 values as the sum
-    of its two halves, split at n // 2 rounded down to a multiple of 8; this
-    halves the same way until a piece fits in `buf` (at least 128 entries),
-    so it adds the same values in the same order."""
+def _sum_of_squares(W) -> float:
+    """`float(np.sum(W * W))` bit for bit, with `W * W` made one piece of at
+    most `_BLOCK` entries at a time. numpy sums a contiguous run of n > 128
+    values as the sum of its two halves, split at n // 2 rounded down to a
+    multiple of 8; this halves the same way until a piece fits in a block, so
+    it adds the same values in the same order."""
     flat = W.reshape(-1)
 
     def total(start, stop):
-        if stop - start <= buf.size:
+        if stop - start <= _BLOCK:
             piece = flat[start:stop]
-            return float(np.sum(np.multiply(piece, piece, out=buf[: stop - start])))
+            return float(np.sum(piece * piece))
         half = (stop - start) // 2
         half -= half % 8
         return total(start, start + half) + total(start + half, stop)
@@ -277,19 +277,16 @@ class _WeightGrad:
         return grad
 
 
-def _mlp_value_grads(weights, biases, X, Y, alpha, buf=None):
+def _mlp_value_grads(weights, biases, X, Y, alpha):
     """Mean cross-entropy + (alpha / 2n) * sum ||W_l||^2, with gradients.
 
     Hidden activations are ReLU, the output is softmax; the penalty covers
     weights only, not biases. The first layer's gradient is a `_WeightGrad`,
-    read one row block at a time, and the penalty's `W * W` is made in `buf`,
-    a block buffer of at least `_BLOCK` entries (training passes the
-    optimizer's), so no array the size of the first layer is made here.
+    read one row block at a time, and the penalty's `W * W` is made one block
+    at a time, so no array the size of the first layer is made here.
     """
     n = X.shape[0]
     last = len(weights) - 1
-    if buf is None:
-        buf = np.empty(_BLOCK)
 
     activations = [X]
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -301,7 +298,7 @@ def _mlp_value_grads(weights, biases, X, Y, alpha, buf=None):
     proba = np.exp(log_proba)
 
     loss = -float((Y * log_proba).sum()) / n
-    loss += (0.5 * alpha / n) * sum(_sum_of_squares(W, buf) for W in weights)
+    loss += (0.5 * alpha / n) * sum(_sum_of_squares(W) for W in weights)
 
     w_grads = [None] * len(weights)
     b_grads = [None] * len(weights)
@@ -323,16 +320,14 @@ _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 class _Adam:
     """Adam that updates its parameters in place, one row block
-    (`_row_blocks`) at a time. Beside the moments `m` and `v` it keeps one
-    block buffer, `buf`. `update` reads each gradient a block at a time,
-    `grad[rows]`, and spends that block as working space."""
+    (`_row_blocks`) at a time: `update` reads each gradient a block at a
+    time, `grad[rows]`, so no temporary is larger than a block."""
 
     def __init__(self, params, lr):
         self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.buf = np.empty(max(_BLOCK, *(math.prod(p.shape[1:]) for p in params)))
 
     def update(self, params, grads):
         self.t += 1
@@ -341,24 +336,15 @@ class _Adam:
             * np.sqrt(1 - _ADAM_BETA2**self.t)
             / (1 - _ADAM_BETA1**self.t)
         )
-        # per block, the operations, in order, of
-        #   m = beta1 * m + (1 - beta1) * g
-        #   v = beta2 * v + (1 - beta2) * g * g
-        #   p -= rate * m / (sqrt(v) + eps)
         for p_all, g_all, m_all, v_all in zip(params, grads, self.m, self.v):
             for rows in _row_blocks(p_all):
                 g = g_all[rows]  # made before the rows of p_all change
-                p, m, v = p_all[rows], m_all[rows], v_all[rows]
-                buf = self.buf[: g.size].reshape(g.shape)
+                m, v = m_all[rows], v_all[rows]
                 m *= _ADAM_BETA1
-                m += np.multiply(g, 1 - _ADAM_BETA1, out=buf)
+                m += g * (1 - _ADAM_BETA1)
                 v *= _ADAM_BETA2
-                np.multiply(g, 1 - _ADAM_BETA2, out=buf)
-                buf *= g
-                v += buf
-                step = np.multiply(m, rate, out=g)
-                step /= np.add(np.sqrt(v, out=buf), _ADAM_EPS, out=buf)
-                p -= step
+                v += g * (1 - _ADAM_BETA2) * g
+                p_all[rows] -= m * rate / (np.sqrt(v) + _ADAM_EPS)
 
 
 def _validation_split(y, fraction, rng):
@@ -427,8 +413,7 @@ def train_mlp(X, y, config: MlpConfig = MlpConfig()) -> MlpModel:
         for start in range(0, n, batch_size):
             Y_batch = Y_epoch[start : start + batch_size]
             loss, w_grads, b_grads = _mlp_value_grads(
-                weights, biases, X_epoch[start : start + batch_size], Y_batch, config.alpha,
-                optimizer.buf,
+                weights, biases, X_epoch[start : start + batch_size], Y_batch, config.alpha
             )
             optimizer.update(params, [*w_grads, *b_grads])
             del w_grads, b_grads  # spent; free them before the next step's

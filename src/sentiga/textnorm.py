@@ -22,8 +22,10 @@ _ASCII_LETTER_RE = re.compile(r"[a-z]")
 _NON_ALPHA_RE = re.compile(r"[^a-z]")
 
 
-def read_pairs_file(path: str | Path) -> dict[str, str]:
-    """Read a UTF-8 asset of ``key,value`` lines; ``#`` starts a comment."""
+def read_pairs_file(path: str | Path, fold: Callable[[str], str] = str) -> dict[str, str]:
+    """Read a UTF-8 asset of ``key,value`` lines; ``#`` starts a comment.
+    Each key is passed through `fold`, and a key that repeats after it is
+    refused, since a later line would silently replace the earlier one."""
     entries: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -39,6 +41,9 @@ def read_pairs_file(path: str | Path) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise DataError(f"{path}: line {lineno}: empty key or value")
+        key = fold(key)
+        if key in entries:
+            raise DataError(f"{path}: line {lineno}: repeats the key {key!r}")
         entries[key] = value
     return entries
 
@@ -73,7 +78,7 @@ def check_tables(slang: dict[str, str], leet: dict[str, str]) -> None:
 
 def load_slang(path: str | Path) -> dict[str, str]:
     """Load a slang dictionary; keys are lowercase single tokens."""
-    entries = {key.lower(): value.lower() for key, value in read_pairs_file(path).items()}
+    entries = {key: value.lower() for key, value in read_pairs_file(path, str.lower).items()}
     check_tables(entries, {})
     return entries
 

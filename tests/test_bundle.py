@@ -712,6 +712,30 @@ class TestBundleStructure:
             save_bundle(result.bundle, paths[kind])
         return paths
 
+    @pytest.mark.parametrize("widths", [[256, 64], [4], [3, 4], [4, 3, 3]])
+    def test_hidden_widths_other_than_the_layers_are_refused(self, small, tmp_path, widths):
+        path = self._edited(small, "mlp", lambda data: data["classifier"]["config"].update(
+            hidden_layer_sizes=widths), tmp_path)
+        with pytest.raises(BundleError, match=r"hidden widths \(4, 3\), its config declares"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("kind, ngram_range", [("logreg", [1, 1]), ("svm", [2, 2]),
+                                                   ("mlp", [2, 3])])
+    def test_vocabulary_terms_outside_the_ngram_range_are_refused(self, small, tmp_path, kind,
+                                                                  ngram_range):
+        payload = json.loads(small[kind].read_text(encoding="utf-8").split("\n", 2)[2])
+        assert {term.count(" ") + 1 for term in payload["tfidf"]["vocabulary"]} == {1, 2}
+        path = self._edited(small, kind, lambda data: data["tfidf"]["config"].update(
+            ngram_range=ngram_range), tmp_path)
+        with pytest.raises(BundleError, match="outside ngram_range"):
+            load_bundle(path)
+
+    def test_ngram_range_wider_than_the_vocabulary_loads(self, small, tmp_path):
+        # min_df or max_features may leave no term of some admitted length
+        path = self._edited(small, "logreg", lambda data: data["tfidf"]["config"].update(
+            ngram_range=[1, 3]), tmp_path)
+        assert load_bundle(path).tfidf.config.ngram_range == (1, 3)
+
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["logreg", "mlp", "svm"]), data=st.data())
     def test_mutated_payload_never_escapes_predict(self, small, kind, data):

@@ -741,6 +741,18 @@ class TestCsvHeader:
         assert run("preprocess", "--data", str(path), "--out-dir", str(tmp_path)) == 3
         assert "header repeats 'text', the 'text' column" in capsys.readouterr().err
 
+    def test_label_map_repeating_a_bundled_key_is_data_error(self, small_raw_csv, tmp_path,
+                                                             capsys):
+        # the bundled map holds Joy,positive; before, the appended line won
+        label_map = tmp_path / "labels.txt"
+        label_map.write_text(default_label_map_path().read_text(encoding="utf-8")
+                             + "joy,negative\n", encoding="utf-8")
+        code = run("train", "--data", str(small_raw_csv), "--bundle", str(tmp_path / "m.bundle"),
+                   "--label-map", str(label_map), "--min_df", "1", "--max_df", "1.0")
+        assert code == 3
+        assert f"data error: {label_map}: line" in capsys.readouterr().err
+        assert not (tmp_path / "m.bundle").exists()
+
     def test_four_column_reference_corpus_trains_the_reference_bundle(self, tmp_path, capsys):
         """The Hashtags column feeds nothing: without it, `train` writes the
         bytes of TestReferenceBundleBytes."""
@@ -778,6 +790,21 @@ class TestConfigErrors:
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "m.bundle").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--hidden_layer_sizes", "8,,4"), ("--ngram_range", ",1,2"),
+         ("--hidden_layer_sizes", "8,")],
+    )
+    def test_empty_part_beside_a_number_is_refused_at_parse_time(self, tmp_path, capsys,
+                                                                 flag, value):
+        # the data file does not exist: parsing refuses the value before it is read
+        code = run("train", "--data", str(tmp_path / "missing.csv"),
+                   "--bundle", str(tmp_path / "m.bundle"), "--model", "mlp", flag, value)
+        assert code == 2
+        assert f"argument {flag}: expected comma-separated integers, got {value!r}" in (
+            capsys.readouterr().err
+        )
+
     def test_override_the_model_does_not_take_is_usage_error(self, small_raw_csv, tmp_path,
                                                              capsys):
         assert self._train(small_raw_csv, tmp_path, "--model", "svm", "--C", "5") == 2
@@ -791,6 +818,18 @@ class TestConfigErrors:
     def test_bundle_with_out_of_bounds_config_is_io_error(self, trained_bundle, capsys):
         edit_bundle_payload(trained_bundle, lambda data: data["classifier"]["config"].update(C=-1))
         assert run("predict", "--bundle", str(trained_bundle), "--text", "halo") == 5
+
+    def test_bundle_config_that_disagrees_with_its_layers_is_io_error(self, small_raw_csv,
+                                                                      tmp_path, capsys):
+        path = tmp_path / "m.bundle"
+        assert self._train(small_raw_csv, tmp_path, "--model", "mlp",
+                           "--hidden_layer_sizes", "8") == 0
+        edit_bundle_payload(path, lambda data: data["classifier"]["config"].update(
+            hidden_layer_sizes=[256, 64]))
+        out_dir = tmp_path / "tables"
+        assert run("export", "--bundle", str(path), "--out-dir", str(out_dir)) == 5
+        assert "hidden widths (8,), its config declares (256, 64)" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestCountOverflow:

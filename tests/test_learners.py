@@ -209,9 +209,8 @@ class TestMlpGradients:
 
 
 class TestMlpInPlaceStep:
-    """The training step works one row block at a time in preallocated
-    arrays; its results must be those of the plain whole-array expressions
-    it replaces, bit for bit."""
+    """The training step works one row block at a time; its results must be
+    those of the plain whole-array expressions it replaces, bit for bit."""
 
     # (rows, columns): inside one block; 16,384 // 40 = 409 rows a block, so
     # 1,000 rows end in a short block; one 20,000-wide row is a block alone
@@ -259,11 +258,10 @@ class TestMlpInPlaceStep:
             (hidden.T @ delta + alpha * W1) / n,
         ]
 
-        for buf in (None, np.full(learners._BLOCK, np.nan)):
-            loss, w_grads, _ = _mlp_value_grads([W0, W1], [b0, b1], X, Y, alpha, buf)
-            assert loss == expected_loss
-            for got, want in zip(whole_weight_grads(w_grads, [W0, W1]), expected_grads):
-                assert np.array_equal(got, want)
+        loss, w_grads, _ = _mlp_value_grads([W0, W1], [b0, b1], X, Y, alpha)
+        assert loss == expected_loss
+        for got, want in zip(whole_weight_grads(w_grads, [W0, W1]), expected_grads):
+            assert np.array_equal(got, want)
 
     # (features, first hidden width, sparse input, row blocks): 1,130 rows of
     # 256 are 17 blocks of 64 and one of 42; 3,003 rows of 100 are 18 of 163
@@ -318,7 +316,7 @@ class TestBlockedPenalty:
         rng = np.random.default_rng(seed)
         W = rng.normal(size=length) * 10.0 ** rng.integers(-decades, decades + 1, size=length)
         W = W.reshape(-1, 256) if length % 256 == 0 else W
-        got = learners._sum_of_squares(W, np.empty(learners._BLOCK))
+        got = learners._sum_of_squares(W)
         want = float(np.sum(W * W))
         assert got == want, (
             f"blocked {got!r} != np.sum {want!r} for {W.shape}: numpy {np.__version__} "

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import SOCIAL_POSTS
 from sentiga import textnorm
-from sentiga.corpus import load_raw
+from sentiga.corpus import LabelMap, load_raw
 from sentiga.datasets import reference_corpus_path
 from sentiga.errors import DataError
 from sentiga.textnorm import (
@@ -198,6 +198,28 @@ class TestAssets:
         path.write_text("no-separator-here\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_pairs_file(path)
+
+    @pytest.mark.parametrize(
+        "load, lines, key",
+        [
+            (read_pairs_file, "foo,bar\nfoo,baz\n", "foo"),
+            (load_slang, "gak,tidak\nGAK,enggak\n", "gak"),
+            (load_leet, "4,a\n3,e\n4,h\n", "4"),
+            (LabelMap.from_file, "Joy,positive\njoy,negative\n", "joy"),
+        ],
+        ids=["pairs", "slang", "leet", "label-map"],
+    )
+    def test_key_repeated_after_folding_is_refused(self, tmp_path, load, lines, key):
+        path = tmp_path / "pairs.txt"
+        path.write_text(lines, encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load(path)
+        assert str(path) in str(exc.value) and repr(key) in str(exc.value)
+
+    def test_keys_distinct_only_before_folding_are_kept_by_the_plain_reader(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text("gak,tidak\nGAK,enggak\n", encoding="utf-8")
+        assert read_pairs_file(path) == {"gak": "tidak", "GAK": "enggak"}
 
     def test_load_slang_rejects_multiword_keys(self, tmp_path):
         path = tmp_path / "slang.txt"
