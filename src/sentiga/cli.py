@@ -183,15 +183,15 @@ def _resolve_data_path(args) -> Path:
     return Path(args.data) if args.data else datasets.reference_corpus_path()
 
 
-def _label_map(args, policy: str = "error", loaded=None) -> LabelMap:
+def _label_map(args, loaded=None) -> LabelMap:
     """The --label-map map, or the bundled one; given a bundle, it must be the
     map the bundle was trained with."""
     from . import corpus
 
     if args.label_map:
-        label_map = corpus.LabelMap.from_file(args.label_map, policy)
+        label_map = corpus.LabelMap.from_file(args.label_map)
     else:
-        label_map = corpus.default_label_map(policy)
+        label_map = corpus.default_label_map()
     if loaded is not None and label_map.digest() != loaded.label_map_digest:
         raise DataError(
             f"the label map's digest {label_map.digest()[:12]}... differs from the bundle's "
@@ -211,9 +211,9 @@ def _load_records(args, loaded=None):
     else:
         slang = textnorm.load_slang(args.slang) if args.slang else textnorm.default_slang()
         leet = textnorm.load_leet(args.leet) if args.leet else textnorm.default_leet()
-    label_map = _label_map(args, "drop" if args.drop_unmapped else "error", loaded)
+    label_map = _label_map(args, loaded)
     raw = corpus.load_raw(_resolve_data_path(args), lenient=args.lenient)
-    records = corpus.prepare_corpus(raw, label_map, slang, leet)
+    records = corpus.prepare_corpus(raw, label_map, slang, leet, drop_unmapped=args.drop_unmapped)
     return records, label_map, slang, leet
 
 

@@ -49,21 +49,15 @@ class CleanRecord:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Lookup from normalized raw emotion label to sentiment class.
-
-    ``unmapped_policy`` decides what happens to unknown labels: ``error``
-    raises (the default for training data, so gaps in the map surface),
-    ``drop`` tells the caller to discard the record.
-    """
+    """Lookup from normalized raw emotion label to sentiment class; each key
+    must be normalized (`normalize_key`), or no raw label could reach it."""
 
     entries: Mapping[str, SentimentClass]
-    unmapped_policy: str = "error"
 
     def __post_init__(self):
-        if self.unmapped_policy not in ("error", "drop"):
-            raise DataError(
-                f"unmapped_policy must be 'error' or 'drop', got {self.unmapped_policy!r}"
-            )
+        for key in self.entries:
+            if self.normalize_key(key) != key:
+                raise DataError(f"label map key {key!r} is not normalized: it can never match")
 
     @staticmethod
     def normalize_key(raw_label: str) -> str:
@@ -73,12 +67,12 @@ class LabelMap:
         return self.entries.get(self.normalize_key(raw_label))
 
     @classmethod
-    def from_file(cls, path: str | Path, unmapped_policy: str = "error") -> "LabelMap":
+    def from_file(cls, path: str | Path) -> "LabelMap":
         entries = {
             key: SentimentClass.parse(value)
             for key, value in read_pairs_file(path, cls.normalize_key).items()
         }
-        return cls(entries=entries, unmapped_policy=unmapped_policy)
+        return cls(entries=entries)
 
     def digest(self) -> str:
         """Stable fingerprint of the mapping, independent of file layout."""
@@ -89,9 +83,9 @@ def default_label_map_path() -> Path:
     return _asset_path("label_map.txt")
 
 
-@lru_cache(maxsize=2)
-def default_label_map(unmapped_policy: str = "error") -> LabelMap:
-    return LabelMap.from_file(default_label_map_path(), unmapped_policy)
+@lru_cache(maxsize=1)
+def default_label_map() -> LabelMap:
+    return LabelMap.from_file(default_label_map_path())
 
 
 # Logical column -> acceptable header names, matched case-insensitively.
@@ -177,28 +171,20 @@ def load_raw(path: str | Path, lenient: bool = False) -> list[RawRecord]:
     return records
 
 
-def map_label(raw_label: str, label_map: LabelMap) -> SentimentClass | None:
-    """Map one raw emotion label to its class.
-
-    Under policy ``error`` an unknown label raises; under ``drop`` it
-    returns None and the caller discards the record.
-    """
-    found = label_map.lookup(raw_label)
-    if found is None and label_map.unmapped_policy == "error":
-        raise DataError(f"unmapped raw label: {raw_label!r}")
-    return found
-
-
 def _record(
-    raw: RawRecord, label_map: LabelMap, text: str, word_count: int, hashtag_count: int
+    raw: RawRecord, label_map: LabelMap, text: str, word_count: int, hashtag_count: int,
+    drop_unmapped: bool = False,
 ) -> CleanRecord | None:
-    """The record of `raw` cleaned to `text`; None when the text is empty or
-    the label is dropped."""
+    """The record of `raw` cleaned to `text`; None when the text is empty or,
+    under `drop_unmapped`, the label map lacks its label, which is otherwise
+    a DataError."""
     if not text:
         return None
-    label = map_label(raw.raw_label, label_map)
+    label = label_map.lookup(raw.raw_label)
     if label is None:
-        return None
+        if drop_unmapped:
+            return None
+        raise DataError(f"unmapped raw label: {raw.raw_label!r}")
     return CleanRecord(
         clean_text=text,
         label=label,
@@ -214,8 +200,8 @@ def clean_record(
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,
 ) -> CleanRecord | None:
-    """Normalize one raw record; None when it cleans to empty or its label
-    is dropped."""
+    """Normalize one raw record; None when it cleans to empty, a DataError
+    when the label map lacks its label."""
     text = clean_text(raw.text, slang, leet)
     return _record(raw, label_map, text, len(text.split()), count_hashtags(raw.text))
 
@@ -237,16 +223,19 @@ def prepare_corpus(
     label_map: LabelMap | None = None,
     slang: dict[str, str] | None = None,
     leet: dict[str, str] | None = None,
+    *,
+    drop_unmapped: bool = False,
 ) -> list[CleanRecord]:
     """Full preparation: clean, drop empty texts, remap labels, deduplicate.
-    Gives ``deduplicate`` of each record's ``clean_record``, but cleans each
-    distinct raw token once (`textnorm.post_cleaner`)."""
+    A label the map lacks is a DataError, or under `drop_unmapped` drops its
+    record. Gives ``deduplicate`` of each record's ``clean_record``, but
+    cleans each distinct raw token once (`textnorm.post_cleaner`)."""
     if label_map is None:
         label_map = default_label_map()
     clean = post_cleaner(slang, leet)
     cleaned = []
     for raw in raw_records:
-        record = _record(raw, label_map, *clean(raw.text))
+        record = _record(raw, label_map, *clean(raw.text), drop_unmapped)
         if record is not None:
             cleaned.append(record)
     return deduplicate(cleaned)

@@ -19,7 +19,7 @@ from .corpus import CleanRecord
 from .errors import DataError, SentigaError, TrainingError
 from .features import HybridFeatureSpace, fit_feature_space
 from .model import (CLASS_NAMES, LEARNERS, N_CLASSES, ClassMetrics, EvalReport, SplitConfig,
-                    TfidfConfig, _check_counts, get_learner)
+                    TfidfConfig, _check_counts, _whole, get_learner)
 
 
 def seeded_config(kind: str, split: SplitConfig, **values):
@@ -58,7 +58,7 @@ def stratified_split(
     """
     if not 0 < test_fraction < 1:
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    y = np.asarray([int(v) for v in labels])
+    y = _whole(labels, "class labels")
     classes = np.unique(y)
     counts = np.array([int(np.sum(y == c)) for c in classes])
     if not len(classes):
@@ -83,8 +83,7 @@ def stratified_split(
 
 def confusion(y_true, y_pred) -> np.ndarray:
     """The 3x3 count array: [i][j] = samples with true class i predicted as class j."""
-    y_true = np.asarray([int(v) for v in y_true], dtype=int)
-    y_pred = np.asarray([int(v) for v in y_pred], dtype=int)
+    y_true, y_pred = _whole(y_true, "class labels"), _whole(y_pred, "class labels")
     if y_true.shape != y_pred.shape:
         raise DataError(
             f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted"

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DataError, TrainingError
 from .model import (N_CLASSES, LinearSvmConfig, LinearSvmModel, LogRegConfig, LogRegModel,
-                    MlpConfig, MlpModel, _check_features, _left_sum, _row_max, forward, softmax)
+                    MlpConfig, MlpModel, _check_features, _left_sum, _row_max, _whole, forward,
+                    softmax)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -58,7 +59,7 @@ def _as_matrix(X) -> sp.csr_matrix | np.ndarray:
 
 
 def _check_labels(X, y) -> np.ndarray:
-    y = np.asarray([int(v) for v in y])
+    y = _whole(y, "class labels")
     n = X.shape[0]
     if y.shape[0] != n:
         raise DataError(f"{n} rows but {y.shape[0]} labels")

@@ -86,9 +86,9 @@ def check_config(config) -> None:
     """Raise ValueError unless every field of `config` is of its type and
     within bounds. A field's type hint must admit its value (`_admits`; a
     tuple hint, a tuple of such entries; None wherever the hint allows it);
-    a float must be finite, a `seed` non-negative as numpy requires, and each
-    field that the class's `bounds` names within its bound there, a key of
-    `_BOUNDS` or a tuple of the supported values."""
+    a float must be finite (it is stored as a float), a `seed` non-negative
+    as numpy requires, and each field that the class's `bounds` names within
+    its bound there, a key of `_BOUNDS` or a tuple of the supported values."""
     hints, bounds = _type_hints(type(config)), config.bounds
     for f in fields(config):
         name, value, hint = f.name, getattr(config, f.name), hints[f.name]
@@ -99,8 +99,10 @@ def check_config(config) -> None:
         if not _admits(args[0] if args else hint, value if tupled else [value]):
             hint = hint.__name__ if isinstance(hint, type) else hint  # int, not <class 'int'>
             raise ValueError(f"{name} must be of type {hint}, got {value!r}")
-        if hint is float and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if hint is float:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(config, name, float(value))  # C=2 reads back as C=2.0
         bound = bounds.get(name, "non-negative" if name == "seed" else None)
         if isinstance(bound, tuple):
             if value not in bound:
@@ -340,16 +342,23 @@ class Scaler:
         self.safe_stds_ = np.where(self.stds == 0, 1.0, self.stds)
 
 
+def _whole(values, what: str, ndim: int = 1) -> np.ndarray:
+    """`values` as an `ndim`-d int array; DataError unless each is a whole
+    number that an int64 holds: NaN, 2.5, 1e19, 2**70 and "1" are refused."""
+    array = np.asarray(values)
+    if array.ndim != ndim:
+        raise DataError(f"{what} must be {ndim}-d, got shape {array.shape}")
+    if array.dtype.kind not in "biuf" or not np.all(
+        (array == np.trunc(array)) & (np.abs(array) < 2.0**63)
+    ):
+        raise DataError(f"{what} must be whole numbers, got {array.tolist()!r:.80}")
+    return array.astype(int)
+
+
 def _check_counts(counts) -> np.ndarray:
     """`counts` as a 3x3 int array, counts[i][j] = samples with true class i
     predicted as class j; DataError unless whole, 3x3 and non-negative."""
-    counts = np.asarray(counts)
-    # a float count must be whole and castable: NaN, 2.5 or 1e19 are refused
-    if counts.dtype.kind == "f" and not np.all(
-        (counts == np.trunc(counts)) & (np.abs(counts) < 2.0**63)
-    ):
-        raise DataError(f"confusion counts must be whole numbers, got {counts.tolist()}")
-    counts = counts.astype(int)
+    counts = _whole(counts, "confusion counts", 2)
     if counts.shape != (N_CLASSES, N_CLASSES):
         raise DataError(f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {counts.shape}")
     if np.any(counts < 0):

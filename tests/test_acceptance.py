@@ -263,9 +263,9 @@ def test_criterion_09_external_dataset_reference_point():
         print("[SKIP] criterion 9: no external dataset supplied (informational)")
         pytest.skip("SENTIGA_EXTERNAL_CSV not set; criterion 9 is informational")
     from sentiga.bundle import train_bundle
-    from sentiga.corpus import default_label_map, load_raw, prepare_corpus
+    from sentiga.corpus import load_raw, prepare_corpus
 
-    records = prepare_corpus(load_raw(path, lenient=True), default_label_map("drop"))
+    records = prepare_corpus(load_raw(path, lenient=True), drop_unmapped=True)
     result = train_bundle(records, kind="logreg", split=SplitConfig(seed=42))
     print(
         f"[NOTE] criterion 9: external dataset accuracy "

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -16,7 +17,6 @@ from sentiga.corpus import (
     deduplicate,
     default_label_map,
     load_raw,
-    map_label,
     prepare_corpus,
 )
 from sentiga.datasets import reference_corpus_path
@@ -197,25 +197,41 @@ class TestHeaderAliases:
         assert _bound_value(tmp_path, header, row, column) == win
 
 
+def _raw(raw_label, text="senang sekali"):
+    return RawRecord(text=text, raw_label=raw_label, retweets=0, likes=0)
+
+
 class TestLabelMap:
     def test_table_rows(self):
         label_map = default_label_map()
-        assert map_label("Joy", label_map) is SentimentClass.POSITIVE
-        assert map_label("Curiosity", label_map) is SentimentClass.NEUTRAL
-        assert map_label("Sad", label_map) is SentimentClass.NEGATIVE
+        assert label_map.lookup("Joy") is SentimentClass.POSITIVE
+        assert label_map.lookup("Curiosity") is SentimentClass.NEUTRAL
+        assert label_map.lookup("Sad") is SentimentClass.NEGATIVE
 
     def test_case_and_whitespace_insensitive(self):
         label_map = default_label_map()
-        assert map_label("  ANGER ", label_map) is SentimentClass.NEGATIVE
+        assert label_map.lookup("  ANGER ") is SentimentClass.NEGATIVE
         for raw in ("Joy", "joy", " JOY  "):
-            assert map_label(raw, label_map) is SentimentClass.POSITIVE
+            assert label_map.lookup(raw) is SentimentClass.POSITIVE
+            [record] = prepare_corpus([_raw(raw)], label_map)
+            assert record.label is SentimentClass.POSITIVE
 
-    def test_unmapped_policies(self):
-        strict = LabelMap(entries={"joy": SentimentClass.POSITIVE})
+    def test_unmapped_label_raises_unless_dropped(self):
+        label_map = LabelMap(entries={"joy": SentimentClass.POSITIVE})
+        assert label_map.lookup("zzz") is None
         with pytest.raises(DataError, match="unmapped raw label: 'zzz'"):
-            map_label("zzz", strict)
-        dropping = LabelMap(entries={"joy": SentimentClass.POSITIVE}, unmapped_policy="drop")
-        assert map_label("zzz", dropping) is None
+            prepare_corpus([_raw("zzz")], label_map)
+        with pytest.raises(DataError, match="unmapped raw label: 'zzz'"):
+            clean_record(_raw("zzz"), label_map)
+        assert prepare_corpus([_raw("zzz")], label_map, drop_unmapped=True) == []
+
+    def test_empty_text_is_dropped_before_its_label_is_looked_up(self):
+        label_map = LabelMap(entries={"joy": SentimentClass.POSITIVE})
+        assert prepare_corpus([_raw("zzz", text="http://t.co/x")], label_map) == []
+
+    def test_drop_unmapped_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            prepare_corpus([], default_label_map(), None, None, True)
 
     def test_bundled_map_has_191_entries(self):
         label_map = default_label_map()
@@ -225,6 +241,20 @@ class TestLabelMap:
         a = LabelMap(entries={"a": SentimentClass.POSITIVE, "b": SentimentClass.NEGATIVE})
         b = LabelMap(entries={"b": SentimentClass.NEGATIVE, "a": SentimentClass.POSITIVE})
         assert a.digest() == b.digest()
+
+    def test_maps_with_the_same_entries_are_equal(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("Joy,positive\nsad,negative\n", encoding="utf-8")
+        from_file = LabelMap.from_file(path)
+        built = LabelMap(entries={"sad": SentimentClass.NEGATIVE, "joy": SentimentClass.POSITIVE})
+        assert from_file == built
+        assert from_file.digest() == built.digest()
+        assert [f.name for f in fields(LabelMap)] == ["entries"]
+
+    @pytest.mark.parametrize("key", ["Joy", " joy", "joy\t", "JOY"])
+    def test_key_that_can_never_match_is_refused(self, key):
+        with pytest.raises(DataError, match=re.escape(f"label map key {key!r} is not normalized")):
+            LabelMap(entries={key: SentimentClass.POSITIVE})
 
 
 def _rec(text, label=SentimentClass.POSITIVE):
@@ -381,3 +411,20 @@ class TestPrepareCorpusTokenMemo:
             [r for r in (clean_record(raw, label_map) for raw in raws) if r]
         ))
         assert outcome(lambda: prepare_corpus(raws, label_map)) == expected
+
+
+class TestPrepareCorpusDropUnmapped:
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["halo", "", "@x", "bgt #y"]),
+                      st.sampled_from(["Joy", " SAD ", "NotAnEmotion", "zzz"])),
+            max_size=8,
+        )
+    )
+    def test_equals_preparing_only_the_mapped_records(self, rows):
+        raws = [_raw(label, text=text) for text, label in rows]
+        label_map = default_label_map()
+        mapped = [raw for raw in raws if label_map.lookup(raw.raw_label) is not None]
+        assert prepare_corpus(raws, label_map, drop_unmapped=True) == prepare_corpus(
+            mapped, label_map
+        )

@@ -6,6 +6,7 @@ from conftest import make_clean_records
 import sentiga.evaluation
 from sentiga.errors import DataError, SentigaError, TrainingError
 from sentiga.features import TfidfConfig
+from sentiga.model import SentimentClass
 from sentiga.evaluation import (
     BenchmarkRow,
     SplitConfig,
@@ -99,6 +100,28 @@ class TestSplitConfig:
             SplitConfig(**values)
 
 
+class TestStratifiedSplitLabels:
+    @pytest.mark.parametrize("bad", [1.5, float("inf"), "2", None], ids=repr)
+    def test_label_that_is_not_a_whole_number_raises(self, bad):
+        with pytest.raises(DataError, match="class labels must be whole numbers"):
+            stratified_split([0, 0, 1, 1, 2, bad], 0.5, seed=0)
+
+    def test_labels_that_are_not_one_dimensional_raise(self):
+        # flattened, these 3 records' labels would split into indices up to 5
+        with pytest.raises(DataError, match=r"class labels must be 1-d, got shape \(3, 2\)"):
+            stratified_split([[0, 1], [2, 0], [1, 2]], 0.5, seed=0)
+        with pytest.raises(DataError, match=r"class labels must be 1-d, got shape \(2, 2\)"):
+            confusion([[0, 1], [1, 2]], [[0, 1], [1, 2]])
+
+    def test_whole_float_labels_split_as_their_ints(self):
+        labels = labels_from_counts([6, 4, 8])
+        floats = stratified_split(labels.astype(float), 0.5, seed=3)
+        enums = stratified_split([SentimentClass(v) for v in labels], 0.5, seed=3)
+        ints = stratified_split(labels, 0.5, seed=3)
+        for split in (floats, enums):
+            assert np.array_equal(split.test_indices, ints.test_indices)
+
+
 class TestConfusion:
     def test_perfect_predictions_are_diagonal(self):
         y = labels_from_counts([38, 12, 92])
@@ -124,6 +147,18 @@ class TestConfusion:
         # as an index, -1 would be the last column: a wrong prediction counted as right
         with pytest.raises(DataError, match=r"class ordinals must be in 0\.\.2"):
             confusion(y_true, y_pred)
+
+    @pytest.mark.parametrize("bad", [1.7, float("nan"), 1e19, 2**70, "1", None], ids=repr)
+    def test_label_that_is_not_a_whole_number_raises(self, bad):
+        # int() would count 1.7 as class 1
+        with pytest.raises(DataError, match="class labels must be whole numbers"):
+            confusion([0, bad, 2], [0, 1, 2])
+        with pytest.raises(DataError, match="class labels must be whole numbers"):
+            confusion([0, 1, 2], [0, bad, 2])
+
+    def test_whole_float_and_enum_labels_are_accepted(self):
+        cm = confusion([0.0, 1.0, 2.0], list(SentimentClass))
+        assert cm.tolist() == np.eye(3, dtype=int).tolist()
 
     def test_empty_input_is_all_zero(self):
         assert confusion([], []).tolist() == [[0] * 3] * 3

@@ -18,6 +18,7 @@ from sentiga.export import (
     PER_CLASS_FILE,
     PER_CLASS_HEADER,
     export_tables,
+    hyperparameter_table_rows,
     write_csv_atomic,
 )
 from sentiga.features import TfidfConfig
@@ -117,6 +118,14 @@ class TestExportTables:
         assert ("TF-IDF", "max_df", "0.9") in rows
         assert ("TF-IDF", "ngram_range", "(1, 2)") in rows
         assert ("TF-IDF", "sublinear_tf", "True") in rows
+
+    def test_int_given_to_a_float_field_renders_as_a_float(self):
+        # as a saved and loaded config renders it: the bundle stores C=2.0 as 2
+        rows = hyperparameter_table_rows(TfidfConfig(max_df=1), {"logreg": LogRegConfig(C=2)})
+        assert ("Logistic Regression", "C", "2.0") in rows
+        assert ("TF-IDF", "max_df", "1.0") in rows
+        assert rows == hyperparameter_table_rows(TfidfConfig(max_df=1.0),
+                                                 {"logreg": LogRegConfig(C=2.0)})
 
     def test_no_class_weighting_renders_as_none(self, tmp_path, inputs):
         configs = {"logreg": LogRegConfig(class_weight=None), "mlp": MlpConfig()}

@@ -149,6 +149,15 @@ def test_config_accepts_boundary_values():
     MlpConfig(batch_size=None)
 
 
+@pytest.mark.parametrize("config, name", [
+    (LogRegConfig(C=2, tol=1), "C"), (LogRegConfig(C=2, tol=1), "tol"),
+    (TfidfConfig(max_df=1), "max_df"), (MlpConfig(alpha=0), "alpha"),
+    (LinearSvmConfig(regularization=3), "regularization"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_float_field_given_an_int_stores_a_float(config, name):
+    assert type(getattr(config, name)) is float
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

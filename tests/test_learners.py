@@ -9,7 +9,7 @@ from conftest import make_separable_xy, whole_weight_grads
 from sentiga import learners
 from sentiga.corpus import load_raw, prepare_corpus
 from sentiga.datasets import reference_corpus_path
-from sentiga.errors import TrainingError
+from sentiga.errors import DataError, TrainingError
 from sentiga.evaluation import SplitConfig, featurized_split
 from sentiga.learners import (
     N_CLASSES,
@@ -101,6 +101,15 @@ class TestTrainLogReg:
         X, y = make_separable_xy(seed=2)
         model = train_logreg(X, y)
         assert np.mean(predict_logreg(model, X) == y) == 1.0
+
+    @pytest.mark.parametrize("train", [train_logreg, train_mlp, train_linear_svm],
+                             ids=lambda f: f.__name__)
+    def test_label_that_is_not_a_whole_number_raises(self, train):
+        X, y = make_separable_xy(seed=2)
+        y = y.astype(float)
+        y[0] += 0.5
+        with pytest.raises(DataError, match="class labels must be whole numbers"):
+            train(X, y)
 
     def test_objective_monotone_on_random_instances(self):
         rng = np.random.default_rng(3)

@@ -17,7 +17,7 @@ PUBLIC = {
     "bundle": ["ModelBundle", "Prediction", "load_bundle", "predict", "save_bundle",
                "train_bundle"],
     "corpus": ["CleanRecord", "LabelMap", "RawRecord", "class_counts", "default_label_map",
-               "deduplicate", "load_raw", "map_label", "prepare_corpus"],
+               "deduplicate", "load_raw", "prepare_corpus"],
     "errors": ["SentigaError"],
     "evaluation": ["SplitIndex", "confusion", "report", "run_benchmark", "stratified_split"],
     "features": ["HybridFeatureSpace", "HybridMatrix", "fit_feature_space", "fit_scaler",
