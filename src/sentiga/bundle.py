@@ -13,10 +13,15 @@ save/load round trip preserves predictions exactly. The payload embeds
 every fitted component needed at inference time (slang and leet tables,
 vectorizer, scaler, classifier weights), so prediction never consults
 external assets.
+
+Loading checks the payload in plain Python before any numpy array is made,
+and a logistic-regression or SVM bundle scores a post from plain Python
+data (`Serving`), so `sentiga predict` on one imports no numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -26,17 +31,19 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import BundleError, DataError, SentigaError, TrainingError
-from .model import (LEARNERS, N_CLASSES, NUMERIC_FEATURE_NAMES, EvalReport, Scaler, SentimentClass,
-                    SplitConfig, TfidfConfig, TfidfModel, _admits, _check_features, _engagement,
-                    _left_sum, forward, get_learner, tfidf_row)
+from .model import (LEARNERS, N_CLASSES, NUMERIC_FEATURE_NAMES, EvalReport, Scaler,
+                    SentimentClass, SplitConfig, TfidfConfig, TfidfModel, _admits,
+                    _check_features, _check_vocabulary, _Config, _engagement, _finite,
+                    _left_sum, _LinearModel, _safe_stds, _term_columns, forward, get_learner,
+                    tfidf_row)
 from .textnorm import check_tables, default_leet, default_slang, pairs_digest, post_cleaner
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .corpus import CleanRecord, LabelMap
     from .features import HybridFeatureSpace
 
@@ -49,6 +56,8 @@ _MAGIC = "SENTIGA-BUNDLE"
 # --------------------------------------------------------------------------
 
 def _encode(value) -> str:
+    import numpy as np
+
     if value is None:
         return "null"
     if value is True:
@@ -98,20 +107,49 @@ def _persisted(cls) -> list:
     return [f for f in fields(cls) if not f.name.endswith("_")]
 
 
+class _Array(NamedTuple):
+    """A JSON array of numbers as `_decode` checks it: the payload's lists,
+    nested one per dimension, their shape, and their entries in order."""
+
+    lists: list
+    shape: tuple[int, ...]
+    entries: list
+
+
+class _Fields(dict):
+    """A dataclass's decoded fields, by name; `_build` makes the dataclass."""
+
+    def __init__(self, cls: type, decoded: dict):
+        super().__init__(decoded)
+        self.cls = cls
+
+
+# the payload's classes name arrays `np.ndarray`; read as `_Array`, their
+# hints resolve without numpy, which only `_build` imports
+_ARRAY_NAMESPACE = {"np": types.SimpleNamespace(ndarray=_Array)}
+
+
+@functools.cache
+def _hints(cls: type) -> dict:
+    return typing.get_type_hints(cls, localns=_ARRAY_NAMESPACE)
+
+
 def _decode(hint, value):
-    """Rebuild a value of the declared type `hint` from its JSON form.
+    """Check a value of the declared type `hint` in its JSON form, in plain
+    Python: a config is built, which checks its bounds; another dataclass
+    becomes the `_Fields` of its decoded fields, an array an `_Array`.
 
     The payload writes 2.0 as 2 and tuples as lists, so a float takes any
     finite JSON number and a tuple a list; an int, bool or str must be a JSON
     value of exactly that type, so 2.5 or true is no int, and an array entry
-    a JSON number, so "1.5" or true is no entry. A dataclass is rebuilt field
-    by field from its type hints; the entries of a dict, list or array of
-    scalars are checked together, not one call each; a dict is the
-    vocabulary, str -> int, or a table, str -> str.
+    a JSON number, so "1.5" or true is no entry. The entries of a dict, list
+    or array of scalars are checked together, not one call each; a dict is
+    the vocabulary, str -> int, or a table, str -> str.
     """
     if is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
-        return hint(**{f.name: _decode(hints[f.name], value[f.name]) for f in _persisted(hint)})
+        hints = _hints(hint)
+        decoded = {f.name: _decode(hints[f.name], value[f.name]) for f in _persisted(hint)}
+        return hint(**decoded) if issubclass(hint, _Config) else _Fields(hint, decoded)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -123,17 +161,8 @@ def _decode(hint, value):
         if args[0] in _SCALARS:
             return origin(_scalars(args[0], value))
         return origin(_decode(args[0], v) for v in value)
-    if hint is np.ndarray:
-        array = np.asarray(value, dtype=float)
-        entries = value  # nested one list per dimension
-        for _ in range(array.ndim - 1):
-            entries = itertools.chain.from_iterable(entries)
-        # np.asarray also converts a numeric string or a bool
-        kinds = set(map(type, entries))
-        if not kinds <= {int, float}:
-            names = sorted(kind.__name__ for kind in kinds)
-            raise TypeError(f"expected an array of numbers, got entries of type {names}")
-        return array
+    if hint is _Array:
+        return _array(value)
     return _scalars(hint, [value])[0]
 
 
@@ -142,15 +171,48 @@ _SCALARS = (int, bool, str, float)
 
 def _scalars(hint, values) -> list:
     """`values` decoded as `hint`, one of _SCALARS, by the rule a config's
-    fields obey (`model._admits`); a float must also be finite."""
+    fields obey (`model._admits`); a float must also be finite (`model._finite`)."""
     values = list(values)
     if not _admits(hint, values):
         raise TypeError(f"expected {hint.__name__} values, got {values!r:.80}")
     if hint is float:
-        if not all(map(math.isfinite, values)):
+        if not _finite(values):
             raise ValueError(f"expected finite numbers, got {values!r:.80}")
         return [float(v) for v in values]
     return values
+
+
+def _array(value) -> _Array:
+    """`value` as an `_Array`: nested lists, all of one length at each depth,
+    around JSON numbers."""
+    if type(value) is not list:
+        raise TypeError(f"expected an array of numbers, got {value!r:.80}")
+    shape, entries = [], [value]
+    while entries and type(entries[0]) is list:
+        lengths = set(map(len, entries))
+        if len(lengths) > 1:
+            raise ValueError(f"expected an array, got lists of lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        entries = list(itertools.chain.from_iterable(entries))
+    kinds = set(map(type, entries))
+    if not kinds <= {int, float}:
+        names = sorted(kind.__name__ for kind in kinds)
+        raise TypeError(f"expected an array of numbers, got entries of type {names}")
+    return _Array(value, tuple(shape), entries)
+
+
+def _build(value):
+    """`value`, as `_decode` returns it, with each `_Fields` made its
+    dataclass and each `_Array` a float array."""
+    import numpy as np
+
+    if isinstance(value, _Fields):
+        return value.cls(**{name: _build(v) for name, v in value.items()})
+    if isinstance(value, _Array):
+        return np.array(value.lists, dtype=float)
+    if type(value) is list:
+        return [_build(v) for v in value]
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -172,14 +234,26 @@ class ModelBundle:
     scaler: Scaler
     classifier: object
     metrics_snapshot: EvalReport | None = None
-    # raw post -> (clean text, word count, hashtag count) for predict:
-    # `textnorm.post_cleaner` of the tables, a token memo that fills as the
-    # bundle serves; derived from the tables, so bundles do not store it
-    clean_: Callable[[str], tuple[str, int, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         SplitConfig(self.seed, self.test_fraction)  # the split's bounds
-        self.clean_ = post_cleaner(self.slang, self.leet)
+
+    @functools.cached_property
+    def serving_(self) -> Serving:
+        """What `predict` reads: the cleaner of the tables, a token memo that
+        fills as the bundle serves, and the fitted parts as plain Python
+        data. Derived from the stored fields on first use, so bundles do not
+        store it and a bundle that never serves does not hold it."""
+        model = self.classifier
+        if isinstance(model, _LinearModel):
+            classifier = {"weights": list(zip(*model.W.tolist())), "bias": tuple(model.b.tolist())}
+        else:
+            classifier = {"layers": model.layers}
+        return Serving(
+            LEARNERS[self.kind].probabilistic, post_cleaner(self.slang, self.leet),
+            self.tfidf.config, self.tfidf.columns_,
+            self.scaler.means.tolist(), self.scaler.safe_stds_.tolist(), **classifier,
+        )
 
     @property
     def slang_digest(self) -> str:
@@ -221,7 +295,31 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
+    return _load(path, _build)
+
+
+def load_serving(path: str | Path) -> Serving:
+    """The `Serving` of the bundle file at `path`, checked as `load_bundle`
+    checks it. A logreg or SVM bundle's is built from the payload's lists,
+    without numpy; an MLP bundle's is that of its `load_bundle`."""
+    return _load(path, lambda fields: _linear_serving(fields)
+                 if issubclass(fields["classifier"].cls, _LinearModel) else _build(fields).serving_)
+
+
+def _load(path: str | Path, make: Callable[[_Fields], object]):
+    """`make` of the checked fields of the bundle file at `path`; BundleError
+    if the file is not a bundle or its payload is malformed."""
     path = Path(path)
+    data = _read_payload(path)
+    try:
+        return make(_checked(data))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
+        raise BundleError(f"{path}: malformed payload: {exc!r}") from None
+
+
+def _read_payload(path: Path) -> dict:
+    """The parsed payload of the bundle file at `path`, once its header and
+    checksum hold."""
     if not path.exists():
         raise BundleError(f"no such bundle: {path}")
     try:
@@ -248,69 +346,99 @@ def load_bundle(path: str | Path) -> ModelBundle:
     actual = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
     if actual != expected:
         raise BundleError(f"{path}: checksum mismatch, bundle is corrupt")
-
     try:
-        data = json.loads(payload_text)
+        return json.loads(payload_text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise BundleError(f"{path}: unparseable payload: {exc}") from None
 
-    try:
-        bundle = _bundle_from_payload(data)
-        _check_arrays(bundle)
-        for table in ("slang", "leet"):
-            if data[f"{table}_digest"] != getattr(bundle, f"{table}_digest"):
-                raise ValueError(f"{table}_digest does not match the {table} table")
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
-        raise BundleError(f"{path}: malformed payload: {exc!r}") from None
+
+def _checked(data: dict) -> _Fields:
+    """The payload's `ModelBundle` fields, decoded by their type hints (the
+    classifier by the model type of its kind), once every check a bundle
+    makes holds: those of its dataclasses, `_check_arrays`, and the table
+    digests. The tables are checked first, so a bad entry is the loaders'
+    DataError rather than a decoding error. Plain Python throughout."""
+    check_tables(data["slang"], data["leet"])
+    hints = _hints(ModelBundle) | {"classifier": LEARNERS[data["kind"]].model}
+    bundle = _Fields(ModelBundle, {f.name: _decode(hints[f.name], data[f.name])
+                                   for f in _persisted(ModelBundle)})
+    _check_vocabulary(bundle["tfidf"]["vocabulary"], bundle["tfidf"]["idf"].shape)
+    if bundle["metrics_snapshot"] is not None:
+        _check_confusion(bundle["metrics_snapshot"]["confusion"])
+    SplitConfig(bundle["seed"], bundle["test_fraction"])
+    _check_arrays(bundle)
+    for table in ("slang", "leet"):
+        if data[f"{table}_digest"] != pairs_digest(bundle[table]):
+            raise ValueError(f"{table}_digest does not match the {table} table")
     return bundle
 
 
-def _bundle_from_payload(data: dict) -> ModelBundle:
-    """Decode each `ModelBundle` field by its type hint, the classifier by
-    the model type of its kind. The tables are checked first, so a bad entry
-    is the loaders' DataError rather than a decoding error."""
-    check_tables(data["slang"], data["leet"])
-    hints = typing.get_type_hints(ModelBundle)
-    hints["classifier"] = LEARNERS[data["kind"]].model
-    return ModelBundle(
-        **{f.name: _decode(hints[f.name], data[f.name]) for f in _persisted(ModelBundle)}
-    )
+def _check_confusion(counts: _Array) -> None:
+    """`model._check_counts` of the snapshot's counts, on the payload's lists."""
+    if len(counts.shape) != 2:
+        raise DataError(f"confusion counts must be 2-d, got shape {counts.shape}")
+    if not _finite(counts.entries) or not all(
+        v.is_integer() and abs(v) < 2.0**63 for v in map(float, counts.entries)
+    ):
+        raise DataError(f"confusion counts must be whole numbers, got {counts.lists!r:.80}")
+    if counts.shape != (N_CLASSES, N_CLASSES):
+        raise DataError(f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {counts.shape}")
+    if min(counts.entries) < 0:
+        raise DataError("confusion counts must be non-negative")
 
 
-def _check_arrays(bundle: ModelBundle) -> None:
+def _check_arrays(bundle: _Fields) -> None:
     """Raise ValueError unless the scaler has one entry per numeric feature,
     the classifier's layers chain from V + 3 inputs (V vocabulary terms, whose
-    columns and IDF `TfidfModel` checks) to one score per class through the
+    columns and IDF `_checked` checks) to one score per class through the
     config's hidden widths, every vocabulary term has as many words as the
     config's `ngram_range` allows, and every entry of those arrays is finite
     (JSON parses NaN and Infinity, which a saved bundle never holds)."""
-    lo, hi = bundle.tfidf.config.ngram_range
-    words = {term.count(" ") + 1 for term in bundle.tfidf.vocabulary}
+    tfidf, scaler, model = bundle["tfidf"], bundle["scaler"], bundle["classifier"]
+    lo, hi = tfidf["config"].ngram_range
+    words = {term.count(" ") + 1 for term in tfidf["vocabulary"]}
     outside = sorted(n for n in words if not lo <= n <= hi)
     if outside:
         raise ValueError(f"vocabulary has terms of {outside} words, outside ngram_range {lo},{hi}")
-    n_terms = bundle.tfidf.n_features
     n_numeric = len(NUMERIC_FEATURE_NAMES)
-    for stats in (bundle.scaler.means, bundle.scaler.stds):
+    for stats in (scaler["means"], scaler["stds"]):
         if stats.shape != (n_numeric,):
             raise ValueError(f"scaler has shape {stats.shape}, expected ({n_numeric},)")
-    width = n_terms + n_numeric
-    for W, b in bundle.classifier.layers:
-        if W.ndim != 2 or W.shape[0] != width or b.shape != (W.shape[1],):
+    if issubclass(model.cls, _LinearModel):  # W holds the one layer's weights transposed
+        layers = [(model["W"].shape[::-1], model["W"], model["b"])]
+    else:
+        layers = [(W.shape, W, b) for W, b in zip(model["weights"], model["biases"], strict=True)]
+    width = len(tfidf["vocabulary"]) + n_numeric
+    for shape, _, b in layers:
+        if len(shape) != 2 or shape[0] != width or b.shape != (shape[1],):
             raise ValueError(
-                f"classifier layer {W.shape} with bias {b.shape} does not take {width} inputs"
+                f"classifier layer {shape} with bias {b.shape} does not take {width} inputs"
             )
-        width = W.shape[1]
+        width = shape[1]
     if width != N_CLASSES:
         raise ValueError(f"classifier emits {width} scores, expected {N_CLASSES}")
-    hidden = tuple(W.shape[1] for W, _ in bundle.classifier.layers[:-1])
-    declared = getattr(bundle.classifier.config, "hidden_layer_sizes", ())
+    hidden = tuple(shape[1] for shape, _, _ in layers[:-1])
+    declared = getattr(model["config"], "hidden_layer_sizes", ())
     if hidden != declared:
         raise ValueError(f"classifier has hidden widths {hidden}, its config declares {declared}")
-    arrays = [bundle.tfidf.idf, bundle.scaler.means, bundle.scaler.stds]
-    arrays += [a for layer in bundle.classifier.layers for a in layer]
-    if not all(np.isfinite(a).all() for a in arrays):
+    arrays = [tfidf["idf"], scaler["means"], scaler["stds"]]
+    arrays += [a for _, W, b in layers for a in (W, b)]
+    if not all(_finite(a.entries) for a in arrays):
         raise ValueError("a NaN or infinite entry in the IDF, scaler or classifier")
+
+
+def _linear_serving(bundle: _Fields) -> Serving:
+    """The `Serving` that a logreg or SVM `ModelBundle` of these checked
+    fields would derive, built from the payload's lists: the same floats,
+    with no numpy array made."""
+    tfidf, scaler, model = bundle["tfidf"], bundle["scaler"], bundle["classifier"]
+    idf, means, stds, bias = ([float(v) for v in a.entries]
+                              for a in (tfidf["idf"], scaler["means"], scaler["stds"], model["b"]))
+    return Serving(
+        LEARNERS[bundle["kind"]].probabilistic, post_cleaner(bundle["slang"], bundle["leet"]),
+        tfidf["config"], _term_columns(tfidf["vocabulary"], idf), means, _safe_stds(stds),
+        weights=list(zip(*(map(float, row) for row in model["W"].lists))), bias=tuple(bias),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -320,58 +448,84 @@ def _check_arrays(bundle: ModelBundle) -> None:
 @dataclass
 class Prediction:
     label: SentimentClass
-    scores: np.ndarray          # probabilities, or decision scores for SVM
+    scores: tuple[float, float, float]  # probabilities, or decision scores for SVM
     probabilistic: bool
+
+
+@dataclass(eq=False)
+class Serving:
+    """What single-post prediction reads, built once per bundle as plain
+    Python data: the cleaner of its tables, its vocabulary's term -> (column,
+    idf) pairs and TF-IDF config, and the scaler's means and divisors. A
+    logreg or SVM classifier is one (w_neg, w_neu, w_pos) tuple per input
+    column and the bias, so scoring needs no numpy; an MLP's is its layers."""
+
+    probabilistic: bool
+    clean: Callable[[str], tuple[str, int, int]]  # raw post -> (text, words, hashtags)
+    tfidf: TfidfConfig
+    columns: dict[str, tuple[int, float]]
+    means: list[float]
+    divisors: list[float]
+    weights: list[tuple[float, float, float]] | None = None
+    bias: tuple[float, float, float] | None = None
+    layers: list | None = None          # `model.forward`'s (W, b) pairs
+
+    def scores(self, raw_text: str, retweets: int = 0, likes: int = 0) -> list[float]:
+        """The post's class scores before any softmax.
+
+        No feature matrix is built: the post's feature vector holds its
+        TF-IDF weights followed by the scaled numeric features, and only the
+        weights of those columns are read. Text that cleans to the empty
+        string still yields scores from the numeric features alone.
+        """
+        if retweets < 0 or likes < 0:
+            raise DataError(
+                f"retweets and likes must be non-negative, got {retweets} and {likes}"
+            )
+        # cleaned and counted as prepare_corpus does for training
+        text, word_count, hashtag_count = self.clean(raw_text)
+        counts = (word_count, _engagement(retweets, likes), hashtag_count)
+        cols, x = tfidf_row(self.columns, self.tfidf, text)
+        # the scaled metadata as transform_scaler computes it, in Python floats
+        x += [(v - m) / s for v, m, s in zip(counts, self.means, self.divisors)]
+        if not all(map(math.isfinite, x)):
+            raise TrainingError("feature vector contains non-finite values")
+        n_terms = len(self.columns)
+        cols += range(n_terms, n_terms + len(counts))
+        if self.layers is not None:
+            (W, b), *rest = self.layers
+            _check_features(W.shape[0], n_terms + len(counts))
+            return forward([(W.take(cols, 0), b), *rest], x).tolist()
+        _check_features(len(self.weights), n_terms + len(counts))
+        # x @ W.T + b as scipy's CSR product adds it: each score from 0.0,
+        # plus x_j * w_j over ascending columns, then the bias
+        neg = neu = pos = 0.0
+        weights = self.weights
+        for j, v in zip(cols, x):
+            w_neg, w_neu, w_pos = weights[j]
+            neg += v * w_neg
+            neu += v * w_neu
+            pos += v * w_pos
+        b_neg, b_neu, b_pos = self.bias
+        return [neg + b_neg, neu + b_neu, pos + b_pos]
+
+    def predict(self, raw_text: str, retweets: int = 0, likes: int = 0) -> Prediction:
+        scores = self.scores(raw_text, retweets, likes)
+        if self.probabilistic:  # model.softmax, one row
+            top = max(scores)
+            exps = [math.exp(s - top) for s in scores]
+            total = _left_sum(exps)
+            scores = [e / total for e in exps]
+        # the first maximum, as np.argmax breaks ties
+        return Prediction(SentimentClass(scores.index(max(scores))), tuple(scores),
+                          self.probabilistic)
 
 
 def predict(
     bundle: ModelBundle, raw_text: str, retweets: int = 0, likes: int = 0
 ) -> Prediction:
-    """Run the full inference pipeline on one raw post.
-
-    No feature matrix is built: the post's feature vector holds its TF-IDF
-    weights followed by the scaled numeric features, and the classifier's
-    first layer gathers the weight rows of exactly those columns.
-    Text that cleans to the empty string still yields a prediction from a
-    zero TF-IDF block plus the numeric features; this never hard-errors.
-    """
-    if retweets < 0 or likes < 0:
-        raise DataError(
-            f"retweets and likes must be non-negative, got {retweets} and {likes}"
-        )
-    # cleaned and counted as prepare_corpus does for training
-    text, word_count, hashtag_count = bundle.clean_(raw_text)
-    counts = (word_count, _engagement(retweets, likes), hashtag_count)
-    cols, x = tfidf_row(bundle.tfidf, text)
-    # the scaled metadata as transform_scaler computes it, in Python floats
-    scaler = bundle.scaler
-    x += [
-        (v - m) / s
-        for v, m, s in zip(counts, scaler.means.tolist(), scaler.safe_stds_.tolist())
-    ]
-    if not all(map(math.isfinite, x)):
-        raise TrainingError("feature vector contains non-finite values")
-
-    n_terms = bundle.tfidf.n_features
-    (W, b), *rest = bundle.classifier.layers
-    _check_features(W.shape[0], n_terms + len(counts))
-    cols += range(n_terms, n_terms + len(counts))
-    # np.take first copies a matrix that is not C-contiguous; the logreg and
-    # SVM layer is such a view (W.T), so its rows are taken as columns of W
-    first = W.T.take(cols, 1).T if W.flags.f_contiguous else W.take(cols, 0)
-    scores = forward([(first, b), *rest], x).tolist()
-    probabilistic = LEARNERS[bundle.kind].probabilistic
-    if probabilistic:  # model.softmax, one row
-        top = max(scores)
-        exps = [math.exp(s - top) for s in scores]
-        total = _left_sum(exps)
-        scores = [e / total for e in exps]
-    return Prediction(
-        # the first maximum, as np.argmax breaks ties
-        label=SentimentClass(scores.index(max(scores))),
-        scores=np.array(scores),
-        probabilistic=probabilistic,
-    )
+    """Run the full inference pipeline on one raw post (`Serving.predict`)."""
+    return bundle.serving_.predict(raw_text, retweets, likes)
 
 
 # --------------------------------------------------------------------------

@@ -334,8 +334,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    loaded = bundle_mod.load_bundle(args.bundle)
-    result = bundle_mod.predict(loaded, args.text, args.retweets, args.likes)
+    serving = bundle_mod.load_serving(args.bundle)  # no numpy for a logreg or SVM bundle
+    result = serving.predict(args.text, args.retweets, args.likes)
     scores = {
         cls.label: float(result.scores[int(cls)]) for cls in SentimentClass
     }

@@ -153,7 +153,7 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
 
 def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
     """The n x V CSR matrix of the documents; row i equals
-    ``tfidf_row(model, docs[i])`` bit for bit.
+    ``tfidf_row(model.columns_, model.config, docs[i])`` bit for bit.
 
     One `_term_values` pass turns each term into its column as it is joined,
     so only integers are kept; the matrix is built from the flat (row,

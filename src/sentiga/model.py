@@ -5,8 +5,8 @@ the three fitted classifiers and `forward` through their layers; a fitted
 TF-IDF vocabulary and one document's row of it; the metadata scaler; a
 held-out report; and `LEARNERS`, the one table the rest of the package
 reads for what differs between the three classifiers. Nothing here trains,
-and besides the standard library only numpy is imported, so serving a
-bundle loads neither the training code nor scipy.
+and numpy is imported only inside the functions that compute on arrays, so
+serving a logreg or SVM bundle loads neither numpy nor scipy.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from itertools import repeat
 from operator import itemgetter, mul, truediv
-from typing import ClassVar
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar
 
 from .errors import DataError, SentigaError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SentimentClass(IntEnum):
@@ -82,11 +83,20 @@ def _admits(hint, values) -> bool:
     return set(map(type, values)) <= ({int, float} if hint is float else {hint})
 
 
+def _finite(values) -> bool:
+    """Whether each of `values`, ints or floats, is a finite float; an int
+    beyond the range of a float is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # int too large to convert to float
+        return False
+
+
 def check_config(config) -> None:
     """Raise ValueError unless every field of `config` is of its type and
     within bounds. A field's type hint must admit its value (`_admits`; a
     tuple hint, a tuple of such entries; None wherever the hint allows it);
-    a float must be finite (it is stored as a float), a `seed` non-negative
+    a float must be finite (`_finite`; it is stored as a float), a `seed` non-negative
     as numpy requires, and each field that the class's `bounds` names within
     its bound there, a key of `_BOUNDS` or a tuple of the supported values."""
     hints, bounds = _type_hints(type(config)), config.bounds
@@ -100,8 +110,8 @@ def check_config(config) -> None:
             hint = hint.__name__ if isinstance(hint, type) else hint  # int, not <class 'int'>
             raise ValueError(f"{name} must be of type {hint}, got {value!r}")
         if hint is float:
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not _finite([value]):
+                raise ValueError(f"{name} must be finite, got {value!r:.80}")
             object.__setattr__(config, name, float(value))  # C=2 reads back as C=2.0
         bound = bounds.get(name, "non-negative" if name == "seed" else None)
         if isinstance(bound, tuple):
@@ -238,10 +248,14 @@ def _check_features(model_dim: int, n_features: int) -> None:
 # like numpy's sum it starts from +0.0, so a row of -0.0 sums to 0.0.
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return functools.reduce(np.maximum, scores.T)
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     shifted = scores - _row_max(scores)[:, None]
     exp = np.exp(shifted)
     return exp / _left_sum(exp.T)[:, None]
@@ -250,6 +264,8 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 def forward(layers, X) -> np.ndarray:
     """Scores before any softmax: x @ W + b for each (W, b) of `layers`,
     ReLU between layers. X is one row (1-d) or a batch of rows."""
+    import numpy as np
+
     (W, b), *rest = layers
     scores = np.asarray(X @ W) + b
     for W, b in rest:
@@ -282,18 +298,28 @@ class TfidfModel:
     columns_: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n_terms = len(self.vocabulary)
-        if self.idf.shape != (n_terms,) or sorted(self.vocabulary.values()) != list(range(n_terms)):
-            raise ValueError(
-                f"a vocabulary column is missing, repeated or outside 0..{n_terms - 1}, "
-                f"or the IDF shape {self.idf.shape} is not ({n_terms},)"
-            )
-        idf = self.idf.tolist()
-        self.columns_ = {term: (col, idf[col]) for term, col in self.vocabulary.items()}
+        _check_vocabulary(self.vocabulary, self.idf.shape)
+        self.columns_ = _term_columns(self.vocabulary, self.idf.tolist())
 
     @property
     def n_features(self) -> int:
         return len(self.vocabulary)
+
+
+def _check_vocabulary(vocabulary: dict[str, int], idf_shape: tuple[int, ...]) -> None:
+    """Raise ValueError unless the vocabulary's columns are 0..V-1, each once,
+    and the IDF has the shape (V,)."""
+    n_terms = len(vocabulary)
+    if idf_shape != (n_terms,) or sorted(vocabulary.values()) != list(range(n_terms)):
+        raise ValueError(
+            f"a vocabulary column is missing, repeated or outside 0..{n_terms - 1}, "
+            f"or the IDF shape {idf_shape} is not ({n_terms},)"
+        )
+
+
+def _term_columns(vocabulary: dict[str, int], idf: list[float]) -> dict[str, tuple[int, float]]:
+    """term -> (column, idf), what `tfidf_row` looks up."""
+    return {term: (col, idf[col]) for term, col in vocabulary.items()}
 
 
 def _left_sum(terms, total=0.0):
@@ -310,15 +336,15 @@ def _term_frequency(count: int, sublinear: bool) -> float:
     return 1.0 + math.log(count) if sublinear else float(count)
 
 
-def tfidf_row(model: TfidfModel, doc: str) -> tuple[list[int], list[float]]:
+def tfidf_row(columns: dict[str, tuple[int, float]], config: TfidfConfig,
+              doc: str) -> tuple[list[int], list[float]]:
     """One document's TF-IDF row as (ascending column indices, weights):
-    (1 + ln c) * idf per in-vocabulary term, L2-normalized. All-OOV or
-    empty documents give two empty lists."""
-    hits = sorted(filter(None, map(model.columns_.get,
-                                   extract_terms(doc, model.config.ngram_range))))
+    (1 + ln c) * idf per term of `columns` (`_term_columns`), L2-normalized.
+    All-OOV or empty documents give two empty lists."""
+    hits = sorted(filter(None, map(columns.get, extract_terms(doc, config.ngram_range))))
     row = dict(hits)  # column -> idf, ascending
     if len(row) < len(hits):  # a repeated term: weigh each column by its count
-        counts, sublinear = Counter(map(itemgetter(0), hits)), model.config.sublinear_tf
+        counts, sublinear = Counter(map(itemgetter(0), hits)), config.sublinear_tf
         row = {col: _term_frequency(counts[col], sublinear) * idf for col, idf in row.items()}
     # a term seen once weighs exactly its idf: (1 + ln 1) * idf == 1.0 * idf
     weights = list(row.values())
@@ -339,13 +365,26 @@ class Scaler:
     safe_stds_: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.safe_stds_ = np.where(self.stds == 0, 1.0, self.stds)
+        import numpy as np
+
+        self.safe_stds_ = np.array(_safe_stds(self.stds.tolist()), dtype=float)
+
+
+def _safe_stds(stds: list[float]) -> list[float]:
+    """The scaler's divisors: a std, or 1.0 where it is 0 (a constant column)."""
+    return [std or 1.0 for std in stds]
 
 
 def _whole(values, what: str, ndim: int = 1) -> np.ndarray:
     """`values` as an `ndim`-d int array; DataError unless each is a whole
-    number that an int64 holds: NaN, 2.5, 1e19, 2**70 and "1" are refused."""
-    array = np.asarray(values)
+    number that an int64 holds: NaN, 2.5, 1e19, 2**70, "1" and rows of
+    unequal lengths are refused."""
+    import numpy as np
+
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy: "... has an inhomogeneous shape ..."
+        raise DataError(f"{what} must be {ndim}-d, got rows of unequal lengths") from None
     if array.ndim != ndim:
         raise DataError(f"{what} must be {ndim}-d, got shape {array.shape}")
     if array.dtype.kind not in "biuf" or not np.all(
@@ -358,6 +397,8 @@ def _whole(values, what: str, ndim: int = 1) -> np.ndarray:
 def _check_counts(counts) -> np.ndarray:
     """`counts` as a 3x3 int array, counts[i][j] = samples with true class i
     predicted as class j; DataError unless whole, 3x3 and non-negative."""
+    import numpy as np
+
     counts = _whole(counts, "confusion counts", 2)
     if counts.shape != (N_CLASSES, N_CLASSES):
         raise DataError(f"expected a {N_CLASSES}x{N_CLASSES} matrix, got {counts.shape}")

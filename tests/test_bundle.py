@@ -136,12 +136,12 @@ class TestPersistence:
         save_bundle(bundle, before)
         for record in records:
             predict(bundle, f"{record.clean_text} #Served", 1, 2)
-        assert "#Served" in bundle.clean_.__self__
+        assert "#Served" in bundle.serving_.clean.__self__
         save_bundle(bundle, after)
         assert after.read_bytes() == before.read_bytes()
         save_bundle(load_bundle(after), after)
         assert after.read_bytes() == before.read_bytes()
-        assert "clean_" not in repr(bundle) and "Served" not in repr(bundle)
+        assert "serving_" not in repr(bundle) and "Served" not in repr(bundle)
 
     def test_loaded_copies_compare_by_identity_and_save_equal_bytes(self, trained, tmp_path):
         result, _ = trained
@@ -260,8 +260,8 @@ class TestPredict:
     def test_empty_cleaning_still_predicts(self, trained):
         result, _ = trained
         outcome = predict(result.bundle, "http://t.co/x @user 123", retweets=2, likes=5)
-        assert outcome.scores.shape == (3,)
-        assert np.isfinite(outcome.scores).all()
+        assert type(outcome.scores) is tuple and len(outcome.scores) == 3
+        assert all(type(s) is float and np.isfinite(s) for s in outcome.scores)
 
     def test_repeated_calls_agree_exactly(self, trained):
         result, _ = trained
@@ -372,19 +372,30 @@ class TestMatrixPathParity:
         "svm": decision_scores_svm,
     }
 
+    def assert_served_as_the_matrix_path(self, kind, result, posts):
+        """The labels agree. Logreg scores before the softmax and SVM decision
+        scores equal the matrix path's `X @ W.T + b` exactly; logreg
+        probabilities and MLP scores agree within 1e-12."""
+        bundle = result.bundle
+        rows = [_training_row(raw, bundle) for raw in posts]
+        X = result.space.featurize(rows).to_csr()
+        expected = self.SCORERS[kind](bundle.classifier, X)
+        served = [predict(bundle, r.text, r.retweets, r.likes) for r in posts]
+        assert [int(p.label) for p in served] == expected.argmax(axis=1).tolist()
+        assert np.max(np.abs(np.array([p.scores for p in served]) - expected)) <= 1e-12
+        if kind != "mlp":
+            model = bundle.classifier
+            raw = [bundle.serving_.scores(r.text, r.retweets, r.likes) for r in posts]
+            assert np.array_equal(np.array(raw), X @ model.W.T + model.b)
+        if kind == "svm":
+            assert np.array_equal(np.array([p.scores for p in served]), expected)
+        return rows, served
+
     @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
     def test_every_reference_row_matches_the_matrix_path(self, reference_raw, kind):
         result = train_bundle(prepare_corpus(reference_raw), kind=kind)
-        bundle = result.bundle
-        rows = [_training_row(raw, bundle) for raw in reference_raw]
-        X = result.space.featurize(rows).to_csr()
-        expected = self.SCORERS[kind](bundle.classifier, X)
-        served = np.array(
-            [predict(bundle, r.text, r.retweets, r.likes).scores for r in reference_raw]
-        )
+        rows, _ = self.assert_served_as_the_matrix_path(kind, result, reference_raw)
         assert any(not r.clean_text for r in rows)  # empty texts are covered
-        assert np.array_equal(served.argmax(axis=1), expected.argmax(axis=1))
-        assert np.max(np.abs(served - expected)) <= 1e-12
 
     @pytest.fixture(scope="class")
     def stream(self, tmp_path_factory):
@@ -393,13 +404,7 @@ class TestMatrixPathParity:
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
     def test_stream_posts_match_the_matrix_path(self, reference_results, stream, kind):
-        result = reference_results[kind]
-        bundle = result.bundle
-        rows = [_training_row(raw, bundle) for raw in stream]
-        expected = self.SCORERS[kind](bundle.classifier, result.space.featurize(rows).to_csr())
-        served = [predict(bundle, r.text, r.retweets, r.likes) for r in stream]
-        assert [int(p.label) for p in served] == expected.argmax(axis=1).tolist()
-        assert np.max(np.abs(np.array([p.scores for p in served]) - expected)) <= 1e-12
+        self.assert_served_as_the_matrix_path(kind, reference_results[kind], stream)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -412,13 +417,8 @@ class TestMatrixPathParity:
         self, reference_results, kind, text, retweets, likes
     ):
         result = reference_results[kind]
-        row = _training_row(RawRecord(text, "Joy", retweets, likes), result.bundle)
-        expected = self.SCORERS[kind](
-            result.bundle.classifier, result.space.featurize([row]).to_csr()
-        )[0]
-        served = predict(result.bundle, text, retweets, likes)
-        assert int(served.label) == int(expected.argmax())
-        assert np.max(np.abs(served.scores - expected)) <= 1e-12
+        post = RawRecord(text, "Joy", retweets, likes)
+        _, (served,) = self.assert_served_as_the_matrix_path(kind, result, [post])
         warm = predict(result.bundle, text, retweets, likes)  # every token memoized
         assert warm.label is served.label
         assert np.array_equal(warm.scores, served.scores)
@@ -495,21 +495,37 @@ class TestBundleStructure:
     def saved(self, tmp_path_factory):
         records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
         paths = {}
-        for kind in ("logreg", "mlp"):
+        for kind in ("logreg", "mlp", "svm"):
             result = train_bundle(records, kind=kind, tfidf_config=SMALL_TFIDF,
                                   split=SplitConfig(seed=1))
             paths[kind] = tmp_path_factory.mktemp(kind) / "m.bundle"
             save_bundle(result.bundle, paths[kind])
         return paths
 
+    @staticmethod
+    def assert_refused(path, match, capsys):
+        """`load_bundle` refuses the file with a BundleError matching `match`,
+        and `sentiga predict` refuses it with exit 5 and the same message."""
+        with pytest.raises(BundleError, match=match) as refused:
+            load_bundle(path)
+        assert main(["predict", "--bundle", str(path), "--text", "aku senang"]) == 5
+        assert capsys.readouterr().err == f"i/o error: {refused.value}\n"
+
     def _edited(self, saved, kind, edit, tmp_path):
         path = tmp_path / "edited.bundle"
         path.write_bytes(saved[kind].read_bytes())
         return edit_bundle_payload(path, edit)
 
-    def test_unedited_payload_still_loads(self, saved, tmp_path):
+    def test_unedited_payload_still_loads_and_serves(self, saved, tmp_path, capsys):
         for kind in saved:
-            load_bundle(self._edited(saved, kind, lambda data: None, tmp_path))
+            path = self._edited(saved, kind, lambda data: None, tmp_path)
+            expected = predict(load_bundle(path), "aku senang #bagus", 3, 4)
+            assert main(["predict", "--bundle", str(path), "--text", "aku senang #bagus",
+                         "--retweets", "3", "--likes", "4"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["class"] == expected.label.label
+            scores = payload["probabilities" if expected.probabilistic else "decision_scores"]
+            assert list(scores.values()) == list(expected.scores)
 
     # every top-level key of a saved payload: the ModelBundle fields and the
     # two table digests
@@ -523,10 +539,9 @@ class TestBundleStructure:
         assert sorted(payload) == sorted(self.PAYLOAD_KEYS)
 
     @pytest.mark.parametrize("key", PAYLOAD_KEYS)
-    def test_missing_key(self, saved, tmp_path, key):
+    def test_missing_key(self, saved, tmp_path, key, capsys):
         path = self._edited(saved, "logreg", lambda data: data.pop(key), tmp_path)
-        with pytest.raises(BundleError, match="malformed payload"):
-            load_bundle(path)
+        self.assert_refused(path, "malformed payload", capsys)
 
     @pytest.mark.parametrize(
         "kind, edit",
@@ -542,17 +557,21 @@ class TestBundleStructure:
             ("mlp", lambda data: data["classifier"]["weights"][0].pop()),
             ("mlp", lambda data: data["classifier"]["biases"][1].pop()),
             ("mlp", lambda data: data["classifier"]["weights"].pop()),
+            ("svm", lambda data: [row.pop() for row in data["classifier"]["W"]]),
+            ("svm", lambda data: data["classifier"]["W"][1].pop()),
+            ("svm", lambda data: data["classifier"]["b"].append(0.5)),
+            ("svm", lambda data: data["classifier"].update(W=[data["classifier"]["W"]])),
         ],
         ids=[
             "idf-short", "scaler-short", "scaler-long", "W-narrow", "W-two-classes",
             "b-short", "vocab-index-out-of-range", "mlp-first-layer-short",
-            "mlp-bias-short", "mlp-layer-missing",
+            "mlp-bias-short", "mlp-layer-missing", "svm-W-narrow", "svm-W-ragged",
+            "svm-b-long", "svm-W-three-d",
         ],
     )
-    def test_wrong_shape(self, saved, tmp_path, kind, edit):
+    def test_wrong_shape(self, saved, tmp_path, kind, edit, capsys):
         path = self._edited(saved, kind, edit, tmp_path)
-        with pytest.raises(BundleError, match="malformed payload"):
-            load_bundle(path)
+        self.assert_refused(path, "malformed payload", capsys)
 
     @pytest.mark.parametrize(
         "edit",
@@ -562,9 +581,9 @@ class TestBundleStructure:
         ],
         ids=["seed-infinite", "mean-beyond-float"],
     )
-    def test_value_beyond_its_type_is_integrity_error(self, saved, tmp_path, edit):
-        with pytest.raises(BundleError, match="malformed payload"):
-            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+    def test_value_beyond_its_type_is_integrity_error(self, saved, tmp_path, edit, capsys):
+        path = self._edited(saved, "logreg", edit, tmp_path)
+        self.assert_refused(path, "malformed payload", capsys)
 
     @pytest.mark.parametrize(
         "edit",
@@ -594,9 +613,9 @@ class TestBundleStructure:
             "confusion-string-count", "vocabulary-boolean-column", "ngram-string-bound",
         ],
     )
-    def test_value_of_the_wrong_json_type_is_integrity_error(self, saved, tmp_path, edit):
-        with pytest.raises(BundleError, match="malformed payload"):
-            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+    def test_value_of_the_wrong_json_type_is_integrity_error(self, saved, tmp_path, edit, capsys):
+        path = self._edited(saved, "logreg", edit, tmp_path)
+        self.assert_refused(path, "malformed payload", capsys)
 
     @pytest.mark.parametrize(
         "kind, edit, message",
@@ -627,9 +646,10 @@ class TestBundleStructure:
              "split-test-fraction-5", "split-test-fraction-0", "mlp-seed", "max-features",
              "mlp-improvement-tol", "ngram-range-triple", "min-df-zero"],
     )
-    def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit, message):
-        with pytest.raises(BundleError, match=f"malformed payload: ValueError.*{message}"):
-            load_bundle(self._edited(saved, kind, edit, tmp_path))
+    def test_unsupported_option_is_integrity_error(self, saved, tmp_path, kind, edit, message,
+                                                   capsys):
+        path = self._edited(saved, kind, edit, tmp_path)
+        self.assert_refused(path, f"malformed payload: ValueError.*{message}", capsys)
 
     def test_a_huge_ngram_bound_loads_and_predicts_as_saved(self, saved, tmp_path):
         def edit(data):
@@ -662,23 +682,27 @@ class TestBundleStructure:
             ("mlp", lambda data: data["classifier"]["weights"][0][3].__setitem__(1, float("nan"))),
             ("mlp", lambda data: data["classifier"]["weights"][2][0].__setitem__(0, float("inf"))),
             ("mlp", lambda data: data["classifier"]["biases"][1].__setitem__(0, float("nan"))),
+            ("svm", lambda data: data["classifier"]["W"][0].__setitem__(4, float("inf"))),
+            ("svm", lambda data: data["classifier"]["b"].__setitem__(2, float("nan"))),
+            ("svm", lambda data: data["scaler"]["means"].__setitem__(0, 10**400)),
         ],
         ids=[
             "idf-nan", "mean-inf", "std-nan", "W-minus-inf", "b-nan",
-            "mlp-first-layer-nan", "mlp-last-layer-inf", "mlp-bias-nan",
+            "mlp-first-layer-nan", "mlp-last-layer-inf", "mlp-bias-nan", "svm-W-inf",
+            "svm-b-nan", "svm-mean-beyond-float",
         ],
     )
-    def test_non_finite_entry_is_integrity_error(self, saved, tmp_path, kind, edit):
-        with pytest.raises(BundleError, match="NaN or infinite"):
-            load_bundle(self._edited(saved, kind, edit, tmp_path))
+    def test_non_finite_entry_is_integrity_error(self, saved, tmp_path, kind, edit, capsys):
+        path = self._edited(saved, kind, edit, tmp_path)
+        self.assert_refused(path, "NaN or infinite", capsys)
 
     @pytest.mark.parametrize("count", [2.5, float("nan")], ids=str)
-    def test_fractional_confusion_count_is_integrity_error(self, saved, tmp_path, count):
+    def test_fractional_confusion_count_is_integrity_error(self, saved, tmp_path, count, capsys):
         def edit(data):
             data["metrics_snapshot"]["confusion"][0][0] = count
 
-        with pytest.raises(BundleError, match="whole numbers"):
-            load_bundle(self._edited(saved, "logreg", edit, tmp_path))
+        path = self._edited(saved, "logreg", edit, tmp_path)
+        self.assert_refused(path, "whole numbers", capsys)
 
     def test_overflowing_scaled_metadata_is_rejected(self, saved, tmp_path):
         def tiny_stds(data):
@@ -713,22 +737,20 @@ class TestBundleStructure:
         return paths
 
     @pytest.mark.parametrize("widths", [[256, 64], [4], [3, 4], [4, 3, 3]])
-    def test_hidden_widths_other_than_the_layers_are_refused(self, small, tmp_path, widths):
+    def test_hidden_widths_other_than_the_layers_are_refused(self, small, tmp_path, widths, capsys):
         path = self._edited(small, "mlp", lambda data: data["classifier"]["config"].update(
             hidden_layer_sizes=widths), tmp_path)
-        with pytest.raises(BundleError, match=r"hidden widths \(4, 3\), its config declares"):
-            load_bundle(path)
+        self.assert_refused(path, r"hidden widths \(4, 3\), its config declares", capsys)
 
     @pytest.mark.parametrize("kind, ngram_range", [("logreg", [1, 1]), ("svm", [2, 2]),
                                                    ("mlp", [2, 3])])
     def test_vocabulary_terms_outside_the_ngram_range_are_refused(self, small, tmp_path, kind,
-                                                                  ngram_range):
+                                                                  ngram_range, capsys):
         payload = json.loads(small[kind].read_text(encoding="utf-8").split("\n", 2)[2])
         assert {term.count(" ") + 1 for term in payload["tfidf"]["vocabulary"]} == {1, 2}
         path = self._edited(small, kind, lambda data: data["tfidf"]["config"].update(
             ngram_range=ngram_range), tmp_path)
-        with pytest.raises(BundleError, match="outside ngram_range"):
-            load_bundle(path)
+        self.assert_refused(path, "outside ngram_range", capsys)
 
     def test_ngram_range_wider_than_the_vocabulary_loads(self, small, tmp_path):
         # min_df or max_features may leave no term of some admitted length
@@ -765,10 +787,9 @@ class TestBundleStructure:
             "slang-number-value", "slang-two-word-key", "slang-empty-value",
         ],
     )
-    def test_bad_slang_or_leet_table(self, saved, tmp_path, edit):
+    def test_bad_slang_or_leet_table(self, saved, tmp_path, edit, capsys):
         path = self._edited(saved, "logreg", edit, tmp_path)
-        with pytest.raises(BundleError, match=r"malformed payload: DataError\("):
-            load_bundle(path)
+        self.assert_refused(path, r"malformed payload: DataError\(", capsys)
 
 
     def test_edited_table_with_its_digest_loads(self, saved, tmp_path):
@@ -829,11 +850,10 @@ class TestTrainBundle:
         assert (result.bundle.seed, result.bundle.classifier.config.seed) == (7, 7)
 
 
-def test_misshapen_metrics_snapshot_is_integrity_error(tmp_path):
+def test_misshapen_metrics_snapshot_is_integrity_error(tmp_path, capsys):
     records = make_clean_records(n_per_class=(8, 8, 8), seed=3)
     path = tmp_path / "m.bundle"
     result = train_bundle(records, tfidf_config=SMALL_TFIDF, split=SplitConfig(seed=1))
     save_bundle(result.bundle, path)
     edit_bundle_payload(path, lambda data: data["metrics_snapshot"]["confusion"].pop())
-    with pytest.raises(BundleError, match="expected a 3x3 matrix"):
-        load_bundle(path)
+    TestBundleStructure.assert_refused(path, "expected a 3x3 matrix", capsys)

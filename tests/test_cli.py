@@ -144,15 +144,20 @@ class TestTrainEvaluatePredict:
         assert payload["probabilistic"] is False
         assert "decision_scores" in payload
 
-    def test_predict_does_not_import_scipy(self, trained_bundle):
+    @pytest.mark.parametrize("kind", ["logreg", "svm", "mlp"])
+    def test_predict_does_not_import_scipy(self, small_raw_csv, tmp_path, kind):
         """`sentiga predict`, run the way `python -m sentiga` runs it, imports
-        only the serving modules."""
+        only the serving modules, and on a logreg or SVM bundle no numpy."""
+        bundle_path = tmp_path / f"{kind}.bundle"
+        assert run("train", "--data", str(small_raw_csv), "--bundle", str(bundle_path),
+                   "--model", kind, "--min_df", "1", "--max_df", "1.0") == 0
         script = (
             "import runpy, sys\n"
             "try:\n"
             "    runpy.run_module('sentiga', run_name='__main__', alter_sys=True)\n"
             "finally:\n"
-            "    print(sorted(m for m in sys.modules if m.split('.')[0] in ('sentiga', 'scipy')),\n"
+            "    print(sorted(m for m in sys.modules\n"
+            "                 if m.split('.')[0] in ('sentiga', 'scipy', 'numpy')),\n"
             "          file=sys.stderr)\n"
         )
         src = str(Path(sentiga.__file__).parent.parent)
@@ -160,15 +165,19 @@ class TestTrainEvaluatePredict:
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]
         )}
         proc = subprocess.run(
-            [sys.executable, "-c", script, "predict", "--bundle", str(trained_bundle),
+            [sys.executable, "-c", script, "predict", "--bundle", str(bundle_path),
              "--text", "aku senang"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["class"] in ("negative", "neutral", "positive")
         loaded = set(ast.literal_eval(proc.stderr.splitlines()[-1])) - {"sentiga.__main__"}
-        assert loaded == {"sentiga", "sentiga.cli", "sentiga.bundle", "sentiga.model",
-                          "sentiga.textnorm", "sentiga.errors"}
+        assert not any(m.split(".")[0] == "scipy" for m in loaded)
+        assert any(m.split(".")[0] == "numpy" for m in loaded) == (kind == "mlp")
+        assert {m for m in loaded if m.split(".")[0] == "sentiga"} == {
+            "sentiga", "sentiga.cli", "sentiga.bundle", "sentiga.model", "sentiga.textnorm",
+            "sentiga.errors",
+        }
 
 
 class TestBenchmarkExport:

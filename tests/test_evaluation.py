@@ -113,6 +113,15 @@ class TestStratifiedSplitLabels:
         with pytest.raises(DataError, match=r"class labels must be 1-d, got shape \(2, 2\)"):
             confusion([[0, 1], [1, 2]], [[0, 1], [1, 2]])
 
+    def test_ragged_labels_raise(self):
+        message = "class labels must be 1-d, got rows of unequal lengths"
+        with pytest.raises(DataError, match=message):
+            stratified_split([[0], [1, 2]], 0.2, 1)
+        with pytest.raises(DataError, match=message):
+            confusion([[0], [1, 2]], [0, 1])
+        with pytest.raises(DataError, match=message):
+            confusion([0, 1], [[0], [1, 2]])
+
     def test_whole_float_labels_split_as_their_ints(self):
         labels = labels_from_counts([6, 4, 8])
         floats = stratified_split(labels.astype(float), 0.5, seed=3)

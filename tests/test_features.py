@@ -86,7 +86,7 @@ def stacked_reference_rows(model, docs):
     """The n x V CSR matrix of tfidf_row rows, stacked the plain way."""
     indptr, indices, data = [0], [], []
     for doc in docs:
-        cols, weights = tfidf_row(model, doc)
+        cols, weights = tfidf_row(model.columns_, model.config, doc)
         indices.extend(cols)
         data.extend(weights)
         indptr.append(len(indices))
@@ -104,7 +104,7 @@ def assert_csr_identical(actual, expected):
 
 
 def assert_rows_bit_equal(model, doc):
-    cols, weights = tfidf_row(model, doc)
+    cols, weights = tfidf_row(model.columns_, model.config, doc)
     ref_cols, ref_weights = reference_tfidf_row(model, doc)
     assert cols == ref_cols
     assert [float(w).hex() for w in weights] == [float(w).hex() for w in ref_weights]

@@ -190,6 +190,6 @@ def test_every_config_is_frozen_and_checked(cls):
     floats = [name for name, hint in typing.get_type_hints(cls).items() if hint is float]
     assert floats
     for name in floats:
-        for value in (float("nan"), float("inf"), -float("inf")):
+        for value in (float("nan"), float("inf"), -float("inf"), 10**400):  # 10**400: no float
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 cls(**{name: value})

@@ -111,6 +111,11 @@ class TestTrainLogReg:
         with pytest.raises(DataError, match="class labels must be whole numbers"):
             train(X, y)
 
+    def test_ragged_labels_raise(self):
+        X, _ = make_separable_xy(seed=2)
+        with pytest.raises(DataError, match="class labels must be 1-d, got rows of unequal"):
+            train_logreg(X[:2], [[0], [1, 2]])
+
     def test_objective_monotone_on_random_instances(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
