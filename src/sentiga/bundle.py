@@ -29,7 +29,7 @@ import math
 import os
 import types
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -240,20 +240,15 @@ class ModelBundle:
 
     @functools.cached_property
     def serving_(self) -> Serving:
-        """What `predict` reads: the cleaner of the tables, a token memo that
-        fills as the bundle serves, and the fitted parts as plain Python
-        data. Derived from the stored fields on first use, so bundles do not
-        store it and a bundle that never serves does not hold it."""
+        """What `predict` reads, derived from the stored fields on first use:
+        bundles do not store it, and one that never serves does not hold it.
+        Its cleaner's token memo fills as the bundle serves."""
         model = self.classifier
-        if isinstance(model, _LinearModel):
-            classifier = {"weights": list(zip(*model.W.tolist())), "bias": tuple(model.b.tolist())}
-        else:
-            classifier = {"layers": model.layers}
-        return Serving(
-            LEARNERS[self.kind].probabilistic, post_cleaner(self.slang, self.leet),
-            self.tfidf.config, self.tfidf.columns_,
-            self.scaler.means.tolist(), self.scaler.safe_stds_.tolist(), **classifier,
-        )
+        classifier = ({"linear": (model.W.tolist(), model.b.tolist())}
+                      if isinstance(model, _LinearModel) else {"layers": model.layers})
+        return _serving(self.kind, self.slang, self.leet, self.tfidf.config,
+                        self.tfidf.vocabulary, self.tfidf.idf.tolist(),
+                        self.scaler.means.tolist(), self.scaler.stds.tolist(), **classifier)
 
     @property
     def slang_digest(self) -> str:
@@ -265,11 +260,16 @@ class ModelBundle:
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    """Serialize deterministically and write atomically (temp file + rename)."""
+    """Serialize deterministically and write atomically (temp file + rename);
+    BundleError, and nothing written, if `_checked` refuses the payload."""
     payload = {f.name: getattr(bundle, f.name) for f in _persisted(bundle)} | {
         "slang_digest": bundle.slang_digest, "leet_digest": bundle.leet_digest
     }
     encoded = _encode(payload)
+    try:
+        _checked(json.loads(encoded))
+    except _MALFORMED as exc:
+        raise BundleError(f"{path}: not saved, the bundle would not load: {exc!r}") from None
     checksum = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
     content = f"{_MAGIC} v{FORMAT_VERSION}\nsha256:{checksum}\n{encoded}\n"
     write_text_atomic(Path(path), content)
@@ -300,10 +300,22 @@ def load_bundle(path: str | Path) -> ModelBundle:
 
 def load_serving(path: str | Path) -> Serving:
     """The `Serving` of the bundle file at `path`, checked as `load_bundle`
-    checks it. A logreg or SVM bundle's is built from the payload's lists,
-    without numpy; an MLP bundle's is that of its `load_bundle`."""
-    return _load(path, lambda fields: _linear_serving(fields)
-                 if issubclass(fields["classifier"].cls, _LinearModel) else _build(fields).serving_)
+    checks it and built from the payload's lists: a logreg or SVM bundle's
+    without numpy, an MLP bundle's with only its layers made arrays."""
+    return _load(path, _payload_serving)
+
+
+def _payload_serving(bundle: _Fields) -> Serving:
+    tfidf, scaler, model = bundle["tfidf"], bundle["scaler"], bundle["classifier"]
+    classifier = ({"linear": (model["W"].lists, model["b"].lists)}
+                  if issubclass(model.cls, _LinearModel) else {"layers": _build(model).layers})
+    return _serving(bundle["kind"], bundle["slang"], bundle["leet"], tfidf["config"],
+                    tfidf["vocabulary"], tfidf["idf"].lists,
+                    scaler["means"].lists, scaler["stds"].lists, **classifier)
+
+
+# what `_checked` and the builders raise for a malformed payload
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError)
 
 
 def _load(path: str | Path, make: Callable[[_Fields], object]):
@@ -313,7 +325,7 @@ def _load(path: str | Path, make: Callable[[_Fields], object]):
     data = _read_payload(path)
     try:
         return make(_checked(data))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
+    except _MALFORMED as exc:
         raise BundleError(f"{path}: malformed payload: {exc!r}") from None
 
 
@@ -427,20 +439,6 @@ def _check_arrays(bundle: _Fields) -> None:
         raise ValueError("a NaN or infinite entry in the IDF, scaler or classifier")
 
 
-def _linear_serving(bundle: _Fields) -> Serving:
-    """The `Serving` that a logreg or SVM `ModelBundle` of these checked
-    fields would derive, built from the payload's lists: the same floats,
-    with no numpy array made."""
-    tfidf, scaler, model = bundle["tfidf"], bundle["scaler"], bundle["classifier"]
-    idf, means, stds, bias = ([float(v) for v in a.entries]
-                              for a in (tfidf["idf"], scaler["means"], scaler["stds"], model["b"]))
-    return Serving(
-        LEARNERS[bundle["kind"]].probabilistic, post_cleaner(bundle["slang"], bundle["leet"]),
-        tfidf["config"], _term_columns(tfidf["vocabulary"], idf), means, _safe_stds(stds),
-        weights=list(zip(*(map(float, row) for row in model["W"].lists))), bias=tuple(bias),
-    )
-
-
 # --------------------------------------------------------------------------
 # inference
 # --------------------------------------------------------------------------
@@ -454,11 +452,11 @@ class Prediction:
 
 @dataclass(eq=False)
 class Serving:
-    """What single-post prediction reads, built once per bundle as plain
-    Python data: the cleaner of its tables, its vocabulary's term -> (column,
-    idf) pairs and TF-IDF config, and the scaler's means and divisors. A
-    logreg or SVM classifier is one (w_neg, w_neu, w_pos) tuple per input
-    column and the bias, so scoring needs no numpy; an MLP's is its layers."""
+    """What single-post prediction reads, as plain Python data that `_serving`
+    makes once per bundle: the cleaner of its tables, the term -> (column, idf)
+    table and TF-IDF config, the scaler's means and divisors, and a logreg or
+    SVM classifier as one (w_neg, w_neu, w_pos) tuple per input column and the
+    bias, so scoring needs no numpy; an MLP's is its layers."""
 
     probabilistic: bool
     clean: Callable[[str], tuple[str, int, int]]  # raw post -> (text, words, hashtags)
@@ -494,9 +492,7 @@ class Serving:
         cols += range(n_terms, n_terms + len(counts))
         if self.layers is not None:
             (W, b), *rest = self.layers
-            _check_features(W.shape[0], n_terms + len(counts))
             return forward([(W.take(cols, 0), b), *rest], x).tolist()
-        _check_features(len(self.weights), n_terms + len(counts))
         # x @ W.T + b as scipy's CSR product adds it: each score from 0.0,
         # plus x_j * w_j over ascending columns, then the bias
         neg = neu = pos = 0.0
@@ -519,6 +515,23 @@ class Serving:
         # the first maximum, as np.argmax breaks ties
         return Prediction(SentimentClass(scores.index(max(scores))), tuple(scores),
                           self.probabilistic)
+
+
+def _serving(kind: str, slang: dict, leet: dict, tfidf: TfidfConfig, vocabulary: dict,
+             idf: list, means: list, stds: list, *, linear=None, layers=None) -> Serving:
+    """The one maker of a `Serving`, from a bundle's stored fields as plain
+    lists (a payload writes 2.0 as 2): the IDF, the scaler's means and stds,
+    and a logreg or SVM classifier's `linear` (W's rows, one per class, and
+    b) or an MLP's `layers`. Checks once that the classifier takes V + 3 inputs."""
+    weights = bias = None
+    if layers is None:  # one (w_neg, w_neu, w_pos) per input column
+        weights = list(zip(*(map(float, row) for row in linear[0])))
+        bias = tuple(map(float, linear[1]))
+    n_inputs = len(weights) if layers is None else layers[0][0].shape[0]
+    _check_features(n_inputs, len(vocabulary) + len(NUMERIC_FEATURE_NAMES))
+    idf, means, stds = (list(map(float, a)) for a in (idf, means, stds))
+    return Serving(LEARNERS[kind].probabilistic, post_cleaner(slang, leet), tfidf,
+                   _term_columns(vocabulary, idf), means, _safe_stds(stds), weights, bias, layers)
 
 
 def predict(

@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import CleanRecord
 from .errors import DataError
 from .model import (NUMERIC_FEATURE_NAMES, Scaler, TfidfConfig, TfidfModel, _left_sum,
-                    _term_frequency, extract_terms)
+                    _safe_stds, _term_frequency, extract_terms)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -152,8 +152,8 @@ def _entries_by_position(values: np.ndarray, indptr: np.ndarray):
 
 
 def transform_corpus(model: TfidfModel, docs: Sequence[str]) -> sp.csr_matrix:
-    """The n x V CSR matrix of the documents; row i equals
-    ``tfidf_row(model.columns_, model.config, docs[i])`` bit for bit.
+    """The n x V CSR matrix of the documents; row i equals the `tfidf_row`
+    of docs[i] under the model's `_term_columns`, bit for bit.
 
     One `_term_values` pass turns each term into its column as it is joined,
     so only integers are kept; the matrix is built from the flat (row,
@@ -199,7 +199,7 @@ def fit_scaler(rows: np.ndarray | Sequence[Sequence[float]]) -> Scaler:
 
 
 def transform_scaler(scaler: Scaler, values: np.ndarray) -> np.ndarray:
-    return (np.asarray(values, dtype=float) - scaler.means) / scaler.safe_stds_
+    return (np.asarray(values, dtype=float) - scaler.means) / _safe_stds(scaler.stds.tolist())
 
 
 @dataclass

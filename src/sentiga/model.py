@@ -236,9 +236,7 @@ class LinearSvmModel(_LinearModel):
 
 def _check_features(model_dim: int, n_features: int) -> None:
     if n_features != model_dim:
-        raise DataError(
-            f"model expects {model_dim} features, got {n_features}"
-        )
+        raise DataError(f"model expects {model_dim} features, got {n_features}")
 
 
 # Row max and row sum over the N_CLASSES columns of a score matrix, folded
@@ -293,13 +291,9 @@ class TfidfModel:
     vocabulary: dict[str, int]   # term -> dense column index, lexicographic
     idf: np.ndarray              # (V,), aligned with vocabulary indices
     config: TfidfConfig
-    # term -> (column, idf as a Python float), what tfidf_row looks up; derived
-    # from `vocabulary` and `idf`, so bundles do not store it
-    columns_: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_vocabulary(self.vocabulary, self.idf.shape)
-        self.columns_ = _term_columns(self.vocabulary, self.idf.tolist())
 
     @property
     def n_features(self) -> int:
@@ -360,18 +354,10 @@ class Scaler:
 
     means: np.ndarray
     stds: np.ndarray
-    # the divisors: a zero std marks a constant column, which maps to 0 at
-    # transform; derived from `stds`, so bundles do not store it
-    safe_stds_: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        import numpy as np
-
-        self.safe_stds_ = np.array(_safe_stds(self.stds.tolist()), dtype=float)
 
 
 def _safe_stds(stds: list[float]) -> list[float]:
-    """The scaler's divisors: a std, or 1.0 where it is 0 (a constant column)."""
+    """The scaler's divisors: a std, or 1.0 where it is 0 (a constant column, scaled to 0)."""
     return [std or 1.0 for std in stds]
 
 

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from sentiga.bundle import (
     ModelBundle,
     _encode,
     load_bundle,
+    load_serving,
     predict,
     save_bundle,
     train_bundle,
@@ -30,7 +31,7 @@ from sentiga.cli import main
 from sentiga.datasets import generate_reference_rows, reference_corpus_path
 from sentiga.errors import BundleError, DataError, SentigaError, TrainingError
 from sentiga.evaluation import SplitConfig, predict_model
-from sentiga.features import Scaler, TfidfConfig
+from sentiga.features import Scaler, TfidfConfig, TfidfModel
 from sentiga.learners import (
     LinearSvmConfig,
     LogRegConfig,
@@ -40,7 +41,7 @@ from sentiga.learners import (
     predict_proba_logreg,
     predict_proba_mlp,
 )
-from sentiga.model import LEARNERS, forward, softmax
+from sentiga.model import LEARNERS, forward, softmax, tfidf_row
 from sentiga.textnorm import clean_text, count_hashtags
 
 SMALL_TFIDF = TfidfConfig(min_df=1, max_df=1.0)
@@ -128,6 +129,18 @@ class TestPersistence:
             after = predict(loaded, text, retweets, likes)
             assert before.label is after.label
             assert np.array_equal(before.scores, after.scores)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: replace(b, kind="svm"), "KeyError.'regularization'"),
+        (lambda b: replace(b, classifier=replace(b.classifier, W=b.classifier.W[:, 5:])),
+         "does not take"),
+    ])
+    def test_a_bundle_that_would_not_load_is_not_saved(self, trained, tmp_path, edit, match):
+        result, _ = trained
+        path = tmp_path / "m.bundle"
+        with pytest.raises(BundleError, match=f"not saved, the bundle would not load: .*{match}"):
+            save_bundle(edit(result.bundle), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_serving_leaves_the_payload_unchanged(self, trained, tmp_path):
         result, records = trained
@@ -441,6 +454,23 @@ class TestMatrixPathParity:
         assert len(calls) == len({token for post in posts for token in post.split()})
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
+    def test_trained_loaded_and_served_bundles_score_alike(
+        self, reference_raw, reference_results, kind, tmp_path
+    ):
+        """The servings of a trained bundle, of its file's `load_bundle` and of
+        `load_serving` give equal scores on every reference post, an empty
+        post and one whose every term is outside the vocabulary."""
+        bundle = reference_results[kind].bundle
+        path = tmp_path / "m.bundle"
+        save_bundle(bundle, path)
+        servings = [bundle.serving_, load_bundle(path).serving_, load_serving(path)]
+        oov, serving = "qwzx vbnk zzqj", servings[0]
+        assert tfidf_row(serving.columns, serving.tfidf, serving.clean(oov)[0]) == ([], [])
+        posts = [(r.text, r.retweets, r.likes) for r in reference_raw] + [("", 0, 0), (oov, 2, 7)]
+        trained, from_bundle, served = ([s.scores(*post) for post in posts] for s in servings)
+        assert trained == from_bundle == served
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp", "svm"])
     def test_forward_is_the_batch_scorers_before_softmax(
         self, reference_raw, reference_results, kind
     ):
@@ -716,12 +746,11 @@ class TestBundleStructure:
         payload = json.loads(saved["logreg"].read_text(encoding="utf-8").split("\n", 2)[2])
         assert sorted(payload["scaler"]) == ["means", "stds"]
         assert sorted(payload["tfidf"]) == ["config", "idf", "vocabulary"]
+        assert [f.name for f in fields(Scaler)] == ["means", "stds"]
+        assert [f.name for f in fields(TfidfModel)] == ["vocabulary", "idf", "config"]
         scaler = Scaler(means=np.zeros(3), stds=np.array([0.0, 2.0, 3.0]))
-        assert scaler.safe_stds_.tolist() == [1.0, 2.0, 3.0]
-        other = Scaler(means=scaler.means, stds=scaler.stds)
-        other.safe_stds_ = np.ones(3)
-        assert scaler == other
-        assert "safe_stds_" not in repr(scaler)
+        bundle = replace(load_bundle(saved["logreg"]), scaler=scaler)
+        assert bundle.serving_.divisors == [1.0, 2.0, 3.0]
 
     @pytest.fixture(scope="class")
     def small(self, tmp_path_factory):

@@ -35,7 +35,7 @@ from sentiga.features import (
     transform_corpus,
     transform_scaler,
 )
-from sentiga.model import tfidf_row
+from sentiga.model import _safe_stds, _term_columns, tfidf_row
 
 UNIGRAM = TfidfConfig(min_df=1, max_df=1.0, ngram_range=(1, 1))
 
@@ -85,8 +85,9 @@ def reference_fit_tfidf(docs, config):
 def stacked_reference_rows(model, docs):
     """The n x V CSR matrix of tfidf_row rows, stacked the plain way."""
     indptr, indices, data = [0], [], []
+    columns = _term_columns(model.vocabulary, model.idf.tolist())
     for doc in docs:
-        cols, weights = tfidf_row(model.columns_, model.config, doc)
+        cols, weights = tfidf_row(columns, model.config, doc)
         indices.extend(cols)
         data.extend(weights)
         indptr.append(len(indices))
@@ -104,7 +105,8 @@ def assert_csr_identical(actual, expected):
 
 
 def assert_rows_bit_equal(model, doc):
-    cols, weights = tfidf_row(model.columns_, model.config, doc)
+    cols, weights = tfidf_row(_term_columns(model.vocabulary, model.idf.tolist()), model.config,
+                              doc)
     ref_cols, ref_weights = reference_tfidf_row(model, doc)
     assert cols == ref_cols
     assert [float(w).hex() for w in weights] == [float(w).hex() for w in ref_weights]
@@ -459,7 +461,7 @@ class TestScaler:
         rows = rng.normal(size=(20, 3)) * [1, 50, 2]
         rows[:, 2] = 4.0  # constant column exercises the zero-std guard
         scaler = fit_scaler(rows)
-        recovered = transform_scaler(scaler, rows) * scaler.safe_stds_ + scaler.means
+        recovered = transform_scaler(scaler, rows) * _safe_stds(scaler.stds.tolist()) + scaler.means
         assert np.allclose(recovered, rows, atol=1e-12)
 
     def test_empty_fit_raises(self):
